@@ -36,6 +36,8 @@ def series(values, bound: Optional[float] = None) -> Series:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DomainError("series values must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise DomainError("series values must be finite")
     if len(arr) and float(arr.min()) < 0:
         raise DomainError("series values must be nonnegative")
     if bound is not None and len(arr) and float(arr.max()) > bound + 1e-12:

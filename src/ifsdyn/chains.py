@@ -9,8 +9,8 @@ epsilon/2, which the h <= epsilon/4 guard protects.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -20,6 +20,8 @@ import numpy as np
 from .core import IFSSpec, apply
 from .errors import DomainError, GuardError, IFSError
 from .spaces import (
+    Circle,
+    FiniteDiscrete,
     Point,
     distance,
     grid,
@@ -30,6 +32,7 @@ from .spaces import (
 )
 
 _WITNESS_SLACK = 1e-12
+_CHUNK_NODES = 128  # source nodes per block of build_chain_graph; bounds its temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +57,11 @@ class ChainGraph:
         pos = np.searchsorted(e, i)
         return pos < len(e) and e[pos] == i
 
+    @functools.cached_property
+    def components(self) -> list[list[int]]:
+        """Strongly connected components, computed once per graph."""
+        return strongly_connected_components(self.out_edges)
+
 
 def _coord_matrix(nodes: Sequence[Point]) -> np.ndarray:
     return np.asarray([leaf_coords(p) for p in nodes], dtype=float)
@@ -67,28 +75,66 @@ def _distances_to_nodes(kinds, coords: np.ndarray, p: Point) -> np.ndarray:
     return out
 
 
+def _leaf_windows(kind, axis: np.ndarray, q: np.ndarray, epsilon: float):
+    """Per source node, the indices of one leaf's grid `axis` that may lie
+    within epsilon of that leaf's coordinate q[map, node] of some map image:
+    a cyclic index range given as (start, width, how many indices wrap to 0).
+    The range is padded by one index on each side, so float rounding can add
+    candidates but never drop one."""
+    n = len(axis)
+    # under the 0/1 metric of a finite space, epsilon >= 1 reaches every point
+    reach = np.inf if isinstance(kind, FiniteDiscrete) and epsilon >= 1 else epsilon
+    if isinstance(kind, Circle):
+        axis = np.concatenate([axis - 1.0, axis, axis + 1.0])
+    lo = np.clip(np.searchsorted(axis, q - reach).min(axis=0) - 1, 0, len(axis))
+    hi = np.clip(np.searchsorted(axis, q + reach, side="right").max(axis=0) + 1, 0, len(axis))
+    width = np.minimum(hi - lo, n)
+    start = lo % n
+    return start, width, np.maximum(start + width - n, 0)
+
+
 def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainGraph:
     """Discretize the space at `resolution` and connect u -> v when some map
-    image of u lies within `epsilon` of v (edge label = the closest map)."""
+    image of u lies within `epsilon` of v (edge label = the closest map).
+
+    Only nodes inside per-leaf windows around the images of u are candidates,
+    and each candidate is checked with the metric itself, so the edges and
+    labels equal those of comparing every pair of nodes, at O(edges) cost."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     if resolution > epsilon / 4 + 1e-15:
         raise GuardError(f"grid resolution {resolution} exceeds epsilon/4 = {epsilon / 4}")
     nodes = tuple(grid(ifs.space, resolution))
     kinds = leaf_kinds(ifs.space)
-    coords = _coord_matrix(nodes)
-    out_edges = []
-    out_labels = []
-    for node in nodes:
-        dmat = np.stack([
-            _distances_to_nodes(kinds, coords, apply(ifs, lam, node))
-            for lam in range(ifs.nmaps)
-        ])
-        best = dmat.min(axis=0)
-        labels = dmat.argmin(axis=0)
-        targets = np.nonzero(best <= epsilon)[0]
-        out_edges.append(targets)
-        out_labels.append(labels[targets])
+    images = np.stack([_coord_matrix([apply(ifs, lam, p) for p in nodes])
+                       for lam in range(ifs.nmaps)])  # (map, node, leaf)
+    # the grid is the product of the leaf grids, first leaf outermost
+    axes = [_coord_matrix(grid(k, resolution))[:, 0] for k in kinds]
+    strides = [int(np.prod([len(a) for a in axes[l + 1:]])) for l in range(len(axes))]
+    windows = [_leaf_windows(k, a, images[..., l], epsilon)
+               for l, (k, a) in enumerate(zip(kinds, axes))]
+    counts = np.prod([w[1] for w in windows], axis=0)
+    out_edges: list[np.ndarray] = []
+    out_labels: list[np.ndarray] = []
+    for c0 in range(0, len(nodes), _CHUNK_NODES):
+        count = counts[c0:c0 + _CHUNK_NODES]
+        src = np.repeat(np.arange(c0, c0 + len(count)), count)
+        k = np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)
+        targets = np.zeros(len(src), dtype=np.intp)
+        dmat = np.zeros((ifs.nmaps, len(src)))  # max over leaves; distances are >= 0
+        # last leaf varies fastest, so each node's targets come out ascending
+        for l in reversed(range(len(kinds))):
+            start, width, wrapped = (w[src] for w in windows[l])
+            k, kl = np.divmod(k, width)
+            idx = np.where(kl < wrapped, kl, start + kl - wrapped)
+            targets += idx * strides[l]
+            for lam in range(ifs.nmaps):
+                np.maximum(dmat[lam], leaf_distances(kinds[l], images[lam, src, l], axes[l][idx]),
+                           out=dmat[lam])
+        keep = dmat.min(axis=0) <= epsilon
+        cuts = np.cumsum(np.bincount(src[keep] - c0, minlength=len(count)))[:-1]
+        out_edges += np.split(targets[keep], cuts)
+        out_labels += np.split(dmat.argmin(axis=0)[keep], cuts)
     return ChainGraph(ifs, nodes, epsilon, resolution,
                       tuple(out_edges), tuple(out_labels))
 
@@ -133,33 +179,38 @@ def _edge_label(g: ChainGraph, u: int, v: int) -> int:
     return int(g.out_labels[u][pos])
 
 
+def _bfs(out_edges: Sequence[np.ndarray], start: int) -> np.ndarray:
+    """Breadth-first search from `start`, one level per step. Returns each
+    node's parent (-1 if unreached); parents and visit order match a FIFO
+    queue that scans edges in stored order. `start` is expanded but not
+    marked, so it gets a parent only if some path of >= 1 step returns to it."""
+    parent = np.full(len(out_edges), -1, dtype=np.intp)
+    frontier = np.array([start], dtype=np.intp)
+    while len(frontier):
+        edges = [out_edges[u] for u in frontier]
+        targets = np.concatenate(edges)
+        sources = np.repeat(frontier, [len(e) for e in edges])
+        unseen = parent[targets] == -1
+        targets, sources = targets[unseen], sources[unseen]
+        first = np.sort(np.unique(targets, return_index=True)[1])
+        frontier = targets[first]
+        parent[frontier] = sources[first]
+    return parent
+
+
 def find_chain(g: ChainGraph, x: Point, y: Point) -> ChainSearchResult:
     """Shortest chain between the grid nodes nearest x and y (>= 1 step, so
     x = y asks for a cycle). The witness is re-validated against the raw
     maps, not the graph."""
     src, snap_from = snap_to_node(g, x)
     dst, snap_to = snap_to_node(g, y)
-    # src is deliberately left unvisited so that src == dst asks for a cycle
-    parent = {}
-    queue = deque()
-    for v in g.out_edges[src]:
-        v = int(v)
-        if v not in parent:
-            parent[v] = src
-            queue.append(v)
-    while queue and dst not in parent:
-        u = queue.popleft()
-        for v in g.out_edges[u]:
-            v = int(v)
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    if dst not in parent:
-        reachable = tuple(sorted(parent.keys()))
+    parent = _bfs(g.out_edges, src)
+    if parent[dst] == -1:
+        reachable = tuple(int(v) for v in np.flatnonzero(parent != -1))
         return ChainSearchResult(False, None, snap_from, snap_to, reachable)
     path = [dst]
     while True:
-        prev = parent[path[-1]]
+        prev = int(parent[path[-1]])
         path.append(prev)
         if prev == src:
             break
@@ -224,9 +275,8 @@ def strongly_connected_components(out_edges: Sequence[np.ndarray]) -> list[list[
 def chain_recurrent_set(g: ChainGraph) -> tuple[int, ...]:
     """Nodes on some graph cycle: members of a nontrivial strongly connected
     component, or nodes with a self-loop."""
-    comps = strongly_connected_components(g.out_edges)
     recurrent = set()
-    for comp in comps:
+    for comp in g.components:
         if len(comp) >= 2:
             recurrent.update(comp)
     for i in range(g.size):
@@ -241,37 +291,19 @@ class TransitivityReport:
     counterexample: Optional[tuple[Point, Point]]
 
 
-def _reachable_from(out_edges, src: int) -> set[int]:
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in out_edges[u]:
-            v = int(v)
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 def is_chain_transitive(g: ChainGraph) -> TransitivityReport:
     """True iff the chain graph is strongly connected; otherwise returns a
     concrete ordered pair with no connecting chain."""
-    comps = strongly_connected_components(g.out_edges)
-    if len(comps) == 1 and len(comps[0]) == g.size:
+    home = next(c for c in g.components if c[0] == 0)  # components are sorted
+    if len(home) == g.size:
         return TransitivityReport(True, None)
-    fwd = _reachable_from(g.out_edges, 0)
-    if len(fwd) < g.size:
-        v = min(set(range(g.size)) - fwd)
+    reached = _bfs(g.out_edges, 0) != -1
+    reached[0] = True
+    if not reached.all():
+        v = int(np.argmin(reached))
         return TransitivityReport(False, (g.nodes[0], g.nodes[v]))
-    # everything reachable from node 0, so some node cannot reach it back
-    rev: list[list[int]] = [[] for _ in range(g.size)]
-    for u in range(g.size):
-        for v in g.out_edges[u]:
-            rev[int(v)].append(u)
-    rev_arrays = [np.asarray(r, dtype=int) for r in rev]
-    back = _reachable_from(rev_arrays, 0)
-    w = min(set(range(g.size)) - back)
+    # node 0 reaches every node, so exactly its own component reaches it back
+    w = min(set(range(g.size)) - set(home))
     return TransitivityReport(False, (g.nodes[w], g.nodes[0]))
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -89,9 +88,7 @@ def _parse_selector(text: str, length: int, nmaps: int):
 
 
 def _config(args, keys) -> dict:
-    cfg = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
-    cfg["threads"] = args.threads
-    return cfg
+    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
 def _emit(text: str, output):
@@ -285,9 +282,6 @@ def _cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ifs", description=__doc__)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("IFS_THREADS", "0")),
-                        help="worker hint, 0 = auto (recorded in output provenance)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, model=True):
@@ -373,10 +367,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except IFSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (IFSError, ValueError, FileNotFoundError) as exc:
+        # ValueError: a flag value that does not parse (`--x0 abc`, `--set k=bad`)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

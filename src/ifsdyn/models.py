@@ -14,9 +14,10 @@ affine_family(betas, offsets)   user-chosen contracting affine maps
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations
 
-from .core import IFSSpec, MapDef, apply_map, validate_ifs
+from .core import IFSSpec, MapDef, _twopiece, apply_map, validate_ifs
 from .errors import BranchError, DomainError, GuardError
 from .spaces import (
     Circle,
@@ -190,13 +191,7 @@ def invert_map(m: MapDef, y: Point) -> Point:
             raise BranchError(f"preimage {t} of {y.value} leaves the interval")
         return point(kind, t)
     if m.form == "twopiece_quadratic":
-        c_low, c_high = m.params
-
-        def fn(t):
-            if t <= 0.5:
-                return t + c_low * (0.5 - t) * t
-            return t + c_high * (1.0 - t) * (t - 0.5)
-
+        fn = partial(_twopiece, *m.params)
         v = y.value
         if isinstance(kind, Circle) and v == 0.0:
             return y  # 0 (== 1) is fixed by every twopiece map

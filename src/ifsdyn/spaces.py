@@ -116,13 +116,15 @@ def point(kind: SpaceKind, value) -> Point:
     """Validate `value` against `kind` and return a canonical Point."""
     if isinstance(kind, Interval):
         v = float(value)
-        if v < kind.lo - _EDGE_SLACK or v > kind.hi + _EDGE_SLACK:
+        if not kind.lo - _EDGE_SLACK <= v <= kind.hi + _EDGE_SLACK:  # also rejects nan
             raise DomainError(f"{v} outside interval [{kind.lo}, {kind.hi}]")
         return Point(kind, min(max(v, kind.lo), kind.hi))
     if isinstance(kind, Circle):
         v = float(value) % 1.0
         if v == 1.0:  # guard against -0.0 % 1.0 edge behavior
             v = 0.0
+        elif v != v:  # nan, or +-inf before the reduction
+            raise DomainError(f"{value} is not a finite circle coordinate")
         return Point(kind, v)
     if isinstance(kind, SymbolSpace):
         return Point(kind, _as_bits(value, kind.depth))

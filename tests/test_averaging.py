@@ -74,6 +74,9 @@ def test_series_validation():
         series([-0.1, 0.2])
     with pytest.raises(DomainError):
         series([0.5, 2.0], bound=1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            series([0.1, bad])
 
 
 def test_density_examples():

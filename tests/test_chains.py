@@ -1,8 +1,12 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
+import ifsdyn.chains
 from ifsdyn import (
     Circle,
+    FiniteDiscrete,
     GuardError,
     IFSSpec,
     Interval,
@@ -16,12 +20,15 @@ from ifsdyn import (
     dyadic_block_sequence,
     dyadic_seam_indices,
     find_chain,
+    grid,
     is_chain_transitive,
     make_system,
     point,
+    product_ifs,
     snap_to_node,
     validate_witness,
 )
+from ifsdyn.spaces import leaf_coords, leaf_distances, leaf_kinds
 
 UNIT = Interval(0.0, 1.0)
 
@@ -183,3 +190,166 @@ def test_dyadic_steps_are_graph_edges():
         u, _ = snap_to_node(g, rec.points[i])
         v, _ = snap_to_node(g, rec.points[i + 1])
         assert v in g.out_edges[u].tolist()
+
+
+# --- graphs, BFS and transitivity against reference implementations ----------
+
+def all_pairs_graph(ifs, resolution, epsilon):
+    """(out_edges, out_labels) from comparing every map image of every node
+    with every node: the definition build_chain_graph must reproduce."""
+    nodes = grid(ifs.space, resolution)
+    kinds = leaf_kinds(ifs.space)
+    coords = np.asarray([leaf_coords(p) for p in nodes], dtype=float)
+    out_edges, out_labels = [], []
+    for node in nodes:
+        rows = []
+        for lam in range(ifs.nmaps):
+            q = leaf_coords(apply(ifs, lam, node))
+            d = leaf_distances(kinds[0], q[0], coords[:, 0])
+            for l in range(1, len(kinds)):
+                d = np.maximum(d, leaf_distances(kinds[l], q[l], coords[:, l]))
+            rows.append(d)
+        dmat = np.stack(rows)
+        targets = np.nonzero(dmat.min(axis=0) <= epsilon)[0]
+        out_edges.append(targets)
+        out_labels.append(dmat.argmin(axis=0)[targets])
+    return out_edges, out_labels
+
+
+def bfs_oracle(out_edges, src):
+    """Parents from a FIFO-queue BFS; src is expanded but not marked."""
+    parent = {}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in out_edges[u]:
+            v = int(v)
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def find_chain_oracle(g, src, dst):
+    """(node path, labels) of the first-found shortest chain, or
+    (None, sorted reachable nodes)."""
+    parent = bfs_oracle(g.out_edges, src)
+    if dst not in parent:
+        return None, tuple(sorted(parent))
+    path = [dst, parent[dst]]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    path.reverse()
+    labels = tuple(int(g.out_labels[u][np.searchsorted(g.out_edges[u], v)])
+                   for u, v in zip(path, path[1:]))
+    return path, labels
+
+
+def transitivity_oracle(g):
+    """None if every node reaches every other; else the pair (0, smallest
+    node 0 misses), or (smallest node that cannot reach 0, 0)."""
+    everything = set(range(g.size))
+    fwd = set(bfs_oracle(g.out_edges, 0)) | {0}
+    if fwd != everything:
+        return 0, min(everything - fwd)
+    sources = np.repeat(np.arange(g.size), [len(e) for e in g.out_edges])
+    targets = np.concatenate(g.out_edges)
+    order = np.argsort(targets, kind="stable")
+    bounds = np.cumsum(np.bincount(targets, minlength=g.size))[:-1]
+    back = set(bfs_oracle(np.split(sources[order], bounds), 0)) | {0}
+    if back != everything:
+        return min(everything - back), 0
+    return None
+
+
+def _catalog_systems():
+    """name -> (ifs, resolution, epsilon)"""
+    cp = make_system("circle_pair")
+    ip = make_system("interval_pair")
+    return {
+        "binary_affine": (make_system("binary_affine"), 0.01, 0.05),
+        "affine_family": (make_system("affine_family", betas=(0.3, 0.7, 0.45),
+                                      offsets=(0.0, 0.3, 0.55)), 0.013, 0.06),
+        "interval_pair": (ip, 0.005, 0.02),
+        "circle_pair": (cp, 0.0125, 0.05),
+        "circle_pair_whole": (cp, 0.1, 0.7),  # every window is the whole circle
+        "F1_only": (IFSSpec(cp.space, cp.maps[:1]), 0.0125, 0.05),
+        "halving": (halving_ifs(), 0.002, 0.01),
+        # node 0 lies on no cycle
+        "halving_to_one": (IFSSpec(UNIT, (MapDef("half1", "affine", (0.5, 0.5)),)), 0.002, 0.01),
+        "identity": (identity_ifs(), 0.01, 0.05),
+        "finite_permutations": (make_system("finite_permutations:3"), 0.1, 0.5),
+        "identity on 5 points, eps >= 1":
+            (IFSSpec(FiniteDiscrete(5), (MapDef("id", "identity"),)), 0.25, 1.0),
+        "circle_pair^2": (product_ifs(cp, cp), 1 / 16, 0.25),
+        "circle_pair^2 fine": (product_ifs(cp, cp), 1 / 64, 4 / 64),
+        "interval_pair x permutations":
+            (product_ifs(ip, make_system("finite_permutations:2")), 0.05, 0.3),
+        "(circle_pair x interval_pair) x circle_pair":
+            (product_ifs(product_ifs(cp, ip), cp), 0.125, 0.5),
+        # 12,801 nodes, 3.1 M edges: node 0 reaches every node, the graph is
+        # still not transitive
+        "interval_pair fine": (ip, 0.005 / 64, 0.005),
+    }
+
+
+@pytest.fixture(scope="module", params=list(_catalog_systems()))
+def catalog_graph(request):
+    ifs, h, eps = _catalog_systems()[request.param]
+    return request.param, build_chain_graph(ifs, h, eps)
+
+
+def test_build_matches_all_pairs(catalog_graph):
+    _, g = catalog_graph
+    edges, labels = all_pairs_graph(g.ifs, g.resolution, g.epsilon)
+    assert g.size == len(edges) and g.edge_count > 0
+    for u in range(g.size):
+        assert np.array_equal(g.out_edges[u], edges[u])
+        assert np.array_equal(g.out_labels[u], labels[u])
+
+
+def test_find_chain_matches_bfs_oracle(catalog_graph):
+    _, g = catalog_graph
+    rng = np.random.default_rng(3)
+    queries = 2 if g.edge_count > 100_000 else 40
+    pairs = [tuple(int(k) for k in rng.integers(0, g.size, 2)) for _ in range(queries)]
+    pairs += [(0, 0), (g.size - 1, g.size - 1)]  # cycle queries
+    for i, j in pairs:
+        res = find_chain(g, g.nodes[i], g.nodes[j])
+        path, labels_or_reach = find_chain_oracle(g, i, j)
+        assert res.found == (path is not None)
+        if path is None:
+            assert res.witness is None and res.reachable == labels_or_reach
+        else:
+            assert res.reachable is None
+            assert res.witness.points == tuple(g.nodes[k] for k in path)
+            assert res.witness.labels == labels_or_reach
+
+
+def test_transitivity_matches_oracle(catalog_graph):
+    name, g = catalog_graph
+    rep = is_chain_transitive(g)
+    pair = transitivity_oracle(g)
+    if pair is None:
+        assert rep.transitive and rep.counterexample is None
+    else:
+        assert not rep.transitive
+        assert rep.counterexample == (g.nodes[pair[0]], g.nodes[pair[1]])
+    if name == "interval_pair fine":  # the branch where node 0 reaches all
+        assert pair is not None and pair[1] == 0
+
+
+def test_scc_computed_once_per_graph(monkeypatch):
+    calls = []
+    tarjan = ifsdyn.chains.strongly_connected_components
+
+    def counting(out_edges):
+        calls.append(1)
+        return tarjan(out_edges)
+
+    monkeypatch.setattr(ifsdyn.chains, "strongly_connected_components", counting)
+    g = build_chain_graph(halving_ifs(), 0.002, 0.01)
+    is_chain_transitive(g)
+    chain_recurrent_set(g)
+    is_chain_transitive(g)
+    assert len(calls) == 1

@@ -29,6 +29,17 @@ def test_usage_errors_exit_2(capsys):
     assert "error" in err or "usage" in err
 
 
+def test_unparseable_values_exit_2(capsys):
+    assert main(["orbit", "--model", "binary_affine", "--x0", "abc", "--steps", "3"]) == 2
+    assert main(["orbit", "--model", "binary_affine", "--x0", "0", "--steps", "3",
+                 "--sigma", "random:x"]) == 2
+    assert main(["pseudo", "--model", "binary_affine", "--x0", "0", "--steps", "3",
+                 "--noise", "const:nan"]) == 2
+    assert main(["experiment", "lemma-density", "--set", "tol=bad"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(line.startswith("error: ") for line in err)
+
+
 def test_list_models(capsys):
     assert main(["list-models"]) == 0
     out = capsys.readouterr().out

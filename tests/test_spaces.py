@@ -53,6 +53,11 @@ def test_point_validation():
     assert point(UNIT, 0.5).value == 0.5
     with pytest.raises(DomainError):
         point(UNIT, 1.5)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError):
+            point(UNIT, bad)
+        with pytest.raises(DomainError):
+            point(Circle(), bad)
     # circle canonicalization to [0, 1)
     assert point(Circle(), 1.25).value == 0.25
     assert point(Circle(), 1.0).value == 0.0
