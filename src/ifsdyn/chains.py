@@ -62,6 +62,11 @@ class ChainGraph:
         """Strongly connected components, computed once per graph."""
         return strongly_connected_components(self.out_edges)
 
+    @functools.cached_property
+    def _coords(self) -> np.ndarray:
+        """Leaf coordinates of the nodes, one row per node, computed once."""
+        return _coord_matrix(self.nodes)
+
 
 def _coord_matrix(nodes: Sequence[Point]) -> np.ndarray:
     return np.asarray([leaf_coords(p) for p in nodes], dtype=float)
@@ -142,7 +147,7 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
 def snap_to_node(g: ChainGraph, p: Point) -> tuple[int, float]:
     """Nearest grid node and its distance."""
     kinds = leaf_kinds(g.ifs.space)
-    d = _distances_to_nodes(kinds, _coord_matrix(g.nodes), p)
+    d = _distances_to_nodes(kinds, g._coords, p)
     i = int(np.argmin(d))
     return i, float(d[i])
 

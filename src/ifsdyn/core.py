@@ -8,7 +8,7 @@ definitions; `conjugate` wraps an arbitrary callable and does not serialize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ class MapDef:
     name: str
     form: str
     params: tuple = ()
-    fn: Optional[Callable[[Point], Point]] = field(default=None, compare=False)
+    fn: Optional[Callable[[Point], Point]] = None  # compared by identity
 
 
 def _twopiece(c_low: float, c_high: float, t: float) -> float:

@@ -39,8 +39,8 @@ from .chains import (
 )
 from .core import (
     apply,
-    compose_apply,
     conjugate_ifs,
+    orbit,
     pair_index,
     power_ifs,
     product_ifs,
@@ -160,11 +160,9 @@ def _exp_power_consistency(p: dict, outdir: Path):
             for i in range(steps)
         ]
         wsel = selector_explicit(words, pspec.nmaps)
-        dev = 0.0
-        for i in range(steps + 1):
-            a = compose_apply(pspec, wsel, i, x0)
-            b = compose_apply(base, sel, k * i, x0)
-            dev = max(dev, distance(a, b))
+        a = orbit(pspec, wsel, x0, steps).points
+        b = orbit(base, sel, x0, k * steps).points[::k]
+        dev = max(0.0, *map(distance, a, b))
         rows.append((t, k, base.name, dev))
         max_dev = max(max_dev, dev)
     path = outdir / "deviations.csv"

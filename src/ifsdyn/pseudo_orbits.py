@@ -260,6 +260,9 @@ def record_from_json(d: dict) -> PseudoOrbitRecord:
     pts = tuple(point_from_json(p) for p in d["points"])
     sel = SelectorSequence(tuple(int(e) for e in d["selector"]["entries"]),
                            d["selector"].get("generator", "explicit"))
+    if not len(d["errors"]) == len(pts) - 1 <= len(sel):
+        raise LengthError(f"record lengths disagree: {len(pts)} points, {len(d['errors'])} "
+                          f"errors, {len(sel)} selector entries")
     return PseudoOrbitRecord(pts, sel, series(d["errors"]))
 
 

@@ -9,6 +9,7 @@ candidate over a start grid.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -45,9 +46,9 @@ class ShadowReport:
 
 
 def _finish_report(candidate, sel, ds, bound, tol_avg, tol_sup) -> ShadowReport:
-    curve = running_average_curve(series(np.asarray(ds)))
+    curve = running_average_curve(series(ds))
     final = float(curve.values[-1])
-    sup = float(max(ds))
+    sup = float(ds.max())
     return ShadowReport(
         candidate=candidate,
         selector=sel,
@@ -60,6 +61,38 @@ def _finish_report(candidate, sel, ds, bound, tol_avg, tol_sup) -> ShadowReport:
         tol_avg=tol_avg,
         tol_sup=tol_sup,
     )
+
+
+def _track(ifs: IFSSpec, rec: PseudoOrbitRecord, z: Point, n: int,
+           sigma: Optional[SelectorSequence] = None):
+    """Walk a candidate orbit from z against the first n record points.
+
+    Returns the distances d_i = d(cur_i, x_i) and the n-1 map indices taken:
+    those of `sigma` when given, else at each step the map landing closest
+    to the next record point (ties to the lowest index)."""
+    if n < 1 or len(rec.points) < n:
+        raise LengthError(f"horizon {n} incompatible with record of {len(rec.points)} points")
+    if sigma is not None and len(sigma) < n - 1:
+        raise LengthError("selector shorter than the horizon")
+    pts = rec.points
+    lams = sigma.entries[: n - 1] if sigma is not None else []
+    ds = []
+    cur = z
+    for i in range(n - 1):
+        ds.append(distance(cur, pts[i]))
+        if sigma is not None:
+            cur = apply(ifs, lams[i], cur)
+            continue
+        best, target = math.inf, pts[i + 1]
+        for lam in range(ifs.nmaps):
+            image = apply(ifs, lam, cur)
+            gap = distance(image, target)
+            if gap < best:
+                best, pick, nxt = gap, lam, image
+        lams.append(pick)
+        cur = nxt
+    ds.append(distance(cur, pts[n - 1]))
+    return np.asarray(ds, dtype=float), lams
 
 
 def shadow_verify(
@@ -78,14 +111,7 @@ def shadow_verify(
         raise DomainError("horizon must be >= 1")
     if len(rec.points) < n:
         raise LengthError(f"record has {len(rec.points)} points, horizon {n}")
-    if len(sigma) < n - 1:
-        raise LengthError("selector shorter than the horizon")
-    ds = np.empty(n)
-    cur = z
-    for i in range(n):
-        ds[i] = distance(cur, rec.points[i])
-        if i < n - 1:
-            cur = apply(ifs, sigma.entry(i), cur)
+    ds, _ = _track(ifs, rec, z, n, sigma)
     return _finish_report(z, sigma, ds, None, tol_avg, tol_sup)
 
 
@@ -113,10 +139,12 @@ def contracting_shadow(
     """Shadow with the record's own selector from an arbitrary start.
 
     Requires a claimed contraction ratio; when `validate` is set, a sampled
-    ratio estimate must not exceed the claim. Each measured step error is
-    checked against the inductive bound
-        d_i <= alpha_{i-1} + beta*alpha_{i-2} + ... + beta^{i-1}*alpha_0 + beta^i*M
-    and a violation raises, since it falsifies the claimed ratio.
+    ratio estimate must not exceed the claim. After the walk, each measured
+    step error is checked against the inductive bound
+        d_i <= b_i,  b_0 = d(y0, x_0),  b_{i+1} = alpha_i + beta*b_i
+    (that is, alpha_{i-1} + beta*alpha_{i-2} + ... + beta^i*b_0) with slack
+    1e-9. A violation falsifies the claimed ratio and raises a
+    ContractionError naming the first violating step.
     """
     beta = ifs.claimed_contraction
     if beta is None:
@@ -131,45 +159,28 @@ def contracting_shadow(
         n = rec.steps
     if n < 1 or n > rec.steps:
         raise LengthError(f"horizon {n} outside [1, {rec.steps}]")
-    alphas = rec.errors.values
-    m0 = distance(y0, rec.points[0])
-    ds = np.empty(n)
-    cur = y0
-    pointwise = m0
-    for i in range(n):
-        d = distance(cur, rec.points[i])
-        if d > pointwise + 1e-9:
-            raise ContractionError(
-                f"step {i}: tracking error {d} exceeds inductive bound {pointwise}"
-            )
-        ds[i] = d
-        if i < n - 1:
-            cur = apply(ifs, rec.selector.entry(i), cur)
-        pointwise = float(alphas[i]) + beta * pointwise if i < len(alphas) else beta * pointwise
-    bound = contracting_shadow_bound(beta, m0, rec.errors, n)
+    ds, _ = _track(ifs, rec, y0, n, rec.selector)
+    bounds = list(itertools.accumulate(rec.errors.values[: n - 1].tolist(),
+                                       lambda b, a: a + beta * b, initial=float(ds[0])))
+    over = np.flatnonzero(ds > np.asarray(bounds) + 1e-9)
+    if len(over):
+        i = int(over[0])
+        raise ContractionError(
+            f"step {i}: tracking error {float(ds[i])} exceeds inductive bound {bounds[i]}"
+        )
+    bound = contracting_shadow_bound(beta, float(ds[0]), rec.errors, n)
     return _finish_report(y0, rec.selector, ds, bound, tol_avg, math.inf)
 
 
-def _greedy_track(ifs: IFSSpec, rec: PseudoOrbitRecord, z: Point, n: int):
-    """Distances and selector choices for one greedy start: at each step pick
-    the map landing closest to the next pseudo-orbit point (ties to the
-    lowest index)."""
-    ds = np.empty(n)
-    entries = []
-    cur = z
-    for i in range(n):
-        ds[i] = distance(cur, rec.points[i])
-        if i < n - 1:
-            target = rec.points[i + 1]
-            best_lam, best_pt, best_d = 0, None, math.inf
-            for lam in range(ifs.nmaps):
-                cand = apply(ifs, lam, cur)
-                d = distance(cand, target)
-                if d < best_d:
-                    best_lam, best_pt, best_d = lam, cand, d
-            entries.append(best_lam)
-            cur = best_pt
-    return ds, entries
+def _best_start(ifs, rec, initial_grid, n, score, tol_avg, tol_sup) -> ShadowReport:
+    """Report of the greedy track with the lowest `score` of its distances
+    over the start grid (the first start wins ties)."""
+    starts = list(initial_grid)
+    if not starts:
+        raise DomainError("initial grid must be nonempty")
+    z, ds, lams = min(((z, *_track(ifs, rec, z, n)) for z in starts),
+                      key=lambda t: score(t[1]))
+    return _finish_report(z, selector_explicit(lams, ifs.nmaps), ds, None, tol_avg, tol_sup)
 
 
 def greedy_shadow_search(
@@ -183,20 +194,7 @@ def greedy_shadow_search(
     """Best greedy candidate over a start grid, ranked by final Cesàro
     average (first grid point wins ties). Refining the grid can only improve
     the result."""
-    starts = list(initial_grid)
-    if not starts:
-        raise DomainError("initial grid must be nonempty")
-    if n < 1 or len(rec.points) < n:
-        raise LengthError(f"horizon {n} incompatible with record of {len(rec.points)} points")
-    best = None
-    for z in starts:
-        ds, entries = _greedy_track(ifs, rec, z, n)
-        avg = float(ds.mean())
-        if best is None or avg < best[0]:
-            best = (avg, z, ds, entries)
-    _, z, ds, entries = best
-    sel = selector_explicit(entries, ifs.nmaps)
-    return _finish_report(z, sel, ds, None, tol_avg, tol_sup)
+    return _best_start(ifs, rec, initial_grid, n, np.mean, tol_avg, tol_sup)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,19 +218,8 @@ def finite_shadowing_check(
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    starts = list(initial_grid)
-    if not starts:
-        raise DomainError("initial grid must be nonempty")
-    best = None
-    for z in starts:
-        ds, entries = _greedy_track(ifs, rec, z, n)
-        sup = float(ds.max())
-        if best is None or sup < best[0]:
-            best = (sup, z, ds, entries)
-    sup, z, ds, entries = best
-    sel = selector_explicit(entries, ifs.nmaps)
-    report = _finish_report(z, sel, ds, None, 1e-2, epsilon)
-    return FiniteShadowingResult(sup <= epsilon, sup, report)
+    report = _best_start(ifs, rec, initial_grid, n, np.max, 1e-2, epsilon)
+    return FiniteShadowingResult(report.verdict_sup, report.sup_error, report)
 
 
 def report_to_json(r: ShadowReport) -> dict:

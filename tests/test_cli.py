@@ -90,6 +90,21 @@ def test_pseudo_shadow_round_trip(tmp_path):
     assert rep_cli["sup_error"] == pytest.approx(rep_lib.sup_error, abs=0)
 
 
+def test_shadow_truncated_record_exit_2(tmp_path, capsys):
+    rec_file = tmp_path / "rec.json"
+    assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5",
+                 "--steps", "50", "--noise", "harmonic", "--seed", "3",
+                 "--tol", "1", "--output", str(rec_file)]) == 0
+    payload = json.loads(rec_file.read_text())
+    payload["record"]["errors"] = payload["record"]["errors"][:-5]
+    rec_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["shadow", "--model", "binary_affine", "--pseudo-file", str(rec_file),
+                 "--mode", "verify", "--z0", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_pseudo_false_verdict_exit_1(tmp_path):
     rec_file = tmp_path / "rec.json"
     code = main(["pseudo", "--model", "binary_affine", "--x0", "0.5",

@@ -253,6 +253,18 @@ def test_conjugate_orbit_commutation():
             assert distance(h(p), q) <= 1e-9
 
 
+def test_conjugate_maps_compare_by_function():
+    b = make_system("binary_affine")
+    sq = conjugate_ifs(b, lambda p: point(UNIT, p.value ** 2),
+                       lambda p: point(UNIT, p.value ** 0.5), UNIT)
+    cu = conjugate_ifs(b, lambda p: point(UNIT, p.value ** 3),
+                       lambda p: point(UNIT, p.value ** (1 / 3)), UNIT)
+    assert sq.maps[0] != cu.maps[0] and sq != cu
+    assert sq.maps == sq.maps
+    fn = sq.maps[0].fn
+    assert MapDef("g", "conjugate", (), fn) == MapDef("g", "conjugate", (), fn)
+
+
 def test_conjugate_validation_failure():
     b = make_system("binary_affine")
     from ifsdyn import ConjugacyError

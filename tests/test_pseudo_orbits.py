@@ -7,6 +7,7 @@ from ifsdyn import (
     BranchError,
     Circle,
     DomainError,
+    IFSError,
     Interval,
     LengthError,
     apply,
@@ -248,6 +249,23 @@ def test_record_json_round_trip():
     assert clone.points == rec.points
     assert clone.selector.entries == rec.selector.entries
     assert np.array_equal(clone.errors.values, rec.errors.values)
+
+
+def test_record_json_rejects_disagreeing_lengths():
+    b = make_system("binary_affine")
+    rec = perturbed_orbit(b, selector_random(22, 20, 2), point(UNIT, 0.25),
+                          harmonic_series(20), seed=23)
+    payload = record_to_json(rec)
+    for key, field in (("errors", None), ("points", None), ("selector", "entries")):
+        bad = record_to_json(rec)
+        if field is None:
+            bad[key] = bad[key][:-1]
+        else:
+            bad[key][field] = bad[key][field][:-1]
+        with pytest.raises(IFSError):
+            record_from_json(bad)
+    payload["selector"]["entries"].append(0)  # a longer selector is allowed
+    assert record_from_json(payload).steps == 20
 
 
 def test_errors_recomputable_from_points_and_selector():

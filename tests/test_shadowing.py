@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from ifsdyn import (
     ContractionError,
     DomainError,
+    IFSSpec,
     Interval,
+    LengthError,
+    MapDef,
     contracting_shadow,
     contracting_shadow_bound,
     diameter,
@@ -104,6 +109,18 @@ def test_contracting_shadow_rejects_false_claim():
         contracting_shadow(fake, rec)
 
 
+def test_contracting_shadow_reports_first_bound_violation():
+    # the map t -> 0.9t + 0.05 expands the 0.8 start gap to 0.72 in one step,
+    # above the bound 0 + 0.5*0.8 of the (false) claimed ratio 0.5
+    fake = IFSSpec(UNIT, (MapDef("wide", "affine", (0.9, 0.05)),),
+                   claimed_contraction=0.5)
+    rec = record_from_orbit(fake, orbit(fake, selector_random(35, 5, 1),
+                                        point(UNIT, 0.2), 5))
+    msg = "step 1: tracking error 0.72 exceeds inductive bound 0.4"
+    with pytest.raises(ContractionError, match=re.escape(msg)):
+        contracting_shadow(fake, rec, y0=point(UNIT, 1.0), validate=False)
+
+
 def test_pointwise_inductive_bound_binary_and_symbolic():
     b = make_system("binary_affine")
     n = 3000
@@ -188,3 +205,27 @@ def test_finite_shadowing_interval_pair_negative():
     res = finite_shadowing_check(pair, rec, 0.2, starts, len(rec.points))
     assert not res.found
     assert res.sup_achieved >= 0.2
+
+
+def test_horizon_checks():
+    b = make_system("binary_affine")
+    rec = record_from_orbit(b, orbit(b, selector_random(43, 10, 2), point(UNIT, 0.3), 10))
+    starts = [rec.points[0]]
+    for n in (0, len(rec.points) + 1):
+        with pytest.raises(LengthError):
+            finite_shadowing_check(b, rec, 0.1, starts, n)
+        with pytest.raises(LengthError):
+            greedy_shadow_search(b, rec, starts, n)
+    with pytest.raises(DomainError):
+        shadow_verify(b, rec, rec.points[0], rec.selector, 0)
+
+
+def test_greedy_selector_replays_under_shadow_verify():
+    perms = make_system("finite_permutations:4")
+    h = 30
+    rec = perturbed_orbit(perms, selector_random(45, h - 1, perms.nmaps), point(perms.space, 2),
+                          constant_series(h - 1, 1.0), seed=46)
+    rep = greedy_shadow_search(perms, rec, grid(perms.space, 1.0), h)
+    again = shadow_verify(perms, rec, rep.candidate, rep.selector, h)
+    assert np.array_equal(again.cesaro_curve.values, rep.cesaro_curve.values)
+    assert again.sup_error == rep.sup_error
