@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import experiments
 from .averaging import cesaro_average, constant_series, harmonic_series, series_from_csv
 from .chains import (
@@ -36,6 +38,7 @@ from .errors import IFSError
 from .models import list_models, make_system
 from .pseudo_orbits import (
     perturbed_orbit,
+    pseudo_orbit_record,
     record_from_json,
     record_to_csv,
     record_to_json,
@@ -76,15 +79,20 @@ def _parse_point(kind, text: str):
     return point(kind, float(text))
 
 
+def _map_indices(text: str) -> list[int]:
+    """Comma-separated map indices ("12,3,23"), or one digit per index ("0101")."""
+    return [int(c) for c in (text.split(",") if "," in text else text)]
+
+
 def _parse_selector(text: str, length: int, nmaps: int):
     if text.startswith("random:"):
         return selector_random(int(text.split(":", 1)[1]), length, nmaps)
     if text.startswith("periodic:"):
-        return selector_periodic([int(c) for c in text.split(":", 1)[1]], length, nmaps)
-    digits = [int(c) for c in text]
-    if len(digits) < length:
-        raise IFSError(f"explicit selector has {len(digits)} entries, need {length}")
-    return selector_explicit(digits[:length], nmaps)
+        return selector_periodic(_map_indices(text.split(":", 1)[1]), length, nmaps)
+    entries = _map_indices(text)
+    if len(entries) < length:
+        raise IFSError(f"explicit selector has {len(entries)} entries, need {length}")
+    return selector_explicit(entries[:length], nmaps)
 
 
 def _config(args, keys) -> dict:
@@ -169,7 +177,13 @@ def _cmd_pseudo(args) -> int:
 def _cmd_shadow(args) -> int:
     ifs = _load_ifs(args)
     payload = json.loads(Path(args.pseudo_file).read_text())
-    rec = record_from_json(payload.get("record", payload))
+    stored = record_from_json(payload.get("record", payload))
+    rec = pseudo_orbit_record(ifs, stored.points, stored.selector)
+    gaps = np.abs(rec.errors.values - stored.errors.values)
+    if len(gaps) and gaps.max() > 1e-12:
+        i = int(np.argmax(gaps > 1e-12))
+        raise IFSError(f"stored step error {i} is {stored.errors.values[i]!r}, but the "
+                       f"points give {rec.errors.values[i]!r}")
     n = args.horizon or rec.steps
     if args.mode == "search":
         starts = grid(ifs.space, args.grid_step)
@@ -294,9 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("list-models", help="enumerate the model catalog")
     sp.set_defaults(fn=_cmd_list_models)
 
+    sigma_help = ("random:<seed> | periodic:<indices> | <indices>, where indices are "
+                  "comma-separated (12,3,23) or one digit each (0101)")
     sp = sub.add_parser("orbit", help="iterate a true orbit")
     common(sp)
-    sp.add_argument("--sigma", default="random:0")
+    sp.add_argument("--sigma", default="random:0", help=sigma_help)
     sp.add_argument("--x0", required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
@@ -304,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pseudo", help="generate and validate a pseudo-orbit")
     common(sp)
-    sp.add_argument("--sigma", default="random:0")
+    sp.add_argument("--sigma", default="random:0", help=sigma_help)
     sp.add_argument("--x0", required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--noise", default="harmonic",

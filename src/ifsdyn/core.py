@@ -9,6 +9,7 @@ definitions; `conjugate` wraps an arbitrary callable and does not serialize.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import (
     ConjugacyError,
     DomainError,
     GuardError,
+    IFSError,
     LengthError,
 )
 from .spaces import (
@@ -28,7 +30,6 @@ from .spaces import (
     SpaceKind,
     SymbolSpace,
     distance,
-    point,
     sample_point,
     space_from_json,
     space_to_json,
@@ -68,43 +69,84 @@ def _twopiece(c_low: float, c_high: float, t: float) -> float:
     return t + c_high * (1.0 - t) * (t - 0.5)
 
 
+def _raising(message: str) -> Callable:
+    def step(_):
+        raise DomainError(message)
+
+    return step
+
+
+def _identity(x):
+    return x
+
+
+def _compile_step(m: MapDef, kind: SpaceKind) -> Callable:
+    """The raw step of `m` on `kind`: a raw coordinate in, the canonical raw
+    coordinate of its image out (see `spaces`). This is the only place the
+    map formulas are written. A form that cannot act on `kind` compiles to a
+    step that raises the DomainError applying it would raise."""
+    form = m.form
+    if form == "identity":
+        return _identity
+    if form == "affine":
+        if not isinstance(kind, Interval):
+            return _raising("affine maps act on intervals")
+        a, b = m.params
+        canon = kind.canon
+        return lambda t: canon(a * t + b)
+    if form == "twopiece_quadratic":
+        if not isinstance(kind, (Interval, Circle)):
+            return _raising("twopiece_quadratic acts on [0,1] or the circle")
+        if isinstance(kind, Interval) and (kind.lo, kind.hi) != (0.0, 1.0):
+            return _raising("twopiece_quadratic needs the unit interval")
+        c_low, c_high = m.params
+        canon = kind.canon
+        return lambda t: canon(_twopiece(c_low, c_high, t))
+    if form == "prepend":
+        if not isinstance(kind, SymbolSpace):
+            return _raising("prepend acts on symbol spaces")
+        (bit,) = m.params
+        if bit not in (0, 1):
+            return _raising("prepend needs a bit, 0 or 1")
+        top = bit << (kind.depth - 1)
+        return lambda x: top | (x >> 1)
+    if form == "permutation":
+        if not isinstance(kind, FiniteDiscrete):
+            return _raising("permutations act on finite spaces")
+        image = m.params
+        canon = kind.canon
+        return lambda i: canon(image[i])
+    if form == "compose":
+        subs = tuple(_compile_step(sub, kind) for sub in m.params)
+
+        def composed(x):
+            for sub in subs:
+                x = sub(x)
+            return x
+
+        return composed
+    if form == "product":
+        if not isinstance(kind, Product):
+            return _raising("product maps act on product spaces")
+        ml, mr = m.params
+        left, right = _compile_step(ml, kind.left), _compile_step(mr, kind.right)
+        return lambda x: (left(x[0]), right(x[1]))
+    if form == "conjugate":
+        fn = m.fn
+
+        def transported(x):
+            y = fn(kind.decode(x))
+            if y.kind is not kind and y.kind != kind:
+                raise DomainError(f"map {m.name} leaves the space")
+            return kind.encode(y)
+
+        return transported
+    return _raising(f"unknown map form {m.form!r}")
+
+
 def apply_map(m: MapDef, x: Point) -> Point:
     kind = x.kind
-    if m.form == "identity":
-        return x
-    if m.form == "affine":
-        if not isinstance(kind, Interval):
-            raise DomainError("affine maps act on intervals")
-        a, b = m.params
-        return point(kind, a * x.value + b)
-    if m.form == "twopiece_quadratic":
-        if not isinstance(kind, (Interval, Circle)):
-            raise DomainError("twopiece_quadratic acts on [0,1] or the circle")
-        if isinstance(kind, Interval) and (kind.lo, kind.hi) != (0.0, 1.0):
-            raise DomainError("twopiece_quadratic needs the unit interval")
-        c_low, c_high = m.params
-        return point(kind, _twopiece(c_low, c_high, x.value))
-    if m.form == "prepend":
-        if not isinstance(kind, SymbolSpace):
-            raise DomainError("prepend acts on symbol spaces")
-        (bit,) = m.params
-        return Point(kind, (bit,) + x.value[: kind.depth - 1])
-    if m.form == "permutation":
-        if not isinstance(kind, FiniteDiscrete):
-            raise DomainError("permutations act on finite spaces")
-        return point(kind, m.params[x.value])
-    if m.form == "compose":
-        for sub in m.params:
-            x = apply_map(sub, x)
-        return x
-    if m.form == "product":
-        if not isinstance(kind, Product):
-            raise DomainError("product maps act on product spaces")
-        ml, mr = m.params
-        return Point(kind, (apply_map(ml, x.value[0]), apply_map(mr, x.value[1])))
-    if m.form == "conjugate":
-        return m.fn(x)
-    raise DomainError(f"unknown map form {m.form!r}")
+    return kind.decode(_compile_step(m, kind)(kind.encode(x)))
 
 
 @dataclass(frozen=True)
@@ -130,6 +172,15 @@ class IFSSpec:
     @property
     def nmaps(self) -> int:
         return len(self.maps)
+
+    @cached_property
+    def raw_steps(self) -> tuple[Callable, ...]:
+        """The raw step of each map on the space (`_compile_step`)."""
+        return tuple(_compile_step(m, self.space) for m in self.maps)
+
+    def __getstate__(self) -> dict:
+        # the compiled steps are closures; an unpickled spec compiles its own
+        return {k: v for k, v in self.__dict__.items() if k != "raw_steps"}
 
 
 @dataclass(frozen=True)
@@ -195,29 +246,59 @@ def apply(ifs: IFSSpec, lam: int, x: Point) -> Point:
     """Evaluate the lam-th map of the family at x."""
     if not 0 <= lam < ifs.nmaps:
         raise DomainError(f"map index {lam} out of range for {ifs.nmaps} maps")
-    if x.kind != ifs.space:
+    kind = ifs.space
+    if x.kind is not kind and x.kind != kind:
         raise DomainError("point does not belong to the IFS space")
-    return apply_map(ifs.maps[lam], x)
+    return kind.decode(ifs.raw_steps[lam](kind.encode(x)))
+
+
+def usable_entries(ifs: IFSSpec, selector: SelectorSequence, n: int) -> tuple[Sequence[int], Optional[IFSError]]:
+    """The first n selector entries, cut before the first map index out of
+    range, and the error a step-by-step loop raises where they stop: the
+    DomainError of `apply` for that index, a LengthError when the selector
+    runs out, None when all n entries are usable."""
+    lams = selector.entries[: max(n, 0)]
+    if lams and not (min(lams) >= 0 and max(lams) < ifs.nmaps):
+        i = next(i for i, lam in enumerate(lams) if not 0 <= lam < ifs.nmaps)
+        return lams[:i], DomainError(f"map index {lams[i]} out of range for {ifs.nmaps} maps")
+    if len(lams) < n:
+        return lams, LengthError(f"selector exhausted: entry {len(lams)} requested, {len(lams)} realized")
+    return lams, None
+
+
+def walk(ifs: IFSSpec, selector: SelectorSequence, raw, n: int) -> list:
+    """Raw coordinates of the n-step orbit of the raw coordinate `raw`, start
+    included. Steps run up to the first selector entry that `apply` would
+    reject; its error (a map index out of range, or an exhausted selector)
+    is raised after them, as a step-by-step loop would raise it."""
+    lams, error = usable_entries(ifs, selector, n)
+    steps = ifs.raw_steps
+    out = [raw]
+    for lam in lams:
+        raw = steps[lam](raw)
+        out.append(raw)
+    if error is not None:
+        raise error
+    return out
 
 
 def orbit(ifs: IFSSpec, selector: SelectorSequence, x0: Point, n: int) -> OrbitRecord:
     """Iterate n steps under the selector, keeping every point."""
-    if x0.kind != ifs.space:
+    kind = ifs.space
+    if x0.kind != kind:
         raise DomainError("initial point does not belong to the IFS space")
-    pts = [x0]
-    cur = x0
-    for i in range(n):
-        cur = apply(ifs, selector.entry(i), cur)
-        pts.append(cur)
-    return OrbitRecord(x0, selector, tuple(pts))
+    raws = walk(ifs, selector, kind.encode(x0), n)
+    return OrbitRecord(x0, selector, (x0, *map(kind.decode, raws[1:])))
 
 
 def compose_apply(ifs: IFSSpec, selector: SelectorSequence, n: int, x: Point) -> Point:
     """n-step composition applied to x; the 0-step composition is the identity."""
-    cur = x
-    for i in range(n):
-        cur = apply(ifs, selector.entry(i), cur)
-    return cur
+    if n <= 0:
+        return x
+    kind = ifs.space
+    if x.kind != kind:
+        raise DomainError("point does not belong to the IFS space")
+    return kind.decode(walk(ifs, selector, kind.encode(x), n)[-1])
 
 
 def estimate_contraction_ratio(ifs: IFSSpec, sample_pairs: int, seed: int) -> float:
@@ -230,18 +311,19 @@ def estimate_contraction_ratio(ifs: IFSSpec, sample_pairs: int, seed: int) -> fl
     if sample_pairs < 1:
         raise DomainError("sample_pairs must be >= 1")
     rng = np.random.default_rng(seed)
+    kind, steps = ifs.space, ifs.raw_steps
     best = 0.0
     for _ in range(sample_pairs):
-        a = sample_point(ifs.space, rng)
-        b = sample_point(ifs.space, rng)
-        d = distance(a, b)
+        a = kind.encode(sample_point(kind, rng))
+        b = kind.encode(sample_point(kind, rng))
+        d = kind.dist(a, b)
         # Skip near-degenerate pairs: below this floor the ratio noise
         # ~2^-52/d from rounded map evaluations would exceed the 1e-9
         # slack allowed when checking estimates against a claimed ratio.
         if d < 1e-6:
             continue
-        for m in ifs.maps:
-            ratio = distance(apply_map(m, a), apply_map(m, b)) / d
+        for step in steps:
+            ratio = kind.dist(step(a), step(b)) / d
             if ratio > best:
                 best = ratio
     return best
@@ -349,15 +431,15 @@ def conjugate_ifs(
         if distance(h_inv(hx), x) > tol or distance(h(h_inv(y)), y) > tol:
             raise ConjugacyError(f"h round trip exceeds tolerance {tol}")
 
-    def _transport(m: MapDef) -> MapDef:
-        def g(p: Point, _m=m) -> Point:
-            return h(apply_map(_m, h_inv(p)))
+    def _transport(lam: int) -> MapDef:
+        def g(p: Point) -> Point:
+            return h(apply(ifs, lam, h_inv(p)))
 
-        return MapDef(f"{m.name}~h", "conjugate", (), g)
+        return MapDef(f"{ifs.maps[lam].name}~h", "conjugate", (), g)
 
     return IFSSpec(
         space=target_space,
-        maps=tuple(_transport(m) for m in ifs.maps),
+        maps=tuple(_transport(lam) for lam in range(ifs.nmaps)),
         claimed_contraction=None,
         surjective_flags=ifs.surjective_flags,
         name=f"{ifs.name}~h" if ifs.name else "conjugated",
@@ -385,11 +467,9 @@ def validate_ifs(ifs: IFSSpec, samples: int = 32, seed: int = 0) -> None:
     the space (raises DomainError otherwise)."""
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        x = sample_point(ifs.space, rng)
-        for m in ifs.maps:
-            y = apply_map(m, x)
-            if y.kind != ifs.space:
-                raise DomainError(f"map {m.name} leaves the space")
+        x = ifs.space.encode(sample_point(ifs.space, rng))
+        for step in ifs.raw_steps:
+            step(x)
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -9,9 +9,10 @@ average) conditions at a finite horizon.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .core import (
     apply,
     power_ifs,
     selector_explicit,
+    usable_entries,
     word_index,
 )
 from .errors import BranchError, DomainError, LengthError
@@ -31,10 +33,11 @@ from .spaces import (
     Interval,
     Point,
     Product,
+    SpaceKind,
     SymbolSpace,
     diameter,
     distance,
-    point,
+    leaf_kinds,
     point_from_json,
     point_to_json,
     value_repr,
@@ -46,10 +49,32 @@ class PseudoOrbitRecord:
     points: tuple[Point, ...]
     selector: SelectorSequence
     errors: Series
+    # (space, raw coordinates of the points), encoded at most once; not an
+    # __init__ argument, so dataclasses.replace never copies a stale one
+    _raw: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def steps(self) -> int:
         return len(self.points) - 1
+
+    def raw(self, kind: SpaceKind) -> list:
+        """Raw coordinates of the points in `kind`, encoded on first use.
+        Raises DomainError unless every point lies in `kind`."""
+        if self._raw is None:
+            self._keep_raw(kind, _encode_all(kind, self.points))
+        elif self._raw[0] != kind:
+            raise DomainError("record points do not belong to the IFS space")
+        return self._raw[1]
+
+    def _keep_raw(self, kind: SpaceKind, raw: list) -> "PseudoOrbitRecord":
+        object.__setattr__(self, "_raw", (kind, raw))
+        return self
+
+
+def _encode_all(kind: SpaceKind, points: Sequence[Point]) -> list:
+    if any(p.kind is not kind and p.kind != kind for p in points):
+        raise DomainError("record points do not belong to the IFS space")
+    return [kind.encode(p) for p in points]
 
 
 def pseudo_orbit_record(ifs: IFSSpec, points: Sequence[Point], selector: SelectorSequence) -> PseudoOrbitRecord:
@@ -60,10 +85,16 @@ def pseudo_orbit_record(ifs: IFSSpec, points: Sequence[Point], selector: Selecto
     n = len(pts) - 1
     if len(selector) < n:
         raise LengthError(f"selector provides {len(selector)} entries, need {n}")
-    errs = np.empty(n)
-    for i in range(n):
-        errs[i] = distance(apply(ifs, selector.entry(i), pts[i]), pts[i + 1])
-    return PseudoOrbitRecord(pts, selector, series(errs, bound=diameter(ifs.space)))
+    kind, steps = ifs.space, ifs.raw_steps
+    if n == 0:  # no step to check the point's space
+        return PseudoOrbitRecord(pts, selector, series(np.empty(0), bound=diameter(kind)))
+    raw = _encode_all(kind, pts)
+    lams, error = usable_entries(ifs, selector, n)
+    images = [steps[lam](x) for lam, x in zip(lams, raw)]
+    if error is not None:
+        raise error
+    errs = kind.dists(images, raw[1:])
+    return PseudoOrbitRecord(pts, selector, series(errs, bound=diameter(kind)))._keep_raw(kind, raw)
 
 
 def record_from_orbit(ifs: IFSSpec, orb) -> PseudoOrbitRecord:
@@ -106,34 +137,57 @@ def validate_aapo(rec: PseudoOrbitRecord, horizon: int, tol: float) -> AapoRepor
     return AapoReport(final, curve, final <= tol)
 
 
-def _displace(base: Point, s: float, rng: np.random.Generator) -> Point:
-    """A point at distance min(s, feasible) from `base`; direction is drawn
-    from `rng` where the space offers more than one."""
-    kind = base.kind
-    if s <= 0:
-        return base
-    if isinstance(kind, Interval):
-        sign = 1.0 if rng.integers(0, 2) else -1.0
-        return point(kind, min(max(base.value + sign * s, kind.lo), kind.hi))
-    if isinstance(kind, Circle):
-        sign = 1.0 if rng.integers(0, 2) else -1.0
-        return point(kind, (base.value + sign * min(s, 0.5)) % 1.0)
-    if isinstance(kind, SymbolSpace):
-        k = 0
-        while k < kind.depth and 2.0 ** (1 - k) > s:
-            k += 1
-        if k >= kind.depth:
-            return base  # below representable resolution
-        bits = list(base.value)
-        bits[k] ^= 1
-        return Point(kind, tuple(bits))
-    if isinstance(kind, FiniteDiscrete):
-        if s < 1.0 or kind.n == 1:
-            return base
-        shift = 1 + int(rng.integers(0, kind.n - 1))
-        return point(kind, (base.value + shift) % kind.n)
+def _draw_highs(kind: SpaceKind, s: np.ndarray) -> np.ndarray:
+    """Per step, the exclusive upper bound of the one integer a leaf of
+    `kind` draws when displaced by s, or 0 where it draws none: a direction
+    (2) on intervals and circles, a shift (n-1) on finite spaces of n > 1
+    points when s >= 1."""
+    if isinstance(kind, (Interval, Circle)):
+        return np.where(s > 0, 2, 0)
+    if isinstance(kind, FiniteDiscrete) and kind.n > 1:
+        return np.where(s >= 1.0, kind.n - 1, 0)
+    return np.zeros(len(s), dtype=np.int64)
+
+
+def _flip_index(s: np.ndarray, depth: int) -> np.ndarray:
+    """Per step, the smallest k with 2^(1-k) <= s: the bit whose flip moves a
+    symbol point by at most s. `depth` where no bit qualifies or s <= 0."""
+    pos = s > 0
+    k = np.full(len(s), depth, dtype=np.int64)
+    k[pos] = np.clip(np.ceil(1.0 - np.log2(s[pos])), 0, depth)
+    while True:  # log2 rounds; settle the estimate against the comparison itself
+        up = pos & (k < depth) & (np.ldexp(1.0, 1 - k) > s)
+        down = pos & (k > 0) & (np.ldexp(1.0, 2 - k) <= s)
+        if not (up.any() or down.any()):
+            return k
+        k += up
+        k -= down
+
+
+def _moves(kind: SpaceKind, s: np.ndarray, draws: Iterator[np.ndarray]) -> tuple[Callable, list]:
+    """A raw displacement `move(raw, param)` and its per-step params, which
+    move a point of `kind` by min(s, feasible). `draws` yields each leaf's
+    column of drawn integers, in leaf order."""
     if isinstance(kind, Product):
-        return Point(kind, (_displace(base.value[0], s, rng), _displace(base.value[1], s, rng)))
+        left, lp = _moves(kind.left, s, draws)
+        right, rp = _moves(kind.right, s, draws)
+        return (lambda x, p: (left(x[0], p[0]), right(x[1], p[1]))), list(zip(lp, rp))
+    drawn = next(draws)
+    if isinstance(kind, Interval):
+        lo, hi, canon = kind.lo, kind.hi, kind.canon
+        shifts = np.where(s > 0, np.where(drawn == 1, s, -s), 0.0)
+        return (lambda x, d: canon(min(max(x + d, lo), hi)) if d else x), shifts.tolist()
+    if isinstance(kind, Circle):
+        canon = kind.canon
+        shifts = np.where(s > 0, np.where(drawn == 1, 1.0, -1.0) * np.minimum(s, 0.5), 0.0)
+        return (lambda x, d: canon((x + d) % 1.0) if d else x), shifts.tolist()
+    if isinstance(kind, SymbolSpace):
+        masks = [1 << (kind.depth - 1 - k) for k in range(kind.depth)] + [0]  # shared ints
+        return operator.xor, [masks[k] for k in _flip_index(s, kind.depth).tolist()]
+    if isinstance(kind, FiniteDiscrete):
+        n, canon = kind.n, kind.canon
+        shifts = np.where(_draw_highs(kind, s) > 0, 1 + drawn, 0)
+        return (lambda x, k: canon((x + k) % n) if k else x), shifts.tolist()
     raise DomainError(f"unknown space kind {kind!r}")
 
 
@@ -149,21 +203,50 @@ def perturbed_orbit(
     Realized errors equal the schedule except where a space boundary or the
     representation resolution clips the step, in which case the smaller
     realized value is recorded.
+
+    Displacements: on an interval or circle leaf, a drawn direction (1 up,
+    0 down); on a symbol leaf, a flip of the first bit whose flip moves the
+    point by at most the scheduled amount; on a finite leaf, a drawn cyclic
+    shift of 1..n-1 when the amount is >= 1. The draws depend on the schedule
+    and the leaf kinds alone, so they are all made before the walk, with one
+    `rng.integers` call, in the order a step-by-step loop would make them
+    (step by step, leaves left to right).
     """
     diam = diameter(ifs.space)
     if len(noise_schedule.values) and float(noise_schedule.values.max()) > diam:
         raise DomainError("noise schedule exceeds the space diameter")
-    rng = np.random.default_rng(seed)
-    n = noise_schedule.horizon
-    pts = [x0]
-    errs = np.empty(n)
+    kind = ifs.space
+    if x0.kind != kind:
+        raise DomainError("point does not belong to the IFS space")
+    raw, errs = _displaced_walk(ifs, selector, kind.encode(x0), noise_schedule.values,
+                                np.random.default_rng(seed))
+    points = (x0, *map(kind.decode, raw[1:]))
+    return PseudoOrbitRecord(points, selector, series(errs, bound=diam))._keep_raw(kind, raw)
+
+
+def _displaced_walk(ifs: IFSSpec, selector: SelectorSequence, x0, s: np.ndarray,
+                    rng: np.random.Generator) -> tuple[list, np.ndarray]:
+    """Raw points and realized errors of the walk of `perturbed_orbit` from the
+    raw start x0. A function of its own so that its per-step temporaries are
+    freed before the record's points are built."""
+    kind, steps = ifs.space, ifs.raw_steps
+    highs = np.stack([_draw_highs(leaf, s) for leaf in leaf_kinds(kind)], axis=1)
+    drawn = np.zeros_like(highs)
+    need = highs > 0  # row-major: step by step, leaves left to right
+    if need.any():
+        drawn[need] = rng.integers(0, highs[need])
+    move, params = _moves(kind, s, iter(drawn.T))
+    lams, error = usable_entries(ifs, selector, len(s))
     cur = x0
-    for i in range(n):
-        base = apply(ifs, selector.entry(i), cur)
-        cur = _displace(base, float(noise_schedule.values[i]), rng)
-        errs[i] = distance(base, cur)
-        pts.append(cur)
-    return PseudoOrbitRecord(tuple(pts), selector, series(errs, bound=diam))
+    bases, raw = [], [cur]
+    for lam, p in zip(lams, params):
+        base = steps[lam](cur)
+        cur = move(base, p)
+        bases.append(base)
+        raw.append(cur)
+    if error is not None:
+        raise error
+    return raw, kind.dists(bases, raw[1:])
 
 
 def dyadic_seam_indices(depth: int, below: int | None = None) -> tuple[int, ...]:

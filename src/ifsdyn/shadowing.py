@@ -22,13 +22,13 @@ from .averaging import Series, running_average_curve, series
 from .core import (
     IFSSpec,
     SelectorSequence,
-    apply,
     estimate_contraction_ratio,
     selector_explicit,
+    walk,
 )
 from .errors import ContractionError, DomainError, LengthError
 from .pseudo_orbits import PseudoOrbitRecord
-from .spaces import Point, distance, point_to_json
+from .spaces import Point, point_to_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +65,8 @@ def _finish_report(candidate, sel, ds, bound, tol_avg, tol_sup) -> ShadowReport:
 
 def _track(ifs: IFSSpec, rec: PseudoOrbitRecord, z: Point, n: int,
            sigma: Optional[SelectorSequence] = None):
-    """Walk a candidate orbit from z against the first n record points.
+    """Walk a candidate orbit from z against the first n record points, on
+    raw coordinates.
 
     Returns the distances d_i = d(cur_i, x_i) and the n-1 map indices taken:
     those of `sigma` when given, else at each step the map landing closest
@@ -74,25 +75,26 @@ def _track(ifs: IFSSpec, rec: PseudoOrbitRecord, z: Point, n: int,
         raise LengthError(f"horizon {n} incompatible with record of {len(rec.points)} points")
     if sigma is not None and len(sigma) < n - 1:
         raise LengthError("selector shorter than the horizon")
-    pts = rec.points
-    lams = sigma.entries[: n - 1] if sigma is not None else []
-    ds = []
-    cur = z
-    for i in range(n - 1):
-        ds.append(distance(cur, pts[i]))
-        if sigma is not None:
-            cur = apply(ifs, lams[i], cur)
-            continue
-        best, target = math.inf, pts[i + 1]
-        for lam in range(ifs.nmaps):
-            image = apply(ifs, lam, cur)
-            gap = distance(image, target)
+    kind = ifs.space
+    xs = rec.raw(kind)
+    if z.kind != kind:
+        raise DomainError("start point does not belong to the IFS space")
+    if sigma is not None:
+        return kind.dists(walk(ifs, sigma, kind.encode(z), n - 1), xs[:n]), sigma.entries[: n - 1]
+    steps, dist = ifs.raw_steps, kind.dist
+    cur = kind.encode(z)
+    curs, lams = [cur], []
+    for target in xs[1:n]:
+        best = math.inf
+        for lam, step in enumerate(steps):
+            image = step(cur)
+            gap = dist(image, target)
             if gap < best:
                 best, pick, nxt = gap, lam, image
         lams.append(pick)
         cur = nxt
-    ds.append(distance(cur, pts[n - 1]))
-    return np.asarray(ds, dtype=float), lams
+        curs.append(cur)
+    return kind.dists(curs, xs[:n]), lams
 
 
 def shadow_verify(
@@ -109,8 +111,6 @@ def shadow_verify(
     identity, so d_0 = d(z, x_0)."""
     if n < 1:
         raise DomainError("horizon must be >= 1")
-    if len(rec.points) < n:
-        raise LengthError(f"record has {len(rec.points)} points, horizon {n}")
     ds, _ = _track(ifs, rec, z, n, sigma)
     return _finish_report(z, sigma, ds, None, tol_avg, tol_sup)
 
@@ -136,7 +136,8 @@ def contracting_shadow(
     validate: bool = True,
     validate_pairs: int = 1000,
 ) -> ShadowReport:
-    """Shadow with the record's own selector from an arbitrary start.
+    """Shadow with the record's own selector from an arbitrary start, over
+    the first n record points (1 <= n <= len(rec.points), default rec.steps).
 
     Requires a claimed contraction ratio; when `validate` is set, a sampled
     ratio estimate must not exceed the claim. After the walk, each measured
@@ -157,8 +158,6 @@ def contracting_shadow(
         y0 = rec.points[0]
     if n is None:
         n = rec.steps
-    if n < 1 or n > rec.steps:
-        raise LengthError(f"horizon {n} outside [1, {rec.steps}]")
     ds, _ = _track(ifs, rec, y0, n, rec.selector)
     bounds = list(itertools.accumulate(rec.errors.values[: n - 1].tolist(),
                                        lambda b, a: a + beta * b, initial=float(ds[0])))

@@ -4,6 +4,14 @@ Five kinds of space are supported: closed real intervals, the unit circle
 (coordinates in [0,1) with wraparound metric), truncated one-sided binary
 sequence space, finite discrete sets, and binary products of the above with
 the max metric.
+
+Besides the public `Point`, every kind has one raw coordinate that the
+trajectory loops run on: a float for intervals and circles, an int for finite
+spaces, a Python-int bitmask for symbol spaces (first symbol in the top bit,
+any depth), and a pair of raw coordinates for products. Each kind converts
+with `encode(point) -> raw` and `decode(raw) -> Point`, measures raw values
+with `dist(a, b)`, and measures two equal-length sequences of raw values at
+once with `dists(a, b) -> ndarray`.
 """
 
 from __future__ import annotations
@@ -21,6 +29,10 @@ MAX_PRODUCT_DEPTH = 8
 # Slack for accepting float overshoot at interval endpoints before clamping.
 _EDGE_SLACK = 1e-9
 
+# bits <-> ASCII digits, for converting symbol tuples to and from bitmasks
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @dataclass(frozen=True, slots=True)
 class Interval:
@@ -33,10 +45,49 @@ class Interval:
         if not self.lo < self.hi:
             raise DomainError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
+    def canon(self, value) -> float:
+        """Raw coordinate of `value`: overshoot up to the edge slack is clamped."""
+        v = float(value)
+        if not self.lo - _EDGE_SLACK <= v <= self.hi + _EDGE_SLACK:  # also rejects nan
+            raise DomainError(f"{v} outside interval [{self.lo}, {self.hi}]")
+        return min(max(v, self.lo), self.hi)
+
+    def encode(self, p: "Point") -> float:
+        return p.value
+
+    def decode(self, raw) -> "Point":
+        return Point(self, raw)
+
+    def dist(self, a: float, b: float) -> float:
+        return abs(a - b)
+
+    def dists(self, a, b) -> np.ndarray:
+        return np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+
 
 @dataclass(frozen=True, slots=True)
 class Circle:
     """Unit circle, coordinate t in [0,1), metric min(|a-b|, 1-|a-b|)."""
+
+    def canon(self, value) -> float:
+        """Raw coordinate of `value`, reduced mod 1."""
+        v = float(value) % 1.0
+        if v == 1.0:  # guard against -0.0 % 1.0 edge behavior
+            v = 0.0
+        elif v != v:  # nan, or +-inf before the reduction
+            raise DomainError(f"{value} is not a finite circle coordinate")
+        return v
+
+    encode = Interval.encode
+    decode = Interval.decode
+
+    def dist(self, a: float, b: float) -> float:
+        d = abs(a - b)
+        return min(d, 1.0 - d)
+
+    def dists(self, a, b) -> np.ndarray:
+        d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+        return np.minimum(d, 1.0 - d)
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,6 +105,22 @@ class SymbolSpace:
         if self.depth < 2:
             raise DomainError(f"symbol space depth must be >= 2, got {self.depth}")
 
+    def encode(self, p: "Point") -> int:
+        """Bitmask of the bit tuple, first symbol in the top bit."""
+        return int(bytes(p.value).translate(_BITS_TO_DIGITS), 2)
+
+    def decode(self, raw: int) -> "Point":
+        return Point(self, tuple(f"{raw:0{self.depth}b}".encode().translate(_DIGITS_TO_BITS)))
+
+    def dist(self, a: int, b: int) -> float:
+        # the first disagreement k sits at bit depth-1-k of a ^ b
+        return 0.0 if a == b else 2.0 ** (1 - (self.depth - (a ^ b).bit_length()))
+
+    def dists(self, a, b) -> np.ndarray:
+        lengths = np.fromiter(((x ^ y).bit_length() for x, y in zip(a, b)), dtype=np.int64,
+                              count=len(a))
+        return np.where(lengths > 0, np.ldexp(1.0, lengths + (1 - self.depth)), 0.0)
+
 
 @dataclass(frozen=True, slots=True)
 class FiniteDiscrete:
@@ -64,6 +131,21 @@ class FiniteDiscrete:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"finite space needs n >= 1, got {self.n}")
+
+    def canon(self, value) -> int:
+        v = int(value)
+        if not 0 <= v < self.n:
+            raise DomainError(f"index {v} outside finite space of size {self.n}")
+        return v
+
+    encode = Interval.encode
+    decode = Interval.decode
+
+    def dist(self, a: int, b: int) -> float:
+        return 0.0 if a == b else 1.0
+
+    def dists(self, a, b) -> np.ndarray:
+        return (np.asarray(a) != np.asarray(b)).astype(float)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,6 +158,20 @@ class Product:
     def __post_init__(self):
         if nesting_depth(self) > MAX_PRODUCT_DEPTH:
             raise GuardError(f"product nesting depth exceeds {MAX_PRODUCT_DEPTH}")
+
+    def encode(self, p: "Point") -> tuple:
+        l, r = p.value
+        return (self.left.encode(l), self.right.encode(r))
+
+    def decode(self, raw: tuple) -> "Point":
+        return Point(self, (self.left.decode(raw[0]), self.right.decode(raw[1])))
+
+    def dist(self, a: tuple, b: tuple) -> float:
+        return max(self.left.dist(a[0], b[0]), self.right.dist(a[1], b[1]))
+
+    def dists(self, a, b) -> np.ndarray:
+        return np.maximum(self.left.dists([x[0] for x in a], [y[0] for y in b]),
+                          self.right.dists([x[1] for x in a], [y[1] for y in b]))
 
 
 SpaceKind = Union[Interval, Circle, SymbolSpace, FiniteDiscrete, Product]
@@ -114,25 +210,10 @@ def _as_bits(value, depth: int) -> tuple[int, ...]:
 
 def point(kind: SpaceKind, value) -> Point:
     """Validate `value` against `kind` and return a canonical Point."""
-    if isinstance(kind, Interval):
-        v = float(value)
-        if not kind.lo - _EDGE_SLACK <= v <= kind.hi + _EDGE_SLACK:  # also rejects nan
-            raise DomainError(f"{v} outside interval [{kind.lo}, {kind.hi}]")
-        return Point(kind, min(max(v, kind.lo), kind.hi))
-    if isinstance(kind, Circle):
-        v = float(value) % 1.0
-        if v == 1.0:  # guard against -0.0 % 1.0 edge behavior
-            v = 0.0
-        elif v != v:  # nan, or +-inf before the reduction
-            raise DomainError(f"{value} is not a finite circle coordinate")
-        return Point(kind, v)
+    if isinstance(kind, (Interval, Circle, FiniteDiscrete)):
+        return Point(kind, kind.canon(value))
     if isinstance(kind, SymbolSpace):
         return Point(kind, _as_bits(value, kind.depth))
-    if isinstance(kind, FiniteDiscrete):
-        v = int(value)
-        if not 0 <= v < kind.n:
-            raise DomainError(f"index {v} outside finite space of size {kind.n}")
-        return Point(kind, v)
     if isinstance(kind, Product):
         if not (isinstance(value, tuple) and len(value) == 2):
             raise DomainError("product payload must be a pair")
@@ -145,24 +226,10 @@ def point(kind: SpaceKind, value) -> Point:
 
 def distance(a: Point, b: Point) -> float:
     """Metric of the common space of `a` and `b`."""
-    if a.kind != b.kind:
-        raise DomainError(f"kind mismatch: {a.kind!r} vs {b.kind!r}")
     kind = a.kind
-    if isinstance(kind, Interval):
-        return abs(a.value - b.value)
-    if isinstance(kind, Circle):
-        d = abs(a.value - b.value)
-        return min(d, 1.0 - d)
-    if isinstance(kind, SymbolSpace):
-        for k, (sa, sb) in enumerate(zip(a.value, b.value)):
-            if sa != sb:
-                return 2.0 ** (1 - k)
-        return 0.0
-    if isinstance(kind, FiniteDiscrete):
-        return 0.0 if a.value == b.value else 1.0
-    if isinstance(kind, Product):
-        return max(distance(a.value[0], b.value[0]), distance(a.value[1], b.value[1]))
-    raise UnsupportedKindError(f"unknown space kind {kind!r}")
+    if b.kind is not kind and b.kind != kind:
+        raise DomainError(f"kind mismatch: {a.kind!r} vs {b.kind!r}")
+    return kind.dist(kind.encode(a), kind.encode(b))
 
 
 def diameter(kind: SpaceKind) -> float:
@@ -242,15 +309,10 @@ def leaf_coords(p: Point) -> list[float]:
 
 def leaf_distances(kind: SpaceKind, q: float, coords: np.ndarray) -> np.ndarray:
     """Vector of distances from coordinate `q` to every entry of `coords`
-    under the metric of the (non-product) `kind`."""
-    if isinstance(kind, Interval):
-        return np.abs(coords - q)
-    if isinstance(kind, Circle):
-        d = np.abs(coords - q)
-        return np.minimum(d, 1.0 - d)
-    if isinstance(kind, FiniteDiscrete):
-        return (coords != q).astype(float)
-    raise UnsupportedKindError(f"no vectorized metric for {kind!r}")
+    under the metric of the (non-product, non-symbol) `kind`."""
+    if isinstance(kind, (SymbolSpace, Product)):
+        raise UnsupportedKindError(f"no vectorized metric for {kind!r}")
+    return kind.dists(coords, q)
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -207,3 +207,32 @@ def test_experiment_command(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["verdict"] is True
     assert payload["metrics"]["max_deviation"] == 0.0
+
+
+def test_shadow_recomputes_stored_errors(tmp_path, capsys):
+    rec_file = tmp_path / "rec.json"
+    assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5",
+                 "--steps", "50", "--noise", "harmonic", "--seed", "3",
+                 "--tol", "1", "--output", str(rec_file)]) == 0
+    args = ["shadow", "--model", "binary_affine", "--pseudo-file", str(rec_file),
+            "--mode", "contracting"]
+    assert main(args) in (0, 1)
+    payload = json.loads(rec_file.read_text())
+    payload["record"]["errors"] = [0.0] * len(payload["record"]["errors"])
+    rec_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stored step error 0") and "Traceback" not in err
+
+
+def test_explicit_sigma_names_maps_past_nine(tmp_path, capsys):
+    out = tmp_path / "orbit.json"
+    base = ["orbit", "--model", "finite_permutations:4", "--x0", "0", "--steps", "3"]
+    assert main(base + ["--sigma", "12,3,23", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["selector"] == [12, 3, 23]
+    assert main(base + ["--sigma", "0101", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["selector"] == [0, 1, 0]
+    capsys.readouterr()
+    assert main(base + ["--sigma", "12,3,24"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

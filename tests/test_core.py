@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from ifsdyn import (
     Interval,
     LengthError,
     MapDef,
+    SymbolSpace,
     apply,
+    apply_map,
     compose_apply,
     conjugate_ifs,
     distance,
@@ -57,6 +61,8 @@ def test_apply_errors():
         apply(b, 2, point(UNIT, 0.5))
     with pytest.raises(DomainError):
         apply(b, 0, point(Circle(), 0.5))
+    with pytest.raises(DomainError):  # a bitmask step cannot prepend a non-bit
+        apply_map(MapDef("p2", "prepend", (2,)), point(SymbolSpace(8), "1"))
 
 
 def test_orbit_examples():
@@ -295,6 +301,14 @@ def test_ifs_json_round_trip():
     clone = ifs_from_json(ifs_to_json(prod))
     x = point(prod.space, (0.3, 0.8))
     assert apply(clone, 2, x) == apply(prod, 2, x)
+
+
+def test_used_ifs_pickles():
+    """Specs stay picklable (for process pools) after their maps have run."""
+    for ifs in (make_system("sigma2_prepend"), power_ifs(make_system("binary_affine"), 2)):
+        x = sample_point(ifs.space, np.random.default_rng(0))
+        clone = pickle.loads(pickle.dumps(ifs))
+        assert clone == ifs and apply(clone, 1, x) == apply(ifs, 1, x)
 
 
 def test_conjugate_does_not_serialize():

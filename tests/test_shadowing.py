@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsdyn import (
     ContractionError,
@@ -229,3 +231,39 @@ def test_greedy_selector_replays_under_shadow_verify():
     again = shadow_verify(perms, rec, rep.candidate, rep.selector, h)
     assert np.array_equal(again.cesaro_curve.values, rep.cesaro_curve.values)
     assert again.sup_error == rep.sup_error
+
+
+@pytest.mark.parametrize("model", ["binary_affine", "sigma2_prepend"])
+def test_contracting_shadow_reaches_the_last_record_point(model):
+    ifs = make_system(model)
+    rec = _harmonic_rec(ifs, 400, 50)
+    y0 = sample_point(ifs.space, np.random.default_rng(51))
+    n = rec.steps + 1
+    full = contracting_shadow(ifs, rec, y0=y0, n=n)
+    ver = shadow_verify(ifs, rec, y0, rec.selector, n)
+    assert full.final_average == ver.final_average
+    assert full.final_average <= full.bound
+    with pytest.raises(LengthError):
+        contracting_shadow(ifs, rec, y0=y0, n=n + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    maps=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                            st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    noise=st.floats(0.0, 1.0),
+    starts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_contracting_inductive_bound_holds_for_random_affine_families(maps, noise, starts, n, seed):
+    """d_i <= b_i for every uniformly contracting affine family, selector and
+    start: contracting_shadow with validation never raises."""
+    ifs = IFSSpec(UNIT, tuple(MapDef(f"a{i}", "affine", (b, c * (1.0 - b)))
+                              for i, (b, c) in enumerate(maps)),
+                  claimed_contraction=max(b for b, _ in maps))
+    rec = perturbed_orbit(ifs, selector_random(seed, n, ifs.nmaps), point(UNIT, starts[0]),
+                          series(noise * harmonic_series(n).values), seed)
+    rep = contracting_shadow(ifs, rec, y0=point(UNIT, starts[1]), validate=True,
+                             validate_pairs=50)
+    assert rep.final_average <= rep.bound + 1e-12
