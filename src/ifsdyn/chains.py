@@ -23,6 +23,7 @@ from .spaces import (
     Circle,
     FiniteDiscrete,
     Point,
+    batch_leaves,
     distance,
     grid,
     leaf_coords,
@@ -109,10 +110,11 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
         raise DomainError("epsilon must be positive")
     if resolution > epsilon / 4 + 1e-15:
         raise GuardError(f"grid resolution {resolution} exceeds epsilon/4 = {epsilon / 4}")
-    nodes = tuple(grid(ifs.space, resolution))
-    kinds = leaf_kinds(ifs.space)
-    images = np.stack([_coord_matrix([apply(ifs, lam, p) for p in nodes])
-                       for lam in range(ifs.nmaps)])  # (map, node, leaf)
+    kind = ifs.space
+    nodes = tuple(grid(kind, resolution))
+    kinds = leaf_kinds(kind)
+    images = np.stack(batch_leaves(ifs.raw_images(kind.batch([kind.encode(p) for p in nodes]))),
+                      axis=-1, dtype=float)  # (map, node, leaf)
     # the grid is the product of the leaf grids, first leaf outermost
     axes = [_coord_matrix(grid(k, resolution))[:, 0] for k in kinds]
     strides = [int(np.prod([len(a) for a in axes[l + 1:]])) for l in range(len(axes))]

@@ -80,8 +80,9 @@ def _parse_point(kind, text: str):
 
 
 def _map_indices(text: str) -> list[int]:
-    """Comma-separated map indices ("12,3,23"), or one digit per index ("0101")."""
-    return [int(c) for c in (text.split(",") if "," in text else text)]
+    """Comma-separated map indices ("12,3,23", or "12," for one), or one digit
+    per index ("0101")."""
+    return [int(c) for c in (text.removesuffix(",").split(",") if "," in text else text)]
 
 
 def _parse_selector(text: str, length: int, nmaps: int):

@@ -30,9 +30,11 @@ from .spaces import (
     SpaceKind,
     SymbolSpace,
     distance,
+    leafwise,
     sample_point,
     space_from_json,
     space_to_json,
+    unbatch,
 )
 
 POWER_GUARD = 4096
@@ -80,68 +82,132 @@ def _identity(x):
     return x
 
 
+def _chain(steps: Sequence[Callable]) -> Callable:
+    def composed(x):
+        for step in steps:
+            x = step(x)
+        return x
+
+    return composed
+
+
+_FORMS = ("identity", "affine", "twopiece_quadratic", "prepend", "permutation", "compose",
+          "product", "conjugate")
+
+
+def _unsupported(m: MapDef, kind: SpaceKind) -> Optional[str]:
+    """Why the form of `m` cannot act on `kind`, or None when it can."""
+    form = m.form
+    if form == "affine" and not isinstance(kind, Interval):
+        return "affine maps act on intervals"
+    if form == "twopiece_quadratic":
+        if not isinstance(kind, (Interval, Circle)):
+            return "twopiece_quadratic acts on [0,1] or the circle"
+        if isinstance(kind, Interval) and (kind.lo, kind.hi) != (0.0, 1.0):
+            return "twopiece_quadratic needs the unit interval"
+    if form == "prepend":
+        if not isinstance(kind, SymbolSpace):
+            return "prepend acts on symbol spaces"
+        if m.params not in ((0,), (1,)):
+            return "prepend needs a bit, 0 or 1"
+    if form == "permutation" and not isinstance(kind, FiniteDiscrete):
+        return "permutations act on finite spaces"
+    if form == "product" and not isinstance(kind, Product):
+        return "product maps act on product spaces"
+    if form not in _FORMS:
+        return f"unknown map form {form!r}"
+    return None
+
+
 def _compile_step(m: MapDef, kind: SpaceKind) -> Callable:
     """The raw step of `m` on `kind`: a raw coordinate in, the canonical raw
     coordinate of its image out (see `spaces`). This is the only place the
-    map formulas are written. A form that cannot act on `kind` compiles to a
-    step that raises the DomainError applying it would raise."""
-    form = m.form
+    scalar map formulas are written. A form that cannot act on `kind`
+    compiles to a step that raises the DomainError applying it would raise."""
+    form, why = m.form, _unsupported(m, kind)
+    if why is not None:
+        return _raising(why)
     if form == "identity":
         return _identity
     if form == "affine":
-        if not isinstance(kind, Interval):
-            return _raising("affine maps act on intervals")
         a, b = m.params
         canon = kind.canon
         return lambda t: canon(a * t + b)
     if form == "twopiece_quadratic":
-        if not isinstance(kind, (Interval, Circle)):
-            return _raising("twopiece_quadratic acts on [0,1] or the circle")
-        if isinstance(kind, Interval) and (kind.lo, kind.hi) != (0.0, 1.0):
-            return _raising("twopiece_quadratic needs the unit interval")
         c_low, c_high = m.params
         canon = kind.canon
         return lambda t: canon(_twopiece(c_low, c_high, t))
     if form == "prepend":
-        if not isinstance(kind, SymbolSpace):
-            return _raising("prepend acts on symbol spaces")
-        (bit,) = m.params
-        if bit not in (0, 1):
-            return _raising("prepend needs a bit, 0 or 1")
-        top = bit << (kind.depth - 1)
+        top = m.params[0] << (kind.depth - 1)
         return lambda x: top | (x >> 1)
     if form == "permutation":
-        if not isinstance(kind, FiniteDiscrete):
-            return _raising("permutations act on finite spaces")
         image = m.params
         canon = kind.canon
         return lambda i: canon(image[i])
     if form == "compose":
-        subs = tuple(_compile_step(sub, kind) for sub in m.params)
-
-        def composed(x):
-            for sub in subs:
-                x = sub(x)
-            return x
-
-        return composed
+        return _chain([_compile_step(sub, kind) for sub in m.params])
     if form == "product":
-        if not isinstance(kind, Product):
-            return _raising("product maps act on product spaces")
         ml, mr = m.params
         left, right = _compile_step(ml, kind.left), _compile_step(mr, kind.right)
         return lambda x: (left(x[0]), right(x[1]))
-    if form == "conjugate":
-        fn = m.fn
+    fn = m.fn  # conjugate
 
-        def transported(x):
-            y = fn(kind.decode(x))
-            if y.kind is not kind and y.kind != kind:
-                raise DomainError(f"map {m.name} leaves the space")
-            return kind.encode(y)
+    def transported(x):
+        y = fn(kind.decode(x))
+        if y.kind is not kind and y.kind != kind:
+            raise DomainError(f"map {m.name} leaves the space")
+        return kind.encode(y)
 
-        return transported
-    return _raising(f"unknown map form {m.form!r}")
+    return transported
+
+
+def _compile_images(maps: Sequence[MapDef], kind: SpaceKind) -> Callable:
+    """The array twin of `_compile_step` for a whole family: a batch of raw
+    coordinates of shape (S,) in (see `spaces`), their canonical images under
+    every map out, stacked on a leading map axis: shape (M, S), one such
+    array per leaf on products. Maps that share one form with numeric
+    parameters broadcast them along the map axis, so the family costs one
+    array evaluation; product families recurse into each side; the other
+    families stack one row per map. A form that cannot act on `kind` raises
+    the DomainError its scalar step raises."""
+    form = maps[0].form
+    if form in ("identity", "compose", "conjugate") or any(
+            m.form != form or len(m.params) != len(maps[0].params) for m in maps):
+        rows = [_compile_row(m, kind) for m in maps]
+        return lambda x: leafwise(lambda *r: np.stack(r), *(row(x) for row in rows))
+    why = next(filter(None, (_unsupported(m, kind) for m in maps)), None)
+    if why is not None:
+        return _raising(why)
+    if form == "product":
+        left = _compile_images([m.params[0] for m in maps], kind.left)
+        right = _compile_images([m.params[1] for m in maps], kind.right)
+        return lambda x: (left(x[0]), right(x[1]))
+    if form == "prepend":
+        tops = np.array([m.params[0] << (kind.depth - 1) for m in maps], dtype=object)[:, None]
+        return lambda x: tops | (x >> 1)
+    if form == "permutation":
+        table = np.array([m.params for m in maps], dtype=np.int64)
+        return lambda i: kind.canon_batch(table[:, i])
+    # affine (a, b) or twopiece (c_low, c_high): one float column of shape
+    # (M, 1) per parameter, broadcast against (S,)
+    p, q = (np.array(c, dtype=float)[:, None] for c in zip(*(m.params for m in maps)))
+    if form == "affine":
+        return lambda t: kind.canon_batch(p * t + q)
+    return lambda t: kind.canon_batch(np.where(t <= 0.5, t + p * (0.5 - t) * t,  # twopiece
+                                               t + q * (1.0 - t) * (t - 0.5)))
+
+
+def _compile_row(m: MapDef, kind: SpaceKind) -> Callable:
+    """One map's batch step: a batch of shape (S,) in, its images out."""
+    if m.form == "identity":
+        return _identity
+    if m.form == "compose":
+        return _chain([_compile_row(sub, kind) for sub in m.params])
+    if m.form == "conjugate":  # an arbitrary callable: its scalar step, elementwise
+        step = _compile_step(m, kind)
+        return lambda x: kind.batch([step(r) for r in unbatch(x)])
+    images = _compile_images((m,), kind)
+    return lambda x: leafwise(lambda a: a[0], images(x))
 
 
 def apply_map(m: MapDef, x: Point) -> Point:
@@ -178,9 +244,15 @@ class IFSSpec:
         """The raw step of each map on the space (`_compile_step`)."""
         return tuple(_compile_step(m, self.space) for m in self.maps)
 
+    @cached_property
+    def raw_images(self) -> Callable:
+        """Images of a batch of raw coordinates under every map, shape (M, S)
+        per leaf (`_compile_images`)."""
+        return _compile_images(self.maps, self.space)
+
     def __getstate__(self) -> dict:
         # the compiled steps are closures; an unpickled spec compiles its own
-        return {k: v for k, v in self.__dict__.items() if k != "raw_steps"}
+        return {k: v for k, v in self.__dict__.items() if k not in ("raw_steps", "raw_images")}
 
 
 @dataclass(frozen=True)
@@ -224,7 +296,10 @@ def selector_periodic(pattern: Sequence[int], length: int, nmaps: Optional[int] 
     if not pat:
         raise DomainError("periodic selector needs a nonempty pattern")
     reps = -(-length // len(pat))
-    return SelectorSequence((pat * reps)[:length], f"periodic:{''.join(map(str, pat))}")
+    label = "".join(map(str, pat))
+    if max(pat) >= 10:  # the comma form the CLI parses; a lone index keeps a trailing comma
+        label = ",".join(map(str, pat)) + ("," if len(pat) == 1 else "")
+    return SelectorSequence((pat * reps)[:length], f"periodic:{label}")
 
 
 def selector_random(seed: int, length: int, nmaps: int) -> SelectorSequence:
@@ -466,10 +541,8 @@ def validate_ifs(ifs: IFSSpec, samples: int = 32, seed: int = 0) -> None:
     """Spot-check that every map sends sampled points of the space back into
     the space (raises DomainError otherwise)."""
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        x = ifs.space.encode(sample_point(ifs.space, rng))
-        for step in ifs.raw_steps:
-            step(x)
+    kind = ifs.space
+    ifs.raw_images(kind.batch([kind.encode(sample_point(kind, rng)) for _ in range(samples)]))
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -93,7 +93,7 @@ def pseudo_orbit_record(ifs: IFSSpec, points: Sequence[Point], selector: Selecto
     images = [steps[lam](x) for lam, x in zip(lams, raw)]
     if error is not None:
         raise error
-    errs = kind.dists(images, raw[1:])
+    errs = kind.dists(kind.batch(images), kind.batch(raw[1:]))
     return PseudoOrbitRecord(pts, selector, series(errs, bound=diameter(kind)))._keep_raw(kind, raw)
 
 
@@ -246,7 +246,7 @@ def _displaced_walk(ifs: IFSSpec, selector: SelectorSequence, x0, s: np.ndarray,
         raw.append(cur)
     if error is not None:
         raise error
-    return raw, kind.dists(bases, raw[1:])
+    return raw, kind.dists(kind.batch(bases), kind.batch(raw[1:]))
 
 
 def dyadic_seam_indices(depth: int, below: int | None = None) -> tuple[int, ...]:

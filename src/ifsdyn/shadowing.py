@@ -28,7 +28,7 @@ from .core import (
 )
 from .errors import ContractionError, DomainError, LengthError
 from .pseudo_orbits import PseudoOrbitRecord
-from .spaces import Point, point_to_json
+from .spaces import Point, leafwise, point_to_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,38 +63,53 @@ def _finish_report(candidate, sel, ds, bound, tol_avg, tol_sup) -> ShadowReport:
     )
 
 
-def _track(ifs: IFSSpec, rec: PseudoOrbitRecord, z: Point, n: int,
-           sigma: Optional[SelectorSequence] = None):
-    """Walk a candidate orbit from z against the first n record points, on
-    raw coordinates.
-
-    Returns the distances d_i = d(cur_i, x_i) and the n-1 map indices taken:
-    those of `sigma` when given, else at each step the map landing closest
-    to the next record point (ties to the lowest index)."""
+def _check_horizon(rec: PseudoOrbitRecord, n: int) -> None:
     if n < 1 or len(rec.points) < n:
         raise LengthError(f"horizon {n} incompatible with record of {len(rec.points)} points")
-    if sigma is not None and len(sigma) < n - 1:
+
+
+def _track(ifs: IFSSpec, rec: PseudoOrbitRecord, z: Point, n: int, sigma: SelectorSequence):
+    """Distances d_i = d(cur_i, x_i) of the orbit of z under `sigma` to the
+    first n record points, walked on raw coordinates, and the n-1 map indices
+    taken."""
+    _check_horizon(rec, n)
+    if len(sigma) < n - 1:
         raise LengthError("selector shorter than the horizon")
     kind = ifs.space
     xs = rec.raw(kind)
     if z.kind != kind:
         raise DomainError("start point does not belong to the IFS space")
-    if sigma is not None:
-        return kind.dists(walk(ifs, sigma, kind.encode(z), n - 1), xs[:n]), sigma.entries[: n - 1]
-    steps, dist = ifs.raw_steps, kind.dist
-    cur = kind.encode(z)
-    curs, lams = [cur], []
-    for target in xs[1:n]:
-        best = math.inf
-        for lam, step in enumerate(steps):
-            image = step(cur)
-            gap = dist(image, target)
-            if gap < best:
-                best, pick, nxt = gap, lam, image
-        lams.append(pick)
-        cur = nxt
-        curs.append(cur)
-    return kind.dists(curs, xs[:n]), lams
+    walked = walk(ifs, sigma, kind.encode(z), n - 1)
+    return kind.dists(kind.batch(walked), kind.batch(xs[:n])), sigma.entries[: n - 1]
+
+
+def _greedy_tracks(ifs: IFSSpec, rec: PseudoOrbitRecord, starts: Sequence[Point], n: int):
+    """Greedy tracks of the first n record points from every start at once.
+
+    All starts step in lockstep, one step per record point: the images of
+    every current point under every map (`IFSSpec.raw_images`), their
+    distances to the next record point, and per start the map landing
+    closest (the first minimum, so ties go to the lowest index). Returns the
+    distances d(cur_i, x_i) and the n-1 map indices taken, one row per start."""
+    _check_horizon(rec, n)
+    kind = ifs.space
+    xs = rec.raw(kind)
+    if any(z.kind != kind for z in starts):
+        raise DomainError("start point does not belong to the IFS space")
+    cur = kind.batch([kind.encode(z) for z in starts])
+    cols = np.arange(len(starts))
+    ds = np.empty((len(starts), n))  # rows contiguous: per-start reductions match 1-D ones
+    lams = np.empty((len(starts), n - 1), dtype=np.intp)
+    ds[:, 0] = kind.dists(cur, xs[0])
+    images = ifs.raw_images
+    for i in range(1, n):
+        imgs = images(cur)
+        gaps = kind.dists(imgs, xs[i])
+        pick = gaps.argmin(axis=0)
+        cur = leafwise(lambda a: a[pick, cols], imgs)
+        ds[:, i] = gaps[pick, cols]
+        lams[:, i - 1] = pick
+    return ds, lams
 
 
 def shadow_verify(
@@ -177,9 +192,10 @@ def _best_start(ifs, rec, initial_grid, n, score, tol_avg, tol_sup) -> ShadowRep
     starts = list(initial_grid)
     if not starts:
         raise DomainError("initial grid must be nonempty")
-    z, ds, lams = min(((z, *_track(ifs, rec, z, n)) for z in starts),
-                      key=lambda t: score(t[1]))
-    return _finish_report(z, selector_explicit(lams, ifs.nmaps), ds, None, tol_avg, tol_sup)
+    ds, lams = _greedy_tracks(ifs, rec, starts, n)
+    best = int(np.argmin(score(ds, axis=1)))
+    return _finish_report(starts[best], selector_explicit(lams[best].tolist(), ifs.nmaps),
+                          ds[best].copy(), None, tol_avg, tol_sup)
 
 
 def greedy_shadow_search(

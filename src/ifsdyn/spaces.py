@@ -9,9 +9,15 @@ Besides the public `Point`, every kind has one raw coordinate that the
 trajectory loops run on: a float for intervals and circles, an int for finite
 spaces, a Python-int bitmask for symbol spaces (first symbol in the top bit,
 any depth), and a pair of raw coordinates for products. Each kind converts
-with `encode(point) -> raw` and `decode(raw) -> Point`, measures raw values
-with `dist(a, b)`, and measures two equal-length sequences of raw values at
-once with `dists(a, b) -> ndarray`.
+with `encode(point) -> raw` and `decode(raw) -> Point`, and measures raw
+values with `dist(a, b)`.
+
+A batch holds many raw coordinates of one kind as arrays: float64 for
+intervals and circles, int64 for finite spaces, an object array of bitmasks
+for symbol spaces, and a pair of batches for products. `kind.batch(raws)`
+and `unbatch(batch)` convert a list of raw values to a batch and back, and
+`dists(a, b) -> ndarray` measures batches elementwise, broadcasting (a batch
+against one raw value, too). `canon_batch` is the array twin of `canon`.
 """
 
 from __future__ import annotations
@@ -52,11 +58,22 @@ class Interval:
             raise DomainError(f"{v} outside interval [{self.lo}, {self.hi}]")
         return min(max(v, self.lo), self.hi)
 
+    def canon_batch(self, values) -> np.ndarray:
+        v = np.asarray(values, dtype=float)
+        bad = ~((self.lo - _EDGE_SLACK <= v) & (v <= self.hi + _EDGE_SLACK))  # also flags nan
+        if bad.any():
+            raise DomainError(f"{v[bad][0]} outside interval [{self.lo}, {self.hi}]")
+        v = np.where(self.lo > v, self.lo, v)  # min(max(v, lo), hi), ties and all
+        return np.where(self.hi < v, self.hi, v)
+
     def encode(self, p: "Point") -> float:
         return p.value
 
     def decode(self, raw) -> "Point":
         return Point(self, raw)
+
+    def batch(self, raws) -> np.ndarray:
+        return np.asarray(raws, dtype=float)
 
     def dist(self, a: float, b: float) -> float:
         return abs(a - b)
@@ -78,8 +95,18 @@ class Circle:
             raise DomainError(f"{value} is not a finite circle coordinate")
         return v
 
+    def canon_batch(self, values) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            v = np.remainder(np.asarray(values, dtype=float), 1.0)  # Python's float %
+        v[v == 1.0] = 0.0
+        bad = np.isnan(v)
+        if bad.any():
+            raise DomainError(f"{np.asarray(values)[bad][0]} is not a finite circle coordinate")
+        return v
+
     encode = Interval.encode
     decode = Interval.decode
+    batch = Interval.batch
 
     def dist(self, a: float, b: float) -> float:
         d = abs(a - b)
@@ -112,14 +139,19 @@ class SymbolSpace:
     def decode(self, raw: int) -> "Point":
         return Point(self, tuple(f"{raw:0{self.depth}b}".encode().translate(_DIGITS_TO_BITS)))
 
+    def batch(self, raws) -> np.ndarray:
+        return np.fromiter(raws, dtype=object, count=len(raws))
+
     def dist(self, a: int, b: int) -> float:
         # the first disagreement k sits at bit depth-1-k of a ^ b
         return 0.0 if a == b else 2.0 ** (1 - (self.depth - (a ^ b).bit_length()))
 
     def dists(self, a, b) -> np.ndarray:
-        lengths = np.fromiter(((x ^ y).bit_length() for x, y in zip(a, b)), dtype=np.int64,
-                              count=len(a))
-        return np.where(lengths > 0, np.ldexp(1.0, lengths + (1 - self.depth)), 0.0)
+        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=object))
+        # one xor at a time, so no array of new bitmasks is ever held
+        lengths = np.fromiter(((x ^ y).bit_length() for x, y in zip(a.flat, b.flat)),
+                              dtype=np.int64, count=a.size)
+        return np.where(lengths > 0, np.ldexp(1.0, lengths + (1 - self.depth)), 0.0).reshape(a.shape)
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,8 +170,18 @@ class FiniteDiscrete:
             raise DomainError(f"index {v} outside finite space of size {self.n}")
         return v
 
+    def canon_batch(self, values) -> np.ndarray:
+        v = np.asarray(values)
+        bad = (v < 0) | (v >= self.n)
+        if bad.any():
+            raise DomainError(f"index {v[bad][0]} outside finite space of size {self.n}")
+        return v
+
     encode = Interval.encode
     decode = Interval.decode
+
+    def batch(self, raws) -> np.ndarray:
+        return np.asarray(raws, dtype=np.int64)
 
     def dist(self, a: int, b: int) -> float:
         return 0.0 if a == b else 1.0
@@ -166,15 +208,38 @@ class Product:
     def decode(self, raw: tuple) -> "Point":
         return Point(self, (self.left.decode(raw[0]), self.right.decode(raw[1])))
 
+    def batch(self, raws) -> tuple:
+        return (self.left.batch([x[0] for x in raws]), self.right.batch([x[1] for x in raws]))
+
     def dist(self, a: tuple, b: tuple) -> float:
         return max(self.left.dist(a[0], b[0]), self.right.dist(a[1], b[1]))
 
     def dists(self, a, b) -> np.ndarray:
-        return np.maximum(self.left.dists([x[0] for x in a], [y[0] for y in b]),
-                          self.right.dists([x[1] for x in a], [y[1] for y in b]))
+        return np.maximum(self.left.dists(a[0], b[0]), self.right.dists(a[1], b[1]))
 
 
 SpaceKind = Union[Interval, Circle, SymbolSpace, FiniteDiscrete, Product]
+
+
+def leafwise(fn, *batches):
+    """`fn` applied leaf by leaf to batches of one kind (pairs on products)."""
+    if isinstance(batches[0], tuple):
+        return tuple(leafwise(fn, *parts) for parts in zip(*batches))
+    return fn(*batches)
+
+
+def unbatch(batch) -> list:
+    """The raw values of a batch, as Python values."""
+    if isinstance(batch, tuple):
+        return list(zip(unbatch(batch[0]), unbatch(batch[1])))
+    return batch.tolist()
+
+
+def batch_leaves(batch) -> list:
+    """The leaf arrays of a batch, left to right."""
+    if isinstance(batch, tuple):
+        return batch_leaves(batch[0]) + batch_leaves(batch[1])
+    return [batch]
 
 
 def nesting_depth(kind: SpaceKind) -> int:
@@ -196,16 +261,29 @@ class Point:
     value: object
 
 
+_BIT_VALUES = frozenset((0, 1))
+_BIT_DIGITS = frozenset("01")
+
+
 def _as_bits(value, depth: int) -> tuple[int, ...]:
+    """Bits of a payload: a string of 0/1 digits, or a sequence or array
+    whose every entry equals 0 or 1 (so 1.0 and True pass, 1.7 and nan do
+    not), padded with zeros to `depth`."""
     if isinstance(value, str):
-        raw = [int(c) for c in value]
+        ok = _BIT_DIGITS.issuperset(value)
+        raw = value.encode().translate(_DIGITS_TO_BITS) if ok else b""
     else:
-        raw = [int(b) for b in value]
+        raw = value.tolist() if isinstance(value, np.ndarray) else list(value)
+        ok = _BIT_VALUES.issuperset(raw)
+    if not ok:
+        raise DomainError("bit vector entries must be 0 or 1")
     if len(raw) > depth:
         raise DomainError(f"bit vector longer than depth {depth}")
-    if any(b not in (0, 1) for b in raw):
-        raise DomainError("bit vector entries must be 0 or 1")
-    return tuple(raw) + (0,) * (depth - len(raw))
+    try:
+        bits = tuple(bytes(raw))  # Python ints, fast, from int and bool entries
+    except TypeError:  # entries such as 1.0
+        bits = tuple(map(int, raw))
+    return bits + (0,) * (depth - len(raw))
 
 
 def point(kind: SpaceKind, value) -> Point:

@@ -1,7 +1,10 @@
+import json
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsdyn import (
     Circle,
@@ -34,6 +37,8 @@ from ifsdyn import (
     word_digits,
     word_index,
 )
+from ifsdyn.cli import _parse_selector
+from ifsdyn.spaces import batch_leaves
 
 UNIT = Interval(0.0, 1.0)
 BITS = "".join
@@ -328,3 +333,37 @@ def test_maps_stay_inside_space():
             for lam in range(ifs.nmaps):
                 y = apply(ifs, lam, x)
                 assert y.kind == ifs.space
+
+
+def test_periodic_labels_round_trip_through_the_cli_parser():
+    assert selector_periodic([0, 1, 1], 5).generator == "periodic:011"
+    assert selector_periodic([12, 3], 5).generator != selector_periodic([1, 23], 5).generator
+    for pattern in ([0, 1], [1, 2, 3], [12, 3], [1, 23], [10], [0, 11, 2], [9, 9]):
+        sel = selector_periodic(pattern, 7, 24)
+        assert _parse_selector(sel.generator, 7, 24) == sel
+
+
+def _wire(ifs):
+    return ifs_from_json(json.loads(json.dumps(ifs_to_json(ifs))))
+
+
+_affine_maps = st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.0, 1.0)),
+                        min_size=1, max_size=3).map(
+    lambda ps: tuple(MapDef(f"a{i}", "affine", (a, b * (1.0 - a))) for i, (a, b) in enumerate(ps)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(maps=_affine_maps, k=st.integers(2, 3), perm_n=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_compose_and_product_specs_survive_the_json_wire(maps, k, perm_n, seed):
+    """ifs_to_json -> ifs_from_json gives an equal spec whose family images
+    are byte-identical, for power (compose) and product families."""
+    base = IFSSpec(UNIT, maps, claimed_contraction=max(m.params[0] for m in maps), name="rand")
+    rng = np.random.default_rng(seed)
+    for ifs in (power_ifs(base, k), product_ifs(base, make_system(f"finite_permutations:{perm_n}")),
+                product_ifs(power_ifs(base, 2), base)):
+        clone = _wire(ifs)
+        assert clone == ifs
+        kind = ifs.space
+        batch = kind.batch([kind.encode(sample_point(kind, rng)) for _ in range(7)])
+        for a, b in zip(batch_leaves(clone.raw_images(batch)), batch_leaves(ifs.raw_images(batch))):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

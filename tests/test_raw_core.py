@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ifsdyn.shadowing as shadowing
 from ifsdyn import (
@@ -29,6 +31,8 @@ from ifsdyn import (
     conjugate_ifs,
     constant_series,
     diameter,
+    finite_shadowing_check,
+    greedy_shadow_search,
     harmonic_series,
     make_system,
     orbit,
@@ -37,12 +41,14 @@ from ifsdyn import (
     power_ifs,
     product_ifs,
     pseudo_orbit_record,
+    running_average_curve,
     sample_point,
     selector_explicit,
     selector_random,
     series,
 )
 from ifsdyn.core import _twopiece
+from ifsdyn.spaces import batch_leaves, unbatch
 
 UNIT = Interval(0.0, 1.0)
 
@@ -273,9 +279,14 @@ def test_raw_core_matches_point_oracles(name, monkeypatch):
         ds, lams = shadowing._track(ifs, rec, start, n + 1, sel)
         ods, olams = oracle_track(ifs, pts, start, n + 1, sel)
         assert ds.tobytes() == ods.tobytes() and list(lams) == olams
-        ds, lams = shadowing._track(ifs, rec, start, 80)
+
+    # the lockstep greedy search, from a grid with duplicate starts
+    starts = [rec.points[0], z, z, *(sample_point(ifs.space, rng) for _ in range(4)), rec.points[0]]
+    ds, lams = shadowing._greedy_tracks(ifs, rec, starts, 80)
+    assert ds.shape == (len(starts), 80) and lams.shape == (len(starts), 79)
+    for row, start in enumerate(starts):
         ods, olams = oracle_track(ifs, pts, start, 80)
-        assert ds.tobytes() == ods.tobytes() and list(lams) == olams
+        assert ds[row].tobytes() == ods.tobytes() and lams[row].tolist() == olams
 
 
 @pytest.mark.parametrize("depth", [8, 64, 100])
@@ -339,7 +350,7 @@ def test_error_types_match_oracles():
     rec = pseudo_orbit_record(b, pts, selector_explicit([0] * 4))
     _raises_same(lambda: shadowing._track(b, rec, good, 5, bad_sel),
                  lambda: oracle_track(b, pts, good, 5, bad_sel))
-    _raises_same(lambda: shadowing._track(b, rec, wrong, 5),
+    _raises_same(lambda: shadowing._greedy_tracks(b, rec, [good, wrong], 5),
                  lambda: oracle_track(b, pts, wrong, 5))
 
     leave = IFSSpec(UNIT, (MapDef("out", "affine", (1.0, 0.5)),))
@@ -350,7 +361,7 @@ def test_error_types_match_oracles():
     high = [point(UNIT, 0.8)] * 5
     _raises_same(lambda: pseudo_orbit_record(leave, high, sel),
                  lambda: oracle_record_errors(leave, high, sel))
-    _raises_same(lambda: shadowing._track(leave, rec, high[0], 5),
+    _raises_same(lambda: shadowing._greedy_tracks(leave, rec, [good, high[0]], 5),
                  lambda: oracle_track(leave, pts, high[0], 5))
 
 
@@ -365,7 +376,11 @@ def test_encode_decode_and_metrics(kind):
     a, b = pts[:-1], pts[1:]
     expect = np.array([oracle_distance(p, q) for p, q in zip(a, b)])
     assert np.array([kind.dist(x, y) for x, y in zip(raws, raws[1:])]).tobytes() == expect.tobytes()
-    assert kind.dists(raws[:-1], raws[1:]).tobytes() == expect.tobytes()
+    assert kind.dists(kind.batch(raws[:-1]), kind.batch(raws[1:])).tobytes() == expect.tobytes()
+    # a batch against one raw value, as the lockstep search measures it
+    one = np.array([oracle_distance(p, pts[0]) for p in pts])
+    assert kind.dists(kind.batch(raws), raws[0]).tobytes() == one.tobytes()
+    assert _same_points([kind.decode(r) for r in unbatch(kind.batch(raws))], pts)
 
 
 def test_symbol_bitmask_puts_the_first_symbol_in_the_top_bit():
@@ -374,3 +389,86 @@ def test_symbol_bitmask_puts_the_first_symbol_in_the_top_bit():
     assert kind.encode(point(kind, "0" * 99 + "1")) == 1
     p = point(kind, "01")
     assert kind.dist(kind.encode(p), kind.encode(point(kind, "0"))) == 2.0 ** (1 - 1)
+
+
+# --- the family-image call and the lockstep search ---------------------------
+
+def _leaf_rows(images):
+    """Leaf arrays of a batch of images, as lists of Python values."""
+    return [a.tolist() for a in batch_leaves(images)]
+
+
+MIXED = IFSSpec(UNIT, (MapDef("a", "affine", (0.5, 0.25)), MapDef("q", "twopiece_quadratic", (1.5, -0.5)),
+                       MapDef("id", "identity"), MapDef("c", "compose", (MapDef("a", "affine", (0.5, 0.0)),
+                                                                          MapDef("q", "twopiece_quadratic", (2.0, 2.0))))))
+
+
+FAMILIES = {"mixed": MIXED, "power_of_product": power_ifs(CASES["binary_x_finite"][0], 2),
+            "circle_x_conjugate": product_ifs(CASES["circle_pair"][0], CASES["conjugate"][0])}
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(FAMILIES))
+def test_family_images_match_raw_steps(name):
+    ifs = FAMILIES[name] if name in FAMILIES else CASES[name][0]
+    kind = ifs.space
+    rng = np.random.default_rng(51)
+    raws = [kind.encode(sample_point(kind, rng)) for _ in range(9)]
+    raws += raws[:2]
+    images = ifs.raw_images(kind.batch(raws))
+    expect = kind.batch([step(x) for step in ifs.raw_steps for x in raws])
+    for got, want in zip(_leaf_rows(images), _leaf_rows(expect)):
+        assert np.shape(got) == (ifs.nmaps, len(raws))
+        flat = [v for row in got for v in row]
+        assert [(type(v), v.hex() if isinstance(v, float) else v) for v in flat] == \
+            [(type(v), v.hex() if isinstance(v, float) else v) for v in want]
+
+
+def test_family_images_raise_as_the_steps_do():
+    good = UNIT.batch([0.2, 0.9])
+    for maps in ((MapDef("out", "affine", (1.0, 0.5)),),
+                 (MapDef("a", "affine", (0.5, 0.0)), MapDef("out", "affine", (1.0, 0.5))),
+                 (MapDef("p", "prepend", (1,)),),
+                 (MapDef("a", "affine", (0.5, 0.0)), MapDef("p", "permutation", (0, 1)))):
+        ifs = IFSSpec(UNIT, maps)
+        _raises_same(lambda: ifs.raw_images(good), lambda: [s(x) for s in ifs.raw_steps for x in (0.2, 0.9)])
+    circle = IFSSpec(Circle(), (MapDef("q", "twopiece_quadratic", (math.nan, 0.0)),))
+    _raises_same(lambda: circle.raw_images(Circle().batch([0.2])), lambda: circle.raw_steps[0](0.2))
+    perm = IFSSpec(FiniteDiscrete(3), (MapDef("p", "permutation", (0, 5, 1)),))
+    _raises_same(lambda: perm.raw_images(FiniteDiscrete(3).batch([1])), lambda: perm.raw_steps[0](1))
+
+
+def _map_strategy():
+    affine = st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0)).map(
+        lambda p: MapDef("a", "affine", (p[0], p[1] * (1.0 - p[0]))))
+    twopiece = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
+        lambda p: MapDef("q", "twopiece_quadratic", p))
+    return st.one_of(affine, twopiece)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    maps=st.lists(_map_strategy(), min_size=1, max_size=4),
+    starts=st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=6),
+    noise=st.floats(0.0, 0.5),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_lockstep_search_picks_the_best_per_start_track(maps, starts, noise, n, seed):
+    """The lockstep winner, its selector and its Cesàro curve are those of
+    the best per-start oracle track, the first start winning ties."""
+    ifs = IFSSpec(UNIT, tuple(maps))
+    rng = np.random.default_rng(seed)
+    rec = perturbed_orbit(ifs, selector_random(seed, n, ifs.nmaps), sample_point(UNIT, rng),
+                          series(noise * harmonic_series(n).values), seed)
+    grid = [point(UNIT, v) for v in starts] + [point(UNIT, starts[0])]  # a duplicate start
+    pts = list(rec.points)
+    tracks = [oracle_track(ifs, pts, z, n + 1) for z in grid]
+    for score, report in ((np.mean, greedy_shadow_search(ifs, rec, grid, n + 1)),
+                          (np.max, finite_shadowing_check(ifs, rec, 0.1, grid, n + 1).report)):
+        best = min(range(len(grid)), key=lambda k: score(tracks[k][0]))
+        ods, olams = tracks[best]
+        assert report.candidate is grid[best]
+        assert list(report.selector.entries) == olams
+        assert report.cesaro_curve.values.tobytes() == running_average_curve(series(ods)).values.tobytes()
+        assert report.sup_error == float(ods.max())

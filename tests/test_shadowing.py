@@ -22,10 +22,14 @@ from ifsdyn import (
     constant_series,
     make_system,
     orbit,
+    pair_index,
     perturbed_orbit,
     point,
+    product_ifs,
+    pseudo_orbit_record,
     record_from_orbit,
     sample_point,
+    selector_explicit,
     selector_random,
     series,
     shadow_verify,
@@ -267,3 +271,24 @@ def test_contracting_inductive_bound_holds_for_random_affine_families(maps, nois
     rep = contracting_shadow(ifs, rec, y0=point(UNIT, starts[1]), validate=True,
                              validate_pairs=50)
     assert rep.final_average <= rep.bound + 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 300))
+def test_product_sandwich_on_random_seeds(seed, n):
+    """max(rl, rr) <= rp <= rl + rr for the shadow averages of two records
+    and of their product record under the max metric."""
+    b = make_system("binary_affine")
+    prod = product_ifs(b, b)
+    rng = np.random.default_rng(seed)
+    lrec, rrec = (perturbed_orbit(b, selector_random(seed + i, n, 2), sample_point(UNIT, rng),
+                                  harmonic_series(n), seed + 2 + i) for i in (0, 1))
+    lsel, rsel = lrec.selector, rrec.selector
+    psel = selector_explicit([pair_index(lsel.entry(i), rsel.entry(i), 2) for i in range(n)], 4)
+    pts = [point(prod.space, (u, v)) for u, v in zip(lrec.points, rrec.points)]
+    prec = pseudo_orbit_record(prod, pts, psel)
+    zl, zr = sample_point(UNIT, rng), sample_point(UNIT, rng)
+    rl = shadow_verify(b, lrec, zl, lsel, n + 1).final_average
+    rr = shadow_verify(b, rrec, zr, rsel, n + 1).final_average
+    rp = shadow_verify(prod, prec, point(prod.space, (zl, zr)), psel, n + 1).final_average
+    assert max(rl, rr) - 1e-12 <= rp <= rl + rr + 1e-12

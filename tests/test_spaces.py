@@ -192,3 +192,16 @@ def test_point_json_round_trip(kind):
 def test_symbol_json_uses_bit_string():
     p = point(SymbolSpace(8), "0110")
     assert point_to_json(p)["value"] == "01100000"
+
+
+def test_symbol_payload_entries_must_equal_bits():
+    kind = SymbolSpace(4)
+    for bad in ([1.7, 0.2], [0.9, 1.0], [float("nan")], [2], [-1], "0a1", "012",
+                np.array([0, 3]), np.array([0.5]), [1, 0, 0, 0, 1]):
+        with pytest.raises(DomainError):
+            point(kind, bad)
+    for payload in ([1, 0, 1], (1.0, 0.0), [True, False, True, True], np.array([1, 0, 1, 1]),
+                    np.array([1.0, 0.0]), np.array([True]), "1011", "", np.int64(1) * np.ones(4, int)):
+        p = point(kind, payload)
+        bits = [int(b) for b in payload] + [0] * (4 - len(payload))
+        assert p.value == tuple(bits) and all(type(b) is int for b in p.value)
