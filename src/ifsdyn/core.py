@@ -27,6 +27,7 @@ from .spaces import (
     Interval,
     Point,
     Product,
+    RawPoints,
     SpaceKind,
     SymbolSpace,
     distance,
@@ -112,6 +113,8 @@ def _unsupported(m: MapDef, kind: SpaceKind) -> Optional[str]:
             return "prepend needs a bit, 0 or 1"
     if form == "permutation" and not isinstance(kind, FiniteDiscrete):
         return "permutations act on finite spaces"
+    if form == "permutation" and len(m.params) != kind.n:
+        return f"a permutation of {kind.n} points needs {kind.n} images, got {len(m.params)}"
     if form == "product" and not isinstance(kind, Product):
         return "product maps act on product spaces"
     if form not in _FORMS:
@@ -314,7 +317,7 @@ class OrbitRecord:
 
     initial: Point
     selector: SelectorSequence
-    points: tuple[Point, ...]
+    points: Sequence[Point]  # a RawPoints view
 
 
 def apply(ifs: IFSSpec, lam: int, x: Point) -> Point:
@@ -362,18 +365,14 @@ def orbit(ifs: IFSSpec, selector: SelectorSequence, x0: Point, n: int) -> OrbitR
     kind = ifs.space
     if x0.kind != kind:
         raise DomainError("initial point does not belong to the IFS space")
-    raws = walk(ifs, selector, kind.encode(x0), n)
-    return OrbitRecord(x0, selector, (x0, *map(kind.decode, raws[1:])))
+    return OrbitRecord(x0, selector, RawPoints(kind, walk(ifs, selector, kind.encode(x0), n)))
 
 
 def compose_apply(ifs: IFSSpec, selector: SelectorSequence, n: int, x: Point) -> Point:
     """n-step composition applied to x; the 0-step composition is the identity."""
     if n <= 0:
         return x
-    kind = ifs.space
-    if x.kind != kind:
-        raise DomainError("point does not belong to the IFS space")
-    return kind.decode(walk(ifs, selector, kind.encode(x), n)[-1])
+    return orbit(ifs, selector, x, n).points[-1]
 
 
 def estimate_contraction_ratio(ifs: IFSSpec, sample_pairs: int, seed: int) -> float:

@@ -21,6 +21,7 @@ from .core import (
     IFSSpec,
     SelectorSequence,
     apply,
+    orbit,
     power_ifs,
     selector_explicit,
     usable_entries,
@@ -33,6 +34,7 @@ from .spaces import (
     Interval,
     Point,
     Product,
+    RawPoints,
     SpaceKind,
     SymbolSpace,
     diameter,
@@ -46,11 +48,11 @@ from .spaces import (
 
 @dataclass(frozen=True, eq=False)
 class PseudoOrbitRecord:
-    points: tuple[Point, ...]
+    points: Sequence[Point]  # a RawPoints view when the library walked the record
     selector: SelectorSequence
     errors: Series
-    # (space, raw coordinates of the points), encoded at most once; not an
-    # __init__ argument, so dataclasses.replace never copies a stale one
+    # (space, raw coordinates of the points), found or encoded at most once;
+    # not an __init__ argument, so dataclasses.replace never copies a stale one
     _raw: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
@@ -58,12 +60,10 @@ class PseudoOrbitRecord:
         return len(self.points) - 1
 
     def raw(self, kind: SpaceKind) -> list:
-        """Raw coordinates of the points in `kind`, encoded on first use.
-        Raises DomainError unless every point lies in `kind`."""
-        if self._raw is None:
-            self._keep_raw(kind, _encode_all(kind, self.points))
-        elif self._raw[0] != kind:
-            raise DomainError("record points do not belong to the IFS space")
+        """Raw coordinates of the points in `kind`, a view's own list or else
+        encoded on first use. Raises DomainError unless every point lies in `kind`."""
+        if self._raw is None or self._raw[0] != kind:
+            self._keep_raw(kind, _raws(kind, self.points))
         return self._raw[1]
 
     def _keep_raw(self, kind: SpaceKind, raw: list) -> "PseudoOrbitRecord":
@@ -71,15 +71,18 @@ class PseudoOrbitRecord:
         return self
 
 
-def _encode_all(kind: SpaceKind, points: Sequence[Point]) -> list:
+def _raws(kind: SpaceKind, points: Sequence[Point]) -> list:
+    if isinstance(points, RawPoints) and points.kind == kind:
+        return points.raws
     if any(p.kind is not kind and p.kind != kind for p in points):
         raise DomainError("record points do not belong to the IFS space")
     return [kind.encode(p) for p in points]
 
 
 def pseudo_orbit_record(ifs: IFSSpec, points: Sequence[Point], selector: SelectorSequence) -> PseudoOrbitRecord:
-    """Build a record from explicit points, recomputing the error series."""
-    pts = tuple(points)
+    """Build a record from explicit points, recomputing the error series. A
+    RawPoints view of the IFS space is kept as it is, without decoding."""
+    pts = points if isinstance(points, RawPoints) else tuple(points)
     if len(pts) < 1:
         raise DomainError("a pseudo-orbit needs at least one point")
     n = len(pts) - 1
@@ -88,7 +91,7 @@ def pseudo_orbit_record(ifs: IFSSpec, points: Sequence[Point], selector: Selecto
     kind, steps = ifs.space, ifs.raw_steps
     if n == 0:  # no step to check the point's space
         return PseudoOrbitRecord(pts, selector, series(np.empty(0), bound=diameter(kind)))
-    raw = _encode_all(kind, pts)
+    raw = _raws(kind, pts)
     lams, error = usable_entries(ifs, selector, n)
     images = [steps[lam](x) for lam, x in zip(lams, raw)]
     if error is not None:
@@ -175,8 +178,8 @@ def _moves(kind: SpaceKind, s: np.ndarray, draws: Iterator[np.ndarray]) -> tuple
     drawn = next(draws)
     if isinstance(kind, Interval):
         lo, hi, canon = kind.lo, kind.hi, kind.canon
-        shifts = np.where(s > 0, np.where(drawn == 1, s, -s), 0.0)
-        return (lambda x, d: canon(min(max(x + d, lo), hi)) if d else x), shifts.tolist()
+        shifts = np.where(s > 0, np.where(drawn == 1, s, -s), 0.0).tolist()
+        return (lambda x, d: canon(lo if (v := x + d) < lo else hi if v > hi else v) if d else x), shifts
     if isinstance(kind, Circle):
         canon = kind.canon
         shifts = np.where(s > 0, np.where(drawn == 1, 1.0, -1.0) * np.minimum(s, 0.5), 0.0)
@@ -215,21 +218,10 @@ def perturbed_orbit(
     diam = diameter(ifs.space)
     if len(noise_schedule.values) and float(noise_schedule.values.max()) > diam:
         raise DomainError("noise schedule exceeds the space diameter")
-    kind = ifs.space
+    kind, steps = ifs.space, ifs.raw_steps
     if x0.kind != kind:
         raise DomainError("point does not belong to the IFS space")
-    raw, errs = _displaced_walk(ifs, selector, kind.encode(x0), noise_schedule.values,
-                                np.random.default_rng(seed))
-    points = (x0, *map(kind.decode, raw[1:]))
-    return PseudoOrbitRecord(points, selector, series(errs, bound=diam))._keep_raw(kind, raw)
-
-
-def _displaced_walk(ifs: IFSSpec, selector: SelectorSequence, x0, s: np.ndarray,
-                    rng: np.random.Generator) -> tuple[list, np.ndarray]:
-    """Raw points and realized errors of the walk of `perturbed_orbit` from the
-    raw start x0. A function of its own so that its per-step temporaries are
-    freed before the record's points are built."""
-    kind, steps = ifs.space, ifs.raw_steps
+    cur, s, rng = kind.encode(x0), noise_schedule.values, np.random.default_rng(seed)
     highs = np.stack([_draw_highs(leaf, s) for leaf in leaf_kinds(kind)], axis=1)
     drawn = np.zeros_like(highs)
     need = highs > 0  # row-major: step by step, leaves left to right
@@ -237,7 +229,6 @@ def _displaced_walk(ifs: IFSSpec, selector: SelectorSequence, x0, s: np.ndarray,
         drawn[need] = rng.integers(0, highs[need])
     move, params = _moves(kind, s, iter(drawn.T))
     lams, error = usable_entries(ifs, selector, len(s))
-    cur = x0
     bases, raw = [], [cur]
     for lam, p in zip(lams, params):
         base = steps[lam](cur)
@@ -246,7 +237,8 @@ def _displaced_walk(ifs: IFSSpec, selector: SelectorSequence, x0, s: np.ndarray,
         raw.append(cur)
     if error is not None:
         raise error
-    return raw, kind.dists(kind.batch(bases), kind.batch(raw[1:]))
+    errs = kind.dists(kind.batch(bases), kind.batch(raw[1:]))
+    return PseudoOrbitRecord(RawPoints(kind, raw), selector, series(errs, bound=diam))
 
 
 def dyadic_seam_indices(depth: int, below: int | None = None) -> tuple[int, ...]:
@@ -297,10 +289,7 @@ def dyadic_block_sequence(
         if distance(apply(ifs, g, a), b) > 1e-9:
             raise BranchError("backward branch fails forward re-validation")
 
-    # forward iterates of x, shared by all blocks
-    fwd = [x]
-    for _ in range(2 ** (depth - 1) - 1):
-        fwd.append(apply(ifs, g, fwd[-1]))
+    fwd = orbit(ifs, selector_explicit([g] * (need - 1)), x, need - 1).points  # shared by all blocks
 
     pts: list[Point] = [x, y]
     for k in range(1, depth + 1):

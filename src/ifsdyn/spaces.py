@@ -23,7 +23,8 @@ against one raw value, too). `canon_batch` is the array twin of `canon`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -53,10 +54,10 @@ class Interval:
 
     def canon(self, value) -> float:
         """Raw coordinate of `value`: overshoot up to the edge slack is clamped."""
-        v = float(value)
-        if not self.lo - _EDGE_SLACK <= v <= self.hi + _EDGE_SLACK:  # also rejects nan
-            raise DomainError(f"{v} outside interval [{self.lo}, {self.hi}]")
-        return min(max(v, self.lo), self.hi)
+        v, lo, hi = float(value), self.lo, self.hi
+        if not lo - _EDGE_SLACK <= v <= hi + _EDGE_SLACK:  # also rejects nan
+            raise DomainError(f"{v} outside interval [{lo}, {hi}]")
+        return lo if v < lo else (hi if v > hi else v)  # min(max(v, lo), hi), ties and all
 
     def canon_batch(self, values) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -259,6 +260,35 @@ class Point:
 
     kind: SpaceKind
     value: object
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class RawPoints(Sequence):
+    """Points of one kind held as raw coordinates: a read-only sequence that
+    decodes a fresh `Point` on every access and keeps none. Slices are views
+    too; equality and hashing are by value, as for the tuple of the points."""
+
+    kind: SpaceKind
+    raws: list = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.raws)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RawPoints(self.kind, self.raws[i])
+        return self.kind.decode(self.raws[i])
+
+    def __iter__(self):
+        return map(self.kind.decode, self.raws)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RawPoints) and other.kind == self.kind:
+            return self.raws == other.raws
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, RawPoints)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 _BIT_VALUES = frozenset((0, 1))

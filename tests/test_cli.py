@@ -236,3 +236,14 @@ def test_explicit_sigma_names_maps_past_nine(tmp_path, capsys):
     capsys.readouterr()
     assert main(base + ["--sigma", "12,3,24"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_short_permutation_spec_exits_2(tmp_path, capsys):
+    spec = {"name": "short", "space": {"type": "finite", "n": 3},
+            "maps": [{"name": "p", "form": "permutation", "params": [0, 1]}]}
+    spec_file = tmp_path / "short.json"
+    spec_file.write_text(json.dumps(spec))
+    for x0 in ("0", "2"):
+        assert main(["orbit", "--spec-file", str(spec_file), "--x0", x0, "--steps", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: a permutation of 3 points needs 3 images, got 2"] * 2

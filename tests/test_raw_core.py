@@ -26,8 +26,10 @@ from ifsdyn import (
     MapDef,
     Point,
     Product,
+    RawPoints,
     SelectorSequence,
     SymbolSpace,
+    apply,
     conjugate_ifs,
     constant_series,
     diameter,
@@ -46,9 +48,11 @@ from ifsdyn import (
     selector_explicit,
     selector_random,
     series,
+    stride_subsample,
+    word_index,
 )
 from ifsdyn.core import _twopiece
-from ifsdyn.spaces import batch_leaves, unbatch
+from ifsdyn.spaces import _EDGE_SLACK, batch_leaves, unbatch
 
 UNIT = Interval(0.0, 1.0)
 
@@ -472,3 +476,142 @@ def test_lockstep_search_picks_the_best_per_start_track(maps, starts, noise, n, 
         assert list(report.selector.entries) == olams
         assert report.cesaro_curve.values.tobytes() == running_average_curve(series(ods)).values.tobytes()
         assert report.sup_error == float(ods.max())
+
+
+# --- raw-backed record points ------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_record_points_are_a_decoding_view(name):
+    ifs, noise = CASES[name]
+    kind, n = ifs.space, 60
+    rng = np.random.default_rng(61)
+    sel = selector_random(62, n, ifs.nmaps)
+    x0 = sample_point(kind, rng)
+    rec = perturbed_orbit(ifs, sel, x0, _schedule(ifs, noise, n), 63)
+    orb = orbit(ifs, sel, x0, n)
+    assert _same_points(orb.points[:1], [x0]) and _same_points(rec.points[:1], [x0])
+    for pts in (rec.points, orb.points):
+        assert isinstance(pts, RawPoints) and len(pts) == n + 1
+        eager = (x0, *map(kind.decode, pts.raws[1:]))  # the tuple the view replaced
+        assert _same_points(pts, eager)
+        assert _same_points([pts[i] for i in range(-len(pts), len(pts))], eager + eager)
+        assert pts[7] == pts[7] and pts[7] is not pts[7]  # equal, decoded afresh, never cached
+        for cut in (slice(3, 40, 4), slice(None, None, 2), slice(-5, None), slice(9, 2)):
+            assert isinstance(pts[cut], RawPoints) and _same_points(pts[cut], eager[cut])
+            assert pts[cut] == eager[cut] and eager[cut] == pts[cut]
+        assert pts == eager and eager == pts and hash(pts) == hash(eager)
+        assert pts != eager[:-1] and pts != list(eager) and pts != eager[::-1]
+        assert pts == RawPoints(kind, list(pts.raws)) and pts[1:] != pts[:-1]
+        with pytest.raises(IndexError):
+            pts[n + 1]
+    assert rec.raw(kind) is rec.points.raws
+
+
+def test_views_stride_and_replace_as_tuples_did():
+    b = CASES["binary_affine"][0]
+    kind = b.space
+    sel = selector_random(71, 24, 2)
+    rec = perturbed_orbit(b, sel, point(UNIT, 0.3), harmonic_series(24), 72)
+    tup = dataclasses.replace(rec, points=tuple(rec.points))
+    for k in (2, 3, 4):
+        (pa, a), (pb, bb) = stride_subsample(b, rec, k), stride_subsample(b, tup, k)
+        assert pa == pb and isinstance(a.points, RawPoints) and isinstance(bb.points, tuple)
+        assert _same_points(a.points, bb.points) and a.points == bb.points
+        assert a.errors.values.tobytes() == bb.errors.values.tobytes()
+    # a record built from a view keeps it; a replaced record never reuses the old raw list
+    again = pseudo_orbit_record(b, rec.points, sel)
+    assert again.points is rec.points and again.raw(kind) is rec.raw(kind)
+    pts = list(rec.points)
+    pts[10] = point(UNIT, 0.99)
+    for moved in (dataclasses.replace(rec, points=tuple(pts)), dataclasses.replace(again, points=tuple(pts))):
+        assert moved.raw(kind) is not rec.raw(kind)
+        assert moved.raw(kind) == [kind.encode(p) for p in pts]
+    with pytest.raises(DomainError):
+        rec.raw(Circle())
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(["binary_affine", "sigma2_prepend"]), k=st.sampled_from([2, 3, 4]),
+       m=st.integers(1, 25), scale=st.sampled_from([0.0, 1e-3, 0.1, 1.0]), seed=st.integers(0, 2**31 - 1))
+def test_power_stride_identity_on_random_seeds(model, k, m, scale, seed):
+    """Every k-th point of a raw-backed record is a pseudo-orbit of the k-fold
+    power family, whose words step like k base steps."""
+    base = make_system(model)
+    rng = np.random.default_rng(seed)
+    sel = selector_random(seed, k * m, base.nmaps)
+    noise = series(scale * harmonic_series(k * m).values * min(1.0, diameter(base.space)))
+    rec = perturbed_orbit(base, sel, sample_point(base.space, rng), noise, seed)
+    pspec, sub = stride_subsample(base, rec, k)
+    assert pspec == power_ifs(base, k) and isinstance(sub.points, RawPoints)
+    assert _same_points(sub.points, list(rec.points)[::k])
+    for i in range(m):
+        word = sel.entries[i * k:(i + 1) * k]
+        assert sub.selector.entries[i] == word_index(word, base.nmaps)
+        start = rec.points[i * k]
+        image = orbit(base, selector_explicit(word), start, k).points[-1]
+        assert _same_points([apply(pspec, sub.selector.entries[i], start)], [image])
+        assert sub.errors.values[i] == oracle_distance(image, rec.points[(i + 1) * k])
+
+
+# --- the interval canon and permutation tables --------------------------------
+
+def _old_canon(kind, value):
+    v = float(value)
+    if not kind.lo - _EDGE_SLACK <= v <= kind.hi + _EDGE_SLACK:
+        raise DomainError(f"{v} outside interval [{kind.lo}, {kind.hi}]")
+    return min(max(v, kind.lo), kind.hi)
+
+
+def _outcome(f):
+    try:
+        v = f()
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    return type(v).__name__, v.hex() if isinstance(v, float) else v
+
+
+_BOUNDS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def _interval_and_values(draw):
+    lo, hi = sorted(draw(st.tuples(_BOUNDS, _BOUNDS).filter(lambda t: t[0] != t[1])))
+    lo, hi = draw(st.sampled_from([(lo, hi), (0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (0, 1)]))
+    edges = [lo, hi, lo - _EDGE_SLACK, hi + _EDGE_SLACK]
+    near = [np.nextafter(e, t) for e in edges for t in (-math.inf, math.inf)]
+    special = st.sampled_from(edges + near + [0.0, -0.0, math.nan, math.inf, -math.inf])
+    return Interval(lo, hi), draw(st.lists(st.one_of(special, st.floats()), min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_interval_and_values())
+def test_interval_canon_matches_min_max_clamp(case):
+    """The branch clamp of `Interval.canon` returns what min(max(v, lo), hi)
+    returned, bit for bit and in type, and raises the same DomainError."""
+    kind, values = case
+    for v in values:
+        assert _outcome(lambda: kind.canon(v)) == _outcome(lambda: _old_canon(kind, v))
+
+
+def test_permutation_tables_list_one_image_per_point():
+    kind = FiniteDiscrete(3)
+    perm = MapDef("q", "permutation", (2, 0, 1))
+    for table in ((0, 1), (0, 1, 2, 0)):
+        bad = MapDef("p", "permutation", table)
+        ifs = IFSSpec(kind, (bad,))
+        for i in range(3):
+            with pytest.raises(DomainError, match="needs 3 images"):
+                apply(ifs, 0, point(kind, i))
+        with pytest.raises(DomainError, match="needs 3 images"):
+            orbit(ifs, selector_explicit([0, 0]), point(kind, 2), 2)
+        with pytest.raises(DomainError, match="needs 3 images"):
+            perturbed_orbit(ifs, selector_explicit([0, 0]), point(kind, 2), constant_series(2, 1.0), 1)
+        for family in ((perm, bad), (bad, perm)):
+            with pytest.raises(DomainError, match="needs 3 images"):
+                IFSSpec(kind, family).raw_images(kind.batch([0, 2]))
+        side = product_ifs(CASES["binary_affine"][0], ifs)
+        with pytest.raises(DomainError, match="needs 3 images"):
+            side.raw_images(side.space.batch([(0.5, 0)]))
+        with pytest.raises(DomainError, match="needs 3 images"):
+            side.raw_steps[0]((0.5, 0))
+    assert IFSSpec(kind, (perm,)).raw_steps[0](2) == 1
