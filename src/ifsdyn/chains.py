@@ -4,6 +4,11 @@ The chain graph puts one node per grid point and an edge u -> v whenever some
 map of the family sends u within epsilon of v. Graph paths are genuine
 epsilon-chains (one-sided soundness); completeness holds at the coarser scale
 epsilon/2, which the h <= epsilon/4 guard protects.
+
+Nodes are held as raw grid coordinates (`RawPoints`); a `Point` is decoded
+only for witnesses and counterexamples. Strongly connected components come
+from Tarjan's algorithm with one numpy gather per visit of a node, and
+`find_chain` stops its breadth-first search at the target.
 """
 
 from __future__ import annotations
@@ -23,13 +28,13 @@ from .spaces import (
     Circle,
     FiniteDiscrete,
     Point,
+    RawPoints,
     batch_leaves,
     distance,
-    grid,
-    leaf_coords,
-    leaf_distances,
+    grid_batch,
     leaf_kinds,
     point_to_json,
+    unbatch,
 )
 
 _WITNESS_SLACK = 1e-12
@@ -39,7 +44,7 @@ _CHUNK_NODES = 128  # source nodes per block of build_chain_graph; bounds its te
 @dataclass(frozen=True, eq=False)
 class ChainGraph:
     ifs: IFSSpec
-    nodes: tuple[Point, ...]
+    nodes: RawPoints
     epsilon: float
     resolution: float
     out_edges: tuple[np.ndarray, ...]   # per node, ascending target indices
@@ -53,32 +58,10 @@ class ChainGraph:
     def edge_count(self) -> int:
         return sum(len(e) for e in self.out_edges)
 
-    def has_self_loop(self, i: int) -> bool:
-        e = self.out_edges[i]
-        pos = np.searchsorted(e, i)
-        return pos < len(e) and e[pos] == i
-
     @functools.cached_property
     def components(self) -> list[list[int]]:
         """Strongly connected components, computed once per graph."""
         return strongly_connected_components(self.out_edges)
-
-    @functools.cached_property
-    def _coords(self) -> np.ndarray:
-        """Leaf coordinates of the nodes, one row per node, computed once."""
-        return _coord_matrix(self.nodes)
-
-
-def _coord_matrix(nodes: Sequence[Point]) -> np.ndarray:
-    return np.asarray([leaf_coords(p) for p in nodes], dtype=float)
-
-
-def _distances_to_nodes(kinds, coords: np.ndarray, p: Point) -> np.ndarray:
-    qs = leaf_coords(p)
-    out = leaf_distances(kinds[0], qs[0], coords[:, 0])
-    for l in range(1, len(kinds)):
-        np.maximum(out, leaf_distances(kinds[l], qs[l], coords[:, l]), out=out)
-    return out
 
 
 def _leaf_windows(kind, axis: np.ndarray, q: np.ndarray, epsilon: float):
@@ -111,45 +94,59 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
     if resolution > epsilon / 4 + 1e-15:
         raise GuardError(f"grid resolution {resolution} exceeds epsilon/4 = {epsilon / 4}")
     kind = ifs.space
-    nodes = tuple(grid(kind, resolution))
+    batch = grid_batch(kind, resolution)
     kinds = leaf_kinds(kind)
-    images = np.stack(batch_leaves(ifs.raw_images(kind.batch([kind.encode(p) for p in nodes]))),
-                      axis=-1, dtype=float)  # (map, node, leaf)
+    images = np.stack(batch_leaves(ifs.raw_images(batch)), axis=-1, dtype=float)  # (map, node, leaf)
     # the grid is the product of the leaf grids, first leaf outermost
-    axes = [_coord_matrix(grid(k, resolution))[:, 0] for k in kinds]
+    axes = [np.asarray(grid_batch(k, resolution), dtype=float) for k in kinds]
     strides = [int(np.prod([len(a) for a in axes[l + 1:]])) for l in range(len(axes))]
     windows = [_leaf_windows(k, a, images[..., l], epsilon)
                for l, (k, a) in enumerate(zip(kinds, axes))]
     counts = np.prod([w[1] for w in windows], axis=0)
     out_edges: list[np.ndarray] = []
     out_labels: list[np.ndarray] = []
-    for c0 in range(0, len(nodes), _CHUNK_NODES):
-        count = counts[c0:c0 + _CHUNK_NODES]
-        src = np.repeat(np.arange(c0, c0 + len(count)), count)
-        k = np.arange(len(src)) - np.repeat(np.cumsum(count) - count, count)
-        targets = np.zeros(len(src), dtype=np.intp)
-        dmat = np.zeros((ifs.nmaps, len(src)))  # max over leaves; distances are >= 0
+    for c0 in range(0, len(counts), _CHUNK_NODES):
+        rows = slice(c0, c0 + _CHUNK_NODES)
+        count = counts[rows]
+        ends = np.cumsum(count)
+        k = np.arange(ends[-1]) - np.repeat(ends - count, count)  # candidate's place in its window
         # last leaf varies fastest, so each node's targets come out ascending
+        targets, leaf_coords = None, []
         for l in reversed(range(len(kinds))):
-            start, width, wrapped = (w[src] for w in windows[l])
-            k, kl = np.divmod(k, width)
-            idx = np.where(kl < wrapped, kl, start + kl - wrapped)
-            targets += idx * strides[l]
-            for lam in range(ifs.nmaps):
-                np.maximum(dmat[lam], leaf_distances(kinds[l], images[lam, src, l], axes[l][idx]),
-                           out=dmat[lam])
-        keep = dmat.min(axis=0) <= epsilon
-        cuts = np.cumsum(np.bincount(src[keep] - c0, minlength=len(count)))[:-1]
-        out_edges += np.split(targets[keep], cuts)
-        out_labels += np.split(dmat.argmin(axis=0)[keep], cuts)
-    return ChainGraph(ifs, nodes, epsilon, resolution,
+            start, width, wrapped = (w[rows] for w in windows[l])
+            if l:
+                k, kl = np.divmod(k, np.repeat(width, count))
+            else:  # what the inner leaves leave of k indexes the first leaf
+                kl = k
+            idx = kl + np.repeat(start, count)
+            if wrapped.any():
+                wrapped = np.repeat(wrapped, count)
+                idx = np.where(kl < wrapped, kl, idx - wrapped)
+            targets = idx if targets is None else targets + idx * strides[l]
+            leaf_coords.append((l, axes[l][idx]))
+        # distance to the closest map image, and that map (the first on ties)
+        for lam in range(ifs.nmaps):
+            d = functools.reduce(np.maximum, (
+                kinds[l].dists(coords, np.repeat(images[lam, rows, l], count))
+                for l, coords in leaf_coords))
+            if lam == 0:
+                best, label = d, np.zeros(len(d), dtype=np.intp)
+            else:
+                label[d < best] = lam
+                np.minimum(best, d, out=best)
+        keep = best <= epsilon
+        targets, label = targets[keep], label[keep]
+        cuts = [0, *np.cumsum(keep)[ends - 1].tolist()]  # every window holds >= 1 index
+        out_edges += [targets[a:b] for a, b in zip(cuts, cuts[1:])]
+        out_labels += [label[a:b] for a, b in zip(cuts, cuts[1:])]
+    return ChainGraph(ifs, RawPoints(kind, unbatch(batch)), epsilon, resolution,
                       tuple(out_edges), tuple(out_labels))
 
 
 def snap_to_node(g: ChainGraph, p: Point) -> tuple[int, float]:
     """Nearest grid node and its distance."""
-    kinds = leaf_kinds(g.ifs.space)
-    d = _distances_to_nodes(kinds, g._coords, p)
+    kind = g.ifs.space
+    d = kind.dists(kind.batch(g.nodes.raws), kind.encode(p))
     i = int(np.argmin(d))
     return i, float(d[i])
 
@@ -180,28 +177,26 @@ class ChainSearchResult:
     reachable: Optional[tuple[int, ...]]  # diagnostic frontier when not found
 
 
-def _edge_label(g: ChainGraph, u: int, v: int) -> int:
-    e = g.out_edges[u]
-    pos = int(np.searchsorted(e, v))
-    return int(g.out_labels[u][pos])
-
-
-def _bfs(out_edges: Sequence[np.ndarray], start: int) -> np.ndarray:
-    """Breadth-first search from `start`, one level per step. Returns each
-    node's parent (-1 if unreached); parents and visit order match a FIFO
-    queue that scans edges in stored order. `start` is expanded but not
-    marked, so it gets a parent only if some path of >= 1 step returns to it."""
+def _bfs(out_edges: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Breadth-first search from `start`, one level per step, until `stop`
+    is reached. Returns each node's parent (-1 if unreached); parents and
+    visit order match a FIFO queue that scans edges in stored order. `start`
+    is expanded but not marked, so it gets a parent only if some path of >= 1
+    step returns to it."""
     parent = np.full(len(out_edges), -1, dtype=np.intp)
+    first = np.full(len(out_edges), np.iinfo(np.intp).max)  # a target's first place in its level
     frontier = np.array([start], dtype=np.intp)
-    while len(frontier):
+    while len(frontier) and parent[stop] == -1:
         edges = [out_edges[u] for u in frontier]
         targets = np.concatenate(edges)
         sources = np.repeat(frontier, [len(e) for e in edges])
         unseen = parent[targets] == -1
         targets, sources = targets[unseen], sources[unseen]
-        first = np.sort(np.unique(targets, return_index=True)[1])
-        frontier = targets[first]
-        parent[frontier] = sources[first]
+        place = np.arange(len(targets))
+        np.minimum.at(first, targets, place)
+        new = first[targets] == place
+        frontier = targets[new]
+        parent[frontier] = sources[new]
     return parent
 
 
@@ -211,18 +206,16 @@ def find_chain(g: ChainGraph, x: Point, y: Point) -> ChainSearchResult:
     maps, not the graph."""
     src, snap_from = snap_to_node(g, x)
     dst, snap_to = snap_to_node(g, y)
-    parent = _bfs(g.out_edges, src)
+    parent = _bfs(g.out_edges, src, dst)
     if parent[dst] == -1:
         reachable = tuple(int(v) for v in np.flatnonzero(parent != -1))
         return ChainSearchResult(False, None, snap_from, snap_to, reachable)
-    path = [dst]
-    while True:
-        prev = int(parent[path[-1]])
-        path.append(prev)
-        if prev == src:
-            break
+    path = [dst, int(parent[dst])]
+    while path[-1] != src:
+        path.append(int(parent[path[-1]]))
     path.reverse()
-    labels = tuple(_edge_label(g, u, v) for u, v in zip(path, path[1:]))
+    labels = tuple(int(g.out_labels[u][np.searchsorted(g.out_edges[u], v)])
+                   for u, v in zip(path, path[1:]))
     witness = ChainWitness(tuple(g.nodes[i] for i in path), labels)
     if not validate_witness(g.ifs, witness, g.epsilon):
         raise IFSError("graph path failed raw-map re-validation")
@@ -230,65 +223,69 @@ def find_chain(g: ChainGraph, x: Point, y: Point) -> ChainSearchResult:
 
 
 def strongly_connected_components(out_edges: Sequence[np.ndarray]) -> list[list[int]]:
-    """Iterative Tarjan over nodes in ascending order (deterministic)."""
+    """Iterative Tarjan over nodes in ascending order, scanning each node's
+    edges in stored order (deterministic); components come out in the order
+    Tarjan completes them, each sorted.
+
+    Each visit of a node gathers `rank` over its edges not yet scanned, where
+    rank is -1 for unvisited nodes, the DFS index while a node is on the
+    stack and n once its component is emitted. The first -1 is the next tree
+    edge, since every earlier target is visited; the minimum over the targets
+    before it is the low-link update, as emitted nodes rank above every
+    index."""
     n = len(out_edges)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+    rank = np.full(n, -1, dtype=np.intp)
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
     for root in range(n):
-        if index[root] != -1:
+        if rank[root] != -1:
             continue
-        work = [(root, 0)]
+        rank[root] = counter
+        work = [[root, counter, 0, counter, 0]]  # node, index, next edge, low, stack position
+        stack.append(root)
+        counter += 1
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
+            frame = work[-1]
+            v, index, pi, low, base = frame
             edges = out_edges[v]
-            while pi < len(edges):
-                w = int(edges[pi])
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
+            r = rank[edges[pi:]]
+            if len(r):
+                j = int(r.argmin())
+                if r[j] == -1:  # descend along the tree edge v -> w
+                    if j:
+                        low = min(low, int(r[:j].min()))
+                    frame[2], frame[3] = pi + j + 1, low
+                    w = int(edges[pi + j])
+                    rank[w] = counter
+                    work.append([w, counter, 0, counter, len(stack)])
+                    stack.append(w)
+                    counter += 1
+                    continue
+                low = min(low, int(r[j]))
             work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+            if low == index:  # v roots a component: pop it off the stack
+                if base == len(stack) - 1:  # one node, the common case: scalar writes
+                    comps.append([stack.pop()])
+                    rank[v] = n
+                else:
+                    comp = stack[base:]
+                    del stack[base:]
+                    rank[comp] = n
+                    comps.append(sorted(comp))
+            else:
+                work[-1][3] = min(work[-1][3], low)
     return comps
 
 
 def chain_recurrent_set(g: ChainGraph) -> tuple[int, ...]:
     """Nodes on some graph cycle: members of a nontrivial strongly connected
     component, or nodes with a self-loop."""
-    recurrent = set()
-    for comp in g.components:
-        if len(comp) >= 2:
-            recurrent.update(comp)
-    for i in range(g.size):
-        if g.has_self_loop(i):
-            recurrent.add(i)
+    recurrent = {v for comp in g.components if len(comp) >= 2 for v in comp}
+    for c0 in range(0, g.size, _CHUNK_NODES):  # self-loops, one block of sources at a time
+        edges = g.out_edges[c0:c0 + _CHUNK_NODES]
+        sources = np.repeat(np.arange(c0, c0 + len(edges)), [len(e) for e in edges])
+        recurrent.update(sources[np.concatenate(edges) == sources].tolist())
     return tuple(sorted(recurrent))
 
 
@@ -301,16 +298,17 @@ class TransitivityReport:
 def is_chain_transitive(g: ChainGraph) -> TransitivityReport:
     """True iff the chain graph is strongly connected; otherwise returns a
     concrete ordered pair with no connecting chain."""
-    home = next(c for c in g.components if c[0] == 0)  # components are sorted
-    if len(home) == g.size:
+    comps = g.components
+    # node 0 is Tarjan's first root, so the components completed up to and
+    # including its own are exactly the nodes it reaches
+    k = next(i for i, c in enumerate(comps) if c[0] == 0)  # components are sorted
+    if len(comps[k]) == g.size:
         return TransitivityReport(True, None)
-    reached = _bfs(g.out_edges, 0) != -1
-    reached[0] = True
-    if not reached.all():
-        v = int(np.argmin(reached))
-        return TransitivityReport(False, (g.nodes[0], g.nodes[v]))
+    reached = {v for c in comps[:k + 1] for v in c}
+    if len(reached) < g.size:
+        return TransitivityReport(False, (g.nodes[0], g.nodes[min(set(range(g.size)) - reached)]))
     # node 0 reaches every node, so exactly its own component reaches it back
-    w = min(set(range(g.size)) - set(home))
+    w = min(set(range(g.size)) - set(comps[k]))
     return TransitivityReport(False, (g.nodes[w], g.nodes[0]))
 
 

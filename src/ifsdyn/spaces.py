@@ -17,7 +17,8 @@ intervals and circles, int64 for finite spaces, an object array of bitmasks
 for symbol spaces, and a pair of batches for products. `kind.batch(raws)`
 and `unbatch(batch)` convert a list of raw values to a batch and back, and
 `dists(a, b) -> ndarray` measures batches elementwise, broadcasting (a batch
-against one raw value, too). `canon_batch` is the array twin of `canon`.
+against one raw value, too). `canon_batch` is the array twin of `canon`, and
+`grid_batch` gives a space's finite net as one batch.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class Interval:
     hi: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", float(self.lo))  # so clamped values are floats too
+        object.__setattr__(self, "hi", float(self.hi))
         if not self.lo < self.hi:
             raise DomainError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -355,29 +358,35 @@ def diameter(kind: SpaceKind) -> float:
     raise UnsupportedKindError(f"unknown space kind {kind!r}")
 
 
-def grid(kind: SpaceKind, resolution: float) -> list[Point]:
-    """Finite net: every point of the space lies within `resolution` of a
-    grid point. Ordering is deterministic (ascending coordinates, left
-    component outermost for products)."""
+def grid_batch(kind: SpaceKind, resolution: float):
+    """Finite net as one batch of raw coordinates: every point of the space
+    lies within `resolution` of a grid point. Ordering is deterministic
+    (ascending coordinates, left component outermost for products)."""
     if resolution <= 0:
         raise DomainError("resolution must be positive")
     if isinstance(kind, Interval):
         span = kind.hi - kind.lo
         npts = max(2, math.ceil(span / resolution) + 1)
-        step = span / (npts - 1)
-        return [point(kind, kind.lo + i * step) for i in range(npts)]
+        return kind.canon_batch(kind.lo + np.arange(npts) * (span / (npts - 1)))
     if isinstance(kind, Circle):
         m = max(1, math.ceil(1.0 / resolution))
-        return [point(kind, i / m) for i in range(m)]
+        return np.arange(m) / m
     if isinstance(kind, FiniteDiscrete):
-        return [point(kind, i) for i in range(kind.n)]
+        return np.arange(kind.n, dtype=np.int64)
     if isinstance(kind, Product):
-        lefts = grid(kind.left, resolution)
-        rights = grid(kind.right, resolution)
-        return [point(kind, (l, r)) for l in lefts for r in rights]
+        lefts = grid_batch(kind.left, resolution)
+        rights = grid_batch(kind.right, resolution)
+        nl, nr = len(batch_leaves(lefts)[0]), len(batch_leaves(rights)[0])
+        return (leafwise(lambda a: np.repeat(a, nr), lefts),
+                leafwise(lambda a: np.tile(a, nl), rights))
     if isinstance(kind, SymbolSpace):
         raise UnsupportedKindError("symbol spaces have no coordinate grid")
     raise UnsupportedKindError(f"unknown space kind {kind!r}")
+
+
+def grid(kind: SpaceKind, resolution: float) -> list[Point]:
+    """The points of `grid_batch(kind, resolution)`, in its order."""
+    return list(map(kind.decode, unbatch(grid_batch(kind, resolution))))
 
 
 def sample_point(kind: SpaceKind, rng: np.random.Generator) -> Point:
@@ -396,31 +405,11 @@ def sample_point(kind: SpaceKind, rng: np.random.Generator) -> Point:
     raise UnsupportedKindError(f"unknown space kind {kind!r}")
 
 
-# --- flattening helpers for grid-backed spaces (used by the chain machinery)
-
 def leaf_kinds(kind: SpaceKind) -> list[SpaceKind]:
     """Non-product factors of `kind`, left to right."""
     if isinstance(kind, Product):
         return leaf_kinds(kind.left) + leaf_kinds(kind.right)
     return [kind]
-
-
-def leaf_coords(p: Point) -> list[float]:
-    """Flattened numeric coordinates of a point of a grid-backed space."""
-    kind = p.kind
-    if isinstance(kind, Product):
-        return leaf_coords(p.value[0]) + leaf_coords(p.value[1])
-    if isinstance(kind, SymbolSpace):
-        raise UnsupportedKindError("symbol points have no numeric coordinate")
-    return [float(p.value)]
-
-
-def leaf_distances(kind: SpaceKind, q: float, coords: np.ndarray) -> np.ndarray:
-    """Vector of distances from coordinate `q` to every entry of `coords`
-    under the metric of the (non-product, non-symbol) `kind`."""
-    if isinstance(kind, (SymbolSpace, Product)):
-        raise UnsupportedKindError(f"no vectorized metric for {kind!r}")
-    return kind.dists(coords, q)
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -2,6 +2,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ifsdyn.chains
 from ifsdyn import (
@@ -11,6 +13,7 @@ from ifsdyn import (
     IFSSpec,
     Interval,
     MapDef,
+    RawPoints,
     UnsupportedKindError,
     apply,
     backward_branch,
@@ -25,10 +28,11 @@ from ifsdyn import (
     make_system,
     point,
     product_ifs,
+    sample_point,
     snap_to_node,
     validate_witness,
 )
-from ifsdyn.spaces import leaf_coords, leaf_distances, leaf_kinds
+from ifsdyn.chains import ChainGraph, strongly_connected_components
 
 UNIT = Interval(0.0, 1.0)
 
@@ -52,7 +56,7 @@ def test_guard_and_unsupported():
 
 def test_identity_self_loops_and_out_degree():
     g = build_chain_graph(identity_ifs(), 0.01, 0.05)
-    assert all(g.has_self_loop(i) for i in range(g.size))
+    assert all(i in g.out_edges[i] for i in range(g.size))
     assert all(len(g.out_edges[i]) >= 1 for i in range(g.size))
 
 
@@ -197,23 +201,67 @@ def test_dyadic_steps_are_graph_edges():
 def all_pairs_graph(ifs, resolution, epsilon):
     """(out_edges, out_labels) from comparing every map image of every node
     with every node: the definition build_chain_graph must reproduce."""
-    nodes = grid(ifs.space, resolution)
-    kinds = leaf_kinds(ifs.space)
-    coords = np.asarray([leaf_coords(p) for p in nodes], dtype=float)
+    kind = ifs.space
+    nodes = grid(kind, resolution)
+    batch = kind.batch([kind.encode(p) for p in nodes])
     out_edges, out_labels = [], []
     for node in nodes:
-        rows = []
-        for lam in range(ifs.nmaps):
-            q = leaf_coords(apply(ifs, lam, node))
-            d = leaf_distances(kinds[0], q[0], coords[:, 0])
-            for l in range(1, len(kinds)):
-                d = np.maximum(d, leaf_distances(kinds[l], q[l], coords[:, l]))
-            rows.append(d)
-        dmat = np.stack(rows)
+        dmat = np.stack([kind.dists(batch, kind.encode(apply(ifs, lam, node)))
+                         for lam in range(ifs.nmaps)])
         targets = np.nonzero(dmat.min(axis=0) <= epsilon)[0]
         out_edges.append(targets)
         out_labels.append(dmat.argmin(axis=0)[targets])
     return out_edges, out_labels
+
+
+def tarjan_oracle(out_edges):
+    """Iterative Tarjan that scans one edge at a time, roots in ascending
+    order: the components, in the order they complete, each sorted."""
+    n = len(out_edges)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack, comps = [], []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            edges = out_edges[v]
+            while pi < len(edges):
+                w = int(edges[pi])
+                pi += 1
+                if index[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(sorted(comp))
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return comps
 
 
 def bfs_oracle(out_edges, src):
@@ -337,6 +385,92 @@ def test_transitivity_matches_oracle(catalog_graph):
         assert rep.counterexample == (g.nodes[pair[0]], g.nodes[pair[1]])
     if name == "interval_pair fine":  # the branch where node 0 reaches all
         assert pair is not None and pair[1] == 0
+
+
+def test_components_match_tarjan_oracle(catalog_graph):
+    _, g = catalog_graph
+    assert g.components == tarjan_oracle(g.out_edges)
+
+
+@st.composite
+def digraphs(draw):
+    """Out-lists in ascending order without repeats; self-loops, empty lists
+    and one-node graphs included."""
+    n = draw(st.integers(1, 14))
+    degree = draw(st.integers(0, n))
+    return tuple(np.array(sorted(draw(st.sets(st.integers(0, n - 1), max_size=degree))),
+                          dtype=np.intp) for _ in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_scc_and_transitivity_on_random_digraphs(out_edges):
+    assert strongly_connected_components(out_edges) == tarjan_oracle(out_edges)
+    n = len(out_edges)
+    space = FiniteDiscrete(n)
+    g = ChainGraph(IFSSpec(space, (MapDef("id", "identity"),)), RawPoints(space, list(range(n))),
+                   1.0, 1.0, out_edges, tuple(np.zeros_like(e) for e in out_edges))
+    rep = is_chain_transitive(g)
+    pair = transitivity_oracle(g)
+    assert rep.transitive == (pair is None)
+    assert rep.counterexample == (None if pair is None else (g.nodes[pair[0]], g.nodes[pair[1]]))
+
+
+# catalog systems with Lipschitz constant L <= 3, where chains of the space at
+# epsilon/2 are graph paths: a snap moves a point by at most h/2 <= epsilon/8
+_LIPSCHITZ_3 = {"interval_pair": 0.02, "circle_pair": 0.05, "binary_affine": 0.05}
+
+
+@pytest.fixture(scope="module")
+def quarter_grids():
+    return {model: build_chain_graph(make_system(model), eps / 4, eps)
+            for model, eps in _LIPSCHITZ_3.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sampled_from(sorted(_LIPSCHITZ_3)), x=st.floats(0, 1), lam=st.integers(0, 1),
+       shift=st.floats(-0.5, 0.5))
+def test_chains_complete_at_half_epsilon(quarter_grids, model, x, lam, shift):
+    g = quarter_grids[model]
+    kind, eps = g.ifs.space, g.epsilon
+    x = point(kind, x % 1.0 if isinstance(kind, Circle) else x)
+    fx = apply(g.ifs, lam, x).value
+    y = point(kind, (fx + shift * eps) % 1.0 if isinstance(kind, Circle)
+              else min(max(fx + shift * eps, kind.lo), kind.hi))
+    assume(distance(apply(g.ifs, lam, x), y) <= eps / 2)
+    u, _ = snap_to_node(g, x)
+    v, _ = snap_to_node(g, y)
+    assert v in g.out_edges[u].tolist()
+
+
+_QUERY_SYSTEMS = ["interval_pair", "circle_pair", "F1_only", "halving", "circle_pair^2",
+                  "interval_pair x permutations", "(circle_pair x interval_pair) x circle_pair"]
+
+
+@pytest.fixture(scope="module")
+def query_graphs():
+    systems = _catalog_systems()
+    return {name: build_chain_graph(*systems[name]) for name in _QUERY_SYSTEMS}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(_QUERY_SYSTEMS), seed=st.integers(0, 2**32 - 1))
+def test_found_witnesses_validate(query_graphs, name, seed):
+    g = query_graphs[name]
+    rng = np.random.default_rng(seed)
+    x, y = sample_point(g.ifs.space, rng), sample_point(g.ifs.space, rng)
+    res = find_chain(g, x, y)
+    if not res.found:
+        assert snap_to_node(g, y)[0] not in res.reachable
+        return
+    w = res.witness
+    assert validate_witness(g.ifs, w, g.epsilon)
+    path = [snap_to_node(g, p)[0] for p in w.points]
+    assert w.points[0] == g.nodes[snap_to_node(g, x)[0]]
+    assert w.points[-1] == g.nodes[snap_to_node(g, y)[0]]
+    for u, v, lam in zip(path, path[1:], w.labels):
+        assert v in g.out_edges[u].tolist()
+        assert lam == g.out_labels[u][np.searchsorted(g.out_edges[u], v)]
 
 
 def test_scc_computed_once_per_graph(monkeypatch):

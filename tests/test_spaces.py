@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ifsdyn import (
     space_from_json,
     space_to_json,
 )
+from ifsdyn.spaces import value_repr
 
 UNIT = Interval(0.0, 1.0)
 
@@ -170,6 +173,56 @@ def test_grid_is_h_net(kind, h):
         q = sample_point(kind, rng)
         worst = max(worst, min(distance(q, p) for p in pts))
     assert worst <= h
+
+
+def grid_oracle(kind, resolution):
+    """The grid built one `point()` at a time, as `grid` once did."""
+    if isinstance(kind, Interval):
+        span = kind.hi - kind.lo
+        npts = max(2, math.ceil(span / resolution) + 1)
+        step = span / (npts - 1)
+        return [point(kind, kind.lo + i * step) for i in range(npts)]
+    if isinstance(kind, Circle):
+        m = max(1, math.ceil(1.0 / resolution))
+        return [point(kind, i / m) for i in range(m)]
+    if isinstance(kind, FiniteDiscrete):
+        return [point(kind, i) for i in range(kind.n)]
+    lefts, rights = grid_oracle(kind.left, resolution), grid_oracle(kind.right, resolution)
+    return [point(kind, (l, r)) for l in lefts for r in rights]
+
+
+def _payload_types(p):
+    if isinstance(p.kind, Product):
+        return (_payload_types(p.value[0]), _payload_types(p.value[1]))
+    return type(p.value)
+
+
+@pytest.mark.parametrize("kind,h", [
+    (Interval(0, 1), 0.037),
+    (Interval(-2, 3), 0.3),
+    (Interval(-2.0, 3.0), 0.11),
+    (Interval(0.1, 0.7), 0.6),
+    (Circle(), 0.037),
+    (Circle(), 2.0),
+    (FiniteDiscrete(1), 0.5),
+    (FiniteDiscrete(4), 0.5),
+    (Product(UNIT, Circle()), 0.09),
+    (Product(Product(Interval(0, 1), FiniteDiscrete(3)), Circle()), 0.2),
+    (Product(Circle(), Product(FiniteDiscrete(2), Interval(-1.0, 1.0))), 0.3),
+])
+def test_grid_decodes_the_point_by_point_grid(kind, h):
+    pts, expected = grid(kind, h), grid_oracle(kind, h)
+    assert pts == expected
+    assert [_payload_types(p) for p in pts] == [_payload_types(p) for p in expected]
+
+
+def test_integer_interval_bounds_clamp_to_floats():
+    kind = Interval(0, 1)
+    assert (kind.lo, kind.hi) == (0.0, 1.0) and type(kind.lo) is type(kind.hi) is float
+    low, high = point(kind, -1e-10), point(kind, 1 + 1e-10)
+    assert type(low.value) is float and low.value == 0.0 and value_repr(low) == "0.0"
+    assert type(high.value) is float and high.value == 1.0 and value_repr(high) == "1.0"
+    assert kind == UNIT and hash(kind) == hash(UNIT)
 
 
 def test_grid_deterministic_order():
