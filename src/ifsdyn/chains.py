@@ -111,7 +111,7 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
         ends = np.cumsum(count)
         k = np.arange(ends[-1]) - np.repeat(ends - count, count)  # candidate's place in its window
         # last leaf varies fastest, so each node's targets come out ascending
-        targets, leaf_coords = None, []
+        targets, target_coords = None, []
         for l in reversed(range(len(kinds))):
             start, width, wrapped = (w[rows] for w in windows[l])
             if l:
@@ -123,12 +123,12 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
                 wrapped = np.repeat(wrapped, count)
                 idx = np.where(kl < wrapped, kl, idx - wrapped)
             targets = idx if targets is None else targets + idx * strides[l]
-            leaf_coords.append((l, axes[l][idx]))
+            target_coords.append((l, axes[l][idx]))
         # distance to the closest map image, and that map (the first on ties)
         for lam in range(ifs.nmaps):
             d = functools.reduce(np.maximum, (
                 kinds[l].dists(coords, np.repeat(images[lam, rows, l], count))
-                for l, coords in leaf_coords))
+                for l, coords in target_coords))
             if lam == 0:
                 best, label = d, np.zeros(len(d), dtype=np.intp)
             else:
