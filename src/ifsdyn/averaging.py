@@ -7,7 +7,7 @@ import csv
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -142,11 +142,21 @@ def _level_start(ind: np.ndarray, theta: float) -> int:
     return int(bad[-1]) + 1 if len(bad) else 0
 
 
-def extract_null_density_set(s: Series, max_levels: int = 60) -> DensityDecomposition:
+_DEEPEST_LEVEL = 60  # the last threshold is 2^-60
+
+
+def _off_tail_max(values: np.ndarray, mask: np.ndarray) -> float:
+    """Maximum of `values` over the unmarked indices of the second half."""
+    half = len(values) // 2
+    off_tail = values[half:][~mask[half:]]
+    return float(off_tail.max()) if len(off_tail) else 0.0
+
+
+def extract_null_density_set(s: Series) -> DensityDecomposition:
     """Split off a small-density index set J so that the series is small
     outside J.
 
-    Level construction: for k = 1, 2, ... with thresholds theta_k = 2^-k,
+    Level construction: for k = 1, ..., 60 with thresholds theta_k = 2^-k,
     find the first position after which the running fraction of values above
     theta_k stays below theta_k; from there until the next level starts, mark
     exactly the values above theta_k. If the overall average never falls
@@ -169,7 +179,7 @@ def extract_null_density_set(s: Series, max_levels: int = 60) -> DensityDecompos
 
     levels: list[LevelCut] = []
     prev_start = 0
-    for k in range(1, max_levels + 1):
+    for k in range(1, _DEEPEST_LEVEL + 1):
         theta = 2.0 ** -k
         start = max(_level_start(a > theta, theta), prev_start)
         if start >= horizon:
@@ -177,26 +187,20 @@ def extract_null_density_set(s: Series, max_levels: int = 60) -> DensityDecompos
         levels.append(LevelCut(k, theta, start))
         prev_start = start
 
+    # the tail threshold is that of the first level whose segment ends past
+    # the half: walking the levels backwards, that level writes it last
     mask = np.zeros(horizon, dtype=bool)
-    for cut, nxt in zip(levels, levels[1:] + [None]):
-        end = horizon if nxt is None else nxt.start
-        seg = slice(cut.start, end)
-        mask[seg] = a[seg] > cut.theta
-
-    half = horizon // 2
-    off_tail = a[half:][~mask[half:]]
-    tail_max = float(off_tail.max()) if len(off_tail) else 0.0
     tail_threshold = bound
-    for cut, nxt in zip(levels, levels[1:] + [None]):
-        end = horizon if nxt is None else nxt.start
-        if end > half:
+    ends = [cut.start for cut in levels[1:]] + [horizon]
+    for cut, end in zip(reversed(levels), reversed(ends)):
+        mask[cut.start:end] = a[cut.start:end] > cut.theta
+        if end > horizon // 2:
             tail_threshold = cut.theta
-            break
     return DensityDecomposition(
         index_set=IndexSet(tuple(int(i) for i in np.nonzero(mask)[0]), horizon),
         no_decay=False,
         levels=tuple(levels),
-        tail_max=tail_max,
+        tail_max=_off_tail_max(a, mask),
         tail_threshold=tail_threshold,
     )
 
@@ -224,26 +228,12 @@ def verify_null_density_implies_average(s: Series, j: IndexSet, tol: float) -> D
     mask = np.zeros(horizon, dtype=bool)
     if j.indices:
         mask[np.asarray(j.indices)] = True
-    half = horizon // 2
-    off_tail = s.values[half:][~mask[half:]]
-    tail = float(off_tail.max()) if len(off_tail) else 0.0
+    tail = _off_tail_max(s.values, mask)
     verdict = avg <= dens_term + tail + tol and tail <= tol
     return DensityCheck(avg, dens, dens_term, tail, verdict)
 
 
 # --- exports ----------------------------------------------------------------
-
-def series_to_csv(s: Series, path, index_name: str = "index", value_name: str = "value",
-                  start: int = 0, comments: Sequence[str] = ()) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        writer = csv.writer(fh)
-        writer.writerow([index_name, value_name])
-        for i, v in enumerate(s.values, start=start):
-            writer.writerow([i, repr(float(v))])
-
 
 def series_from_csv(path) -> Series:
     values = []
@@ -253,6 +243,3 @@ def series_from_csv(path) -> Series:
         values.append(float(row[1]))
     return series(values)
 
-
-def index_set_to_json(j: IndexSet) -> list[int]:
-    return list(j.indices)

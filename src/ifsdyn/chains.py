@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -330,10 +329,6 @@ def witness_to_json(w: ChainWitness) -> dict:
         "points": [point_to_json(p) for p in w.points],
         "labels": list(w.labels),
     }
-
-
-def witness_to_json_file(w: ChainWitness, path) -> None:
-    Path(path).write_text(json.dumps(witness_to_json(w), indent=2))
 
 
 def graph_to_dot(g: ChainGraph) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +125,7 @@ def _cmd_orbit(args) -> int:
     x0 = _parse_point(ifs.space, args.x0)
     sel = _parse_selector(args.sigma, args.steps, ifs.nmaps)
     orb = orbit(ifs, sel, x0, args.steps)
-    cfg = _config(args, ["model", "sigma", "x0", "steps", "seed"])
+    cfg = _config(args, ["model", "sigma", "x0", "steps"])
     if args.format == "csv":
         lines = [f"# {k}={v}" for k, v in cfg.items()]
         lines.append("index,coordinates,lambda")
@@ -198,7 +199,6 @@ def _cmd_shadow(args) -> int:
         z = _parse_point(ifs.space, args.z0)
         rep = shadow_verify(ifs, rec, z, rec.selector, n, tol_avg=args.tol)
     cfg = _config(args, ["model", "pseudo_file", "mode", "z0", "horizon", "tol", "grid_step"])
-    payload = {"config": cfg, "report": report_to_json(rep)}
     if args.format == "csv":
         lines = [f"# {k}={v}" for k, v in cfg.items()]
         lines.append("n,average")
@@ -206,7 +206,7 @@ def _cmd_shadow(args) -> int:
             lines.append(f"{i},{v!r}")
         _emit("\n".join(lines) + "\n", args.output)
     else:
-        _emit_json(payload, args.output)
+        _emit_json({"config": cfg, "report": report_to_json(rep)}, args.output)
     return 0 if rep.verdict_avg else 1
 
 
@@ -284,14 +284,7 @@ def _cmd_experiment(args) -> int:
         overrides[key] = json.loads(raw)
     result = experiments.run(args.name, overrides or None,
                              output_root=args.output_root, seed=args.seed)
-    _emit_json({
-        "name": result.name,
-        "parameters": result.parameters,
-        "verdict": result.verdict,
-        "metrics": result.metrics,
-        "artifacts": result.artifacts,
-        "wall_time": result.wall_time,
-    }, args.output)
+    _emit_json(asdict(result), args.output)
     return 0 if result.verdict else 1
 
 
@@ -299,12 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ifs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True):
-        if model:
-            sp.add_argument("--model")
-            sp.add_argument("--spec-file")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
+    def model_flags(sp):
+        sp.add_argument("--model")
+        sp.add_argument("--spec-file")
         sp.add_argument("--output")
+
+    def common(sp):
+        model_flags(sp)
+        sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("list-models", help="enumerate the model catalog")
     sp.set_defaults(fn=_cmd_list_models)
@@ -316,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", default="random:0", help=sigma_help)
     sp.add_argument("--x0", required=True)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_orbit)
 
     sp = sub.add_parser("pseudo", help="generate and validate a pseudo-orbit")
@@ -354,12 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cesaro", help="Cesàro average of a CSV series")
     sp.add_argument("--input", required=True)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--format", choices=["json"], default="json")
     sp.add_argument("--output")
     sp.set_defaults(fn=_cmd_cesaro)
 
     sp = sub.add_parser("ratio", help="sampled contraction ratio estimate")
-    common(sp)
+    model_flags(sp)
     sp.add_argument("--pairs", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_ratio)

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .averaging import (
+    Series,
     constant_series,
     density,
     extract_null_density_set,
     harmonic_series,
-    index_set_to_json,
     running_average_curve,
     series,
     verify_null_density_implies_average,
@@ -35,7 +35,7 @@ from .chains import (
     is_chain_transitive,
     snap_to_node,
     validate_witness,
-    witness_to_json_file,
+    witness_to_json,
 )
 from .core import (
     apply,
@@ -61,7 +61,7 @@ from .pseudo_orbits import (
 from .shadowing import (
     contracting_shadow,
     finite_shadowing_check,
-    report_to_json_file,
+    report_to_json,
     shadow_verify,
 )
 from .spaces import Point, distance, point, sample_point
@@ -77,65 +77,52 @@ class ExperimentResult:
     wall_time: float
 
 
-def _curve_csv(values, path, stride: int) -> None:
+def _write_rows(path: Path, header: str, rows) -> None:
+    """CSV artifact: the header line, then each row's fields as `str` gives
+    them."""
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for r in rows:
+            fh.write(",".join(map(str, r)) + "\n")
+
+
+def _curve_csv(values, path: Path, stride: int) -> None:
     """Running-average curve downsampled for artifact size; n is the true
     prefix length of each kept row."""
-    with Path(path).open("w") as fh:
-        fh.write("n,average\n")
-        for i in range(0, len(values), stride):
-            fh.write(f"{i + 1},{values[i]!r}\n")
+    _write_rows(path, "n,average", ((i + 1, repr(values[i])) for i in range(0, len(values), stride)))
 
 
-def _harmonic_record(ifs, n: int, seed: int, x0=None):
-    rng = np.random.default_rng(seed)
-    if x0 is None:
-        x0 = sample_point(ifs.space, rng)
-    sel = selector_random(seed + 1, n, ifs.nmaps)
-    return perturbed_orbit(ifs, sel, x0, harmonic_series(n), seed + 2)
-
-
-def _noisy_record(ifs, n: int, level: float, seed: int, x0=None):
-    rng = np.random.default_rng(seed)
-    if x0 is None:
-        x0 = sample_point(ifs.space, rng)
-    sel = selector_random(seed + 1, n, ifs.nmaps)
-    return perturbed_orbit(ifs, sel, x0, constant_series(n, level), seed + 2)
+def _random_record(ifs, noise: Series, seed: int):
+    """Perturbed orbit from a random start under a random selector, with
+    the step errors drawn up to `noise`."""
+    x0 = sample_point(ifs.space, np.random.default_rng(seed))
+    sel = selector_random(seed + 1, noise.horizon, ifs.nmaps)
+    return perturbed_orbit(ifs, sel, x0, noise, seed + 2)
 
 
 # --- experiment bodies -------------------------------------------------------
 
 def _exp_contracting_bound(p: dict, outdir: Path):
     n = p["n"]
-    tol_abs = p["tol_abs"]
     seed = p["seed"]
-    metrics = {}
-    artifacts = []
-    ok = True
-
-    binary = make_system("binary_affine")
+    binary, sigma2 = make_system("binary_affine"), make_system("sigma2_prepend")
     rec = perturbed_orbit(binary, selector_random(seed, n, 2), point(UNIT, 1.0),
                           harmonic_series(n), seed + 1)
-    rep = contracting_shadow(binary, rec, y0=point(UNIT, 0.0))
-    metrics["binary_final_average"] = rep.final_average
-    metrics["binary_bound"] = rep.bound
-    metrics["binary_ratio"] = rep.final_average / rep.bound if rep.bound else 0.0
-    ok &= rep.final_average <= rep.bound + 1e-12 and rep.final_average <= tol_abs
+    reps = {
+        "binary": contracting_shadow(binary, rec, y0=point(UNIT, 0.0)),
+        "sigma2": contracting_shadow(sigma2, _random_record(sigma2, harmonic_series(n), seed + 10),
+                                     y0=point(sigma2.space, [0] * 64)),
+    }
+    metrics = {}
+    for tag, rep in reps.items():
+        metrics[f"{tag}_final_average"] = rep.final_average
+        metrics[f"{tag}_bound"] = rep.bound
+        metrics[f"{tag}_ratio"] = rep.final_average / rep.bound if rep.bound else 0.0
+    ok = (all(rep.final_average <= rep.bound + 1e-12 for rep in reps.values())
+          and reps["binary"].final_average <= p["tol_abs"])
     curve_path = outdir / "binary_affine_curve.csv"
-    _curve_csv(rep.cesaro_curve.values, curve_path, max(1, n // 1000))
-    artifacts.append(str(curve_path))
-
-    sigma2 = make_system("sigma2_prepend")
-    rng = np.random.default_rng(seed + 10)
-    x0 = sample_point(sigma2.space, rng)
-    rec2 = perturbed_orbit(sigma2, selector_random(seed + 11, n, 2), x0,
-                           harmonic_series(n), seed + 12)
-    y0 = point(sigma2.space, [0] * 64)
-    rep2 = contracting_shadow(sigma2, rec2, y0=y0)
-    metrics["sigma2_final_average"] = rep2.final_average
-    metrics["sigma2_bound"] = rep2.bound
-    metrics["sigma2_ratio"] = rep2.final_average / rep2.bound if rep2.bound else 0.0
-    ok &= rep2.final_average <= rep2.bound + 1e-12
-    return bool(ok), metrics, artifacts
+    _curve_csv(reps["binary"].cesaro_curve.values, curve_path, max(1, n // 1000))
+    return ok, metrics, [str(curve_path)]
 
 
 def _exp_power_consistency(p: dict, outdir: Path):
@@ -166,10 +153,7 @@ def _exp_power_consistency(p: dict, outdir: Path):
         rows.append((t, k, base.name, dev))
         max_dev = max(max_dev, dev)
     path = outdir / "deviations.csv"
-    with path.open("w") as fh:
-        fh.write("trial,k,model,deviation\n")
-        for r in rows:
-            fh.write(",".join(map(str, r)) + "\n")
+    _write_rows(path, "trial,k,model,deviation", rows)
     return max_dev <= p["tol"], {"max_deviation": max_dev}, [str(path)]
 
 
@@ -192,10 +176,8 @@ def _exp_conjugacy(p: dict, outdir: Path):
     mismatches = 0
     rows = []
     for t in range(trials):
-        if t < trials // 2:
-            rec = _harmonic_record(binary, n, seed + 31 * t)
-        else:
-            rec = _noisy_record(binary, n, noise, seed + 31 * t)
+        schedule = harmonic_series(n) if t < trials // 2 else constant_series(n, noise)
+        rec = _random_record(binary, schedule, seed + 31 * t)
         tpoints = [_square(q) for q in rec.points]
         trec = pseudo_orbit_record(conj, tpoints, rec.selector)
         z = rec.points[0]
@@ -205,10 +187,8 @@ def _exp_conjugacy(p: dict, outdir: Path):
             mismatches += 1
         rows.append((t, r1.final_average, r2.final_average, r1.verdict_avg, r2.verdict_avg))
     path = outdir / "trials.csv"
-    with path.open("w") as fh:
-        fh.write("trial,avg_original,avg_transported,verdict_original,verdict_transported\n")
-        for r in rows:
-            fh.write(",".join(map(str, r)) + "\n")
+    _write_rows(path, "trial,avg_original,avg_transported,verdict_original,verdict_transported",
+                rows)
     metrics = {
         "mismatches": float(mismatches),
         "max_avg_original": max(r[1] for r in rows),
@@ -227,8 +207,8 @@ def _exp_product(p: dict, outdir: Path):
     worst = 0.0
     rows = []
     for t in range(trials):
-        lrec = _harmonic_record(binary, n, seed + 977 * t)
-        rrec = _harmonic_record(binary, n, seed + 977 * t + 13)
+        lrec = _random_record(binary, harmonic_series(n), seed + 977 * t)
+        rrec = _random_record(binary, harmonic_series(n), seed + 977 * t + 13)
         pts = [point(prod.space, (a, b)) for a, b in zip(lrec.points, rrec.points)]
         entries = [
             pair_index(lrec.selector.entry(i), rrec.selector.entry(i), binary.nmaps)
@@ -248,10 +228,7 @@ def _exp_product(p: dict, outdir: Path):
         worst = max(worst, *gaps)
         rows.append((t, rp.final_average, rl.final_average, rr.final_average))
     path = outdir / "trials.csv"
-    with path.open("w") as fh:
-        fh.write("trial,avg_product,avg_left,avg_right\n")
-        for r in rows:
-            fh.write(",".join(map(str, r)) + "\n")
+    _write_rows(path, "trial,avg_product,avg_left,avg_right", rows)
     return worst <= tol, {"max_sandwich_violation": worst}, [str(path)]
 
 
@@ -279,7 +256,7 @@ def _exp_lemma_density(p: dict, outdir: Path):
         and check.verdict
     )
     jpath = outdir / "index_set.json"
-    jpath.write_text(json.dumps(index_set_to_json(j)))
+    jpath.write_text(json.dumps(list(j.indices)))
     curve = running_average_curve(s)
     cpath = outdir / "running_average.csv"
     _curve_csv(curve.values, cpath, max(1, horizon // 1000))
@@ -324,7 +301,7 @@ def _exp_circle_chain(p: dict, outdir: Path):
     artifacts.append(str(epath))
     if witness is not None:
         wpath = outdir / "witness.json"
-        witness_to_json_file(witness, wpath)
+        wpath.write_text(json.dumps(witness_to_json(witness), indent=2))
         artifacts.append(str(wpath))
     crpath = outdir / "chain_recurrent.json"
     crpath.write_text(json.dumps({"pair": list(cr_pair), "f1_only": list(cr_f1)}))
@@ -341,14 +318,14 @@ def _exp_circle_chain(p: dict, outdir: Path):
     return bool(ok), metrics, artifacts
 
 
-def crossing_record(ifs, delta: float, lo: float = 0.01, hi: float = 0.99) -> PseudoOrbitRecord:
-    """Rightward delta-pseudo-orbit from lo to hi under map 0: follow the map
-    and add a jump just under delta, clamping the final step to land exactly
-    on hi."""
+def crossing_record(ifs, delta: float) -> PseudoOrbitRecord:
+    """Rightward delta-pseudo-orbit from 0.01 to 0.99 under map 0: follow
+    the map and add a jump just under delta, clamping the final step to land
+    exactly on 0.99."""
     if not 0 < delta:
         raise DomainError("delta must be positive")
-    jump = 0.95 * delta
-    pts = [point(ifs.space, lo)]
+    jump, hi = 0.95 * delta, 0.99
+    pts = [point(ifs.space, 0.01)]
     cur = pts[0]
     while cur.value < hi:
         base = apply(ifs, 0, cur)
@@ -363,18 +340,11 @@ def crossing_record(ifs, delta: float, lo: float = 0.01, hi: float = 0.99) -> Ps
 
 def _exp_interval_no_shadowing(p: dict, outdir: Path):
     pair = make_system("interval_pair")
-    npts = p["invariance_points"]
+    us = np.arange(p["invariance_points"] + 1) / p["invariance_points"]
+    vs = pair.raw_images(pair.space.canon_batch(us))  # (maps, points)
     slack = 1e-12
-    invariance_ok = True
-    for i in range(npts + 1):
-        u = i / npts
-        q = point(pair.space, u)
-        for lam in range(pair.nmaps):
-            v = apply(pair, lam, q).value
-            if u <= 0.5 and v > 0.5 + slack:
-                invariance_ok = False
-            if u >= 0.5 and v < 0.5 - slack:
-                invariance_ok = False
+    invariance_ok = not (((us <= 0.5) & (vs > 0.5 + slack)).any()
+                         or ((us >= 0.5) & (vs < 0.5 - slack)).any())
     rec = crossing_record(pair, p["delta"])
     dcheck = validate_delta_pseudo_orbit(rec, p["delta"])
     step = p["start_grid_step"]
@@ -384,7 +354,7 @@ def _exp_interval_no_shadowing(p: dict, outdir: Path):
     rpath = outdir / "crossing.csv"
     record_to_csv(rec, rpath)
     spath = outdir / "search_report.json"
-    report_to_json_file(result.report, spath)
+    spath.write_text(json.dumps(report_to_json(result.report), indent=2))
     metrics = {
         "invariance_ok": float(invariance_ok),
         "crossing_valid": float(dcheck.ok),
@@ -453,12 +423,5 @@ def run(name: str, overrides: dict | None = None, output_root="results",
     verdict, metrics, artifacts = fn(params, outdir)
     wall = time.perf_counter() - t0
     result = ExperimentResult(name, params, verdict, metrics, artifacts, wall)
-    (outdir / "result.json").write_text(json.dumps({
-        "name": name,
-        "parameters": params,
-        "verdict": verdict,
-        "metrics": metrics,
-        "artifacts": artifacts,
-        "wall_time": wall,
-    }, indent=2))
+    (outdir / "result.json").write_text(json.dumps(asdict(result), indent=2))
     return result

@@ -39,6 +39,7 @@ from .spaces import (
     SymbolSpace,
     diameter,
     distance,
+    json_key,
     leaf_kinds,
     point_from_json,
     point_to_json,
@@ -329,13 +330,14 @@ def record_to_json(rec: PseudoOrbitRecord) -> dict:
 
 
 def record_from_json(d: dict) -> PseudoOrbitRecord:
-    pts = tuple(point_from_json(p) for p in d["points"])
-    sel = SelectorSequence(tuple(int(e) for e in d["selector"]["entries"]),
-                           d["selector"].get("generator", "explicit"))
-    if not len(d["errors"]) == len(pts) - 1 <= len(sel):
-        raise LengthError(f"record lengths disagree: {len(pts)} points, {len(d['errors'])} "
+    pts = tuple(point_from_json(p) for p in json_key(d, "points"))
+    stored, errors = json_key(d, "selector"), json_key(d, "errors")
+    sel = SelectorSequence(tuple(int(e) for e in json_key(stored, "entries")),
+                           stored.get("generator", "explicit"))
+    if not len(errors) == len(pts) - 1 <= len(sel):
+        raise LengthError(f"record lengths disagree: {len(pts)} points, {len(errors)} "
                           f"errors, {len(sel)} selector entries")
-    return PseudoOrbitRecord(pts, sel, series(d["errors"]))
+    return PseudoOrbitRecord(pts, sel, series(errors))
 
 
 def record_to_csv(rec: PseudoOrbitRecord, path, comments: Sequence[str] = ()) -> None:

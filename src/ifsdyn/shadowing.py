@@ -10,10 +10,8 @@ candidate over a start grid.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -251,6 +249,3 @@ def report_to_json(r: ShadowReport) -> dict:
         "cesaro_curve": [float(v) for v in r.cesaro_curve.values],
     }
 
-
-def report_to_json_file(r: ShadowReport, path) -> None:
-    Path(path).write_text(json.dumps(report_to_json(r), indent=2))

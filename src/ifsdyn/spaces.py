@@ -52,8 +52,8 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))  # so clamped values are floats too
         object.__setattr__(self, "hi", float(self.hi))
-        if not self.lo < self.hi:
-            raise DomainError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not -math.inf < self.lo < self.hi < math.inf:  # also rejects nan
+            raise DomainError(f"interval needs finite lo < hi, got [{self.lo}, {self.hi}]")
 
     def canon(self, value) -> float:
         """Raw coordinate of `value`: overshoot up to the edge slack is clamped."""
@@ -414,6 +414,14 @@ def leaf_kinds(kind: SpaceKind) -> list[SpaceKind]:
 
 # --- JSON wire format ------------------------------------------------------
 
+def json_key(d: dict, key: str):
+    """`d[key]` of a JSON input; a missing key (or a `d` that is no object)
+    raises a DomainError naming it."""
+    if not isinstance(d, dict) or key not in d:
+        raise DomainError(f"JSON input lacks key {key!r}")
+    return d[key]
+
+
 def space_to_json(kind: SpaceKind) -> dict:
     if isinstance(kind, Interval):
         return {"type": "interval", "lo": kind.lo, "hi": kind.hi}
@@ -433,7 +441,7 @@ def space_to_json(kind: SpaceKind) -> dict:
 
 
 def space_from_json(d: dict) -> SpaceKind:
-    t = d["type"]
+    t = json_key(d, "type")
     if t == "interval":
         return Interval(float(d.get("lo", 0.0)), float(d.get("hi", 1.0)))
     if t == "circle":
@@ -441,13 +449,14 @@ def space_from_json(d: dict) -> SpaceKind:
     if t == "symbols":
         return SymbolSpace(int(d.get("depth", 64)))
     if t == "finite":
-        return FiniteDiscrete(int(d["n"]))
+        return FiniteDiscrete(int(json_key(d, "n")))
     if t == "product":
-        return Product(space_from_json(d["left"]), space_from_json(d["right"]))
+        return Product(space_from_json(json_key(d, "left")), space_from_json(json_key(d, "right")))
     raise DomainError(f"unknown space type {t!r}")
 
 
 def _value_to_json(p: Point):
+    """The payload as JSON: a bit string for symbols, a pair for products."""
     kind = p.kind
     if isinstance(kind, SymbolSpace):
         return "".join(str(b) for b in p.value)
@@ -467,15 +476,17 @@ def _value_from_json(kind: SpaceKind, v):
 
 
 def point_from_json(d: dict) -> Point:
-    kind = space_from_json(d["kind"])
-    return point(kind, _value_from_json(kind, d["value"]))
+    kind = space_from_json(json_key(d, "kind"))
+    return point(kind, _value_from_json(kind, json_key(d, "value")))
+
+
+def _cell(v) -> str:
+    if isinstance(v, list):  # a product pair
+        return ";".join(map(_cell, v))
+    return v if isinstance(v, str) else repr(v)
 
 
 def value_repr(p: Point) -> str:
-    """Compact single-cell text form of a point payload (CSV export)."""
-    kind = p.kind
-    if isinstance(kind, SymbolSpace):
-        return "".join(str(b) for b in p.value)
-    if isinstance(kind, Product):
-        return value_repr(p.value[0]) + ";" + value_repr(p.value[1])
-    return repr(p.value)
+    """Compact single-cell text form of a point payload (CSV export): its
+    JSON value, with product components joined by ';'."""
+    return _cell(_value_to_json(p))

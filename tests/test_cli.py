@@ -247,3 +247,53 @@ def test_short_permutation_spec_exits_2(tmp_path, capsys):
         assert main(["orbit", "--spec-file", str(spec_file), "--x0", x0, "--steps", "3"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: a permutation of 3 points needs 3 images, got 2"] * 2
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_infinite_interval_spec_exits_2(tmp_path, capsys):
+    spec = {"name": "wide", "space": {"type": "interval", "lo": 0.0, "hi": float("inf")},
+            "maps": [{"name": "id", "form": "identity", "params": []}]}
+    spec_file = tmp_path / "wide.json"
+    spec_file.write_text(json.dumps(spec))  # writes "hi": Infinity
+    assert main(["chain", "graph", "--spec-file", str(spec_file),
+                 "--epsilon", "0.05", "--grid", "0.0125"]) == 2
+    assert "finite lo < hi" in _one_error_line(capsys)
+
+
+def test_missing_json_keys_exit_2(tmp_path, capsys):
+    good = {"name": "id", "space": {"type": "interval"},
+            "maps": [{"name": "id", "form": "identity", "params": []}]}
+    no_params = {**good, "maps": [{"name": "id", "form": "identity"}]}
+    no_space = {k: v for k, v in good.items() if k != "space"}
+    bare_map = {**good, "maps": [3]}
+    for spec, key in ((no_params, "params"), (no_space, "space"), (bare_map, "form")):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        assert main(["chain", "graph", "--spec-file", str(spec_file),
+                     "--epsilon", "0.05", "--grid", "0.0125"]) == 2
+        assert repr(key) in _one_error_line(capsys)
+    rec_file = tmp_path / "rec.json"
+    assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "20",
+                 "--tol", "1", "--output", str(rec_file)]) == 0
+    payload = json.loads(rec_file.read_text())
+    del payload["record"]["errors"]
+    rec_file.write_text(json.dumps(payload))
+    assert main(["shadow", "--model", "binary_affine", "--pseudo-file", str(rec_file),
+                 "--mode", "contracting"]) == 2
+    assert "'errors'" in _one_error_line(capsys)
+
+
+def test_removed_flags_exit_2(capsys):
+    assert main(["orbit", "--model", "binary_affine", "--x0", "0", "--steps", "3",
+                 "--seed", "1"]) == 2
+    assert main(["cesaro", "--input", "series.csv", "--format", "json"]) == 2
+    assert main(["ratio", "--model", "binary_affine", "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("unrecognized arguments") == 3

@@ -52,6 +52,12 @@ def test_kind_guards():
         Product(deep, UNIT)
 
 
+def test_interval_rejects_non_finite_bounds():
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (0.0, math.nan)):
+        with pytest.raises(DomainError, match="finite lo < hi"):
+            Interval(lo, hi)
+
+
 def test_point_validation():
     assert point(UNIT, 0.5).value == 0.5
     with pytest.raises(DomainError):
