@@ -33,6 +33,7 @@ from .spaces import (
     distance,
     json_key,
     leafwise,
+    sample_batch,
     sample_point,
     space_from_json,
     space_to_json,
@@ -217,6 +218,74 @@ def _compile_row(m: MapDef, kind: SpaceKind) -> Callable:
     return lambda x: leafwise(lambda a: a[0], images(x))
 
 
+def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Callable]) -> Callable:
+    """The walk of a family: `walk(raw, lams, move=None, params=())` returns
+    the raw orbit of `raw` under the map indices `lams`, start included, and
+    the images before displacement (None without `move`); with `move`, step
+    i's image `base` becomes `move(base, params[i])`.
+
+    All-affine families on an interval and all-prepend families on a symbol
+    space run a kernel with the map, the range check and the displacement
+    inline: it calls `canon` only off the interval, to clamp the edge slack
+    or raise. Kernels displace as `pseudo_orbits._moves` does (a clamped
+    nonzero shift, an xor with the flip mask) without calling `move`. Other
+    families, and affine walks from a start that is no float, call `steps`."""
+
+    def generic(raw, lams, move=None, params=()):
+        out, bases = [raw], []
+        if move is None:
+            for lam in lams:
+                out.append(raw := steps[lam](raw))
+            return out, None
+        for lam, p in zip(lams, params):
+            bases.append(base := steps[lam](raw))
+            out.append(raw := move(base, p))
+        return out, bases
+
+    if any(m.form != maps[0].form or _unsupported(m, kind) for m in maps):
+        return generic
+    if maps[0].form == "prepend":
+        tops = [m.params[0] << (kind.depth - 1) for m in maps]
+
+        def prepend_walk(x, lams, move=None, masks=()):
+            out, bases = [x], []
+            if move is None:
+                for lam in lams:
+                    out.append(x := tops[lam] | (x >> 1))
+                return out, None
+            for lam, mask in zip(lams, masks):
+                bases.append(base := tops[lam] | (x >> 1))
+                out.append(x := base ^ mask)
+            return out, bases
+
+        return prepend_walk
+    # int or float slopes and offsets keep a*t + b a Python float for a float t
+    if maps[0].form != "affine" or any(not {type(c) for c in m.params} <= {int, float} for m in maps):
+        return generic
+    slopes, offsets = [m.params[0] for m in maps], [m.params[1] for m in maps]
+    lo, hi, canon = kind.lo, kind.hi, kind.canon
+
+    def affine_walk(t, lams, move=None, shifts=()):
+        if type(t) is not float:
+            return generic(t, lams, move, shifts)
+        out, bases = [t], []
+        if move is None:
+            for lam in lams:
+                if not lo <= (t := slopes[lam] * t + offsets[lam]) <= hi:  # nan too
+                    t = canon(t)
+                out.append(t)
+            return out, None
+        for lam, d in zip(lams, shifts):
+            if not lo <= (base := slopes[lam] * t + offsets[lam]) <= hi:
+                base = canon(base)
+            t = (lo if (t := base + d) < lo else hi if t > hi else t) if d else base
+            bases.append(base)
+            out.append(t)
+        return out, bases
+
+    return affine_walk
+
+
 def apply_map(m: MapDef, x: Point) -> Point:
     kind = x.kind
     return kind.decode(_compile_step(m, kind)(kind.encode(x)))
@@ -257,9 +326,16 @@ class IFSSpec:
         per leaf (`_compile_images`)."""
         return _compile_images(self.maps, self.space)
 
+    @cached_property
+    def raw_walk(self) -> Callable:
+        """The selector walk of the family on raw coordinates, with an
+        optional per-step displacement (`_compile_walk`)."""
+        return _compile_walk(self.maps, self.space, self.raw_steps)
+
     def __getstate__(self) -> dict:
         # the compiled steps are closures; an unpickled spec compiles its own
-        return {k: v for k, v in self.__dict__.items() if k not in ("raw_steps", "raw_images")}
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("raw_steps", "raw_images", "raw_walk")}
 
 
 @dataclass(frozen=True)
@@ -350,15 +426,12 @@ def usable_entries(ifs: IFSSpec, selector: SelectorSequence, n: int) -> tuple[Se
 
 def walk(ifs: IFSSpec, selector: SelectorSequence, raw, n: int) -> list:
     """Raw coordinates of the n-step orbit of the raw coordinate `raw`, start
-    included. Steps run up to the first selector entry that `apply` would
-    reject; its error (a map index out of range, or an exhausted selector)
-    is raised after them, as a step-by-step loop would raise it."""
+    included (`IFSSpec.raw_walk`). Steps run up to the first selector entry
+    that `apply` would reject; its error (a map index out of range, or an
+    exhausted selector) is raised after them, as a step-by-step loop would
+    raise it."""
     lams, error = usable_entries(ifs, selector, n)
-    steps = ifs.raw_steps
-    out = [raw]
-    for lam in lams:
-        raw = steps[lam](raw)
-        out.append(raw)
+    out, _ = ifs.raw_walk(raw, lams)
     if error is not None:
         raise error
     return out
@@ -383,28 +456,22 @@ def estimate_contraction_ratio(ifs: IFSSpec, sample_pairs: int, seed: int) -> fl
     """Sampled lower bound on the contraction ratio: max over random distinct
     pairs and all maps of d(f(x), f(y)) / d(x, y).
 
-    Pairs are drawn one at a time, so estimates with the same seed form a
-    running max as `sample_pairs` grows.
+    The points are drawn x_1, y_1, x_2, y_2, ... (`sample_batch`), as pairs
+    drawn one at a time would draw them, so estimates with the same seed form
+    a running max as `sample_pairs` grows.
     """
     if sample_pairs < 1:
         raise DomainError("sample_pairs must be >= 1")
-    rng = np.random.default_rng(seed)
-    kind, steps = ifs.space, ifs.raw_steps
-    best = 0.0
-    for _ in range(sample_pairs):
-        a = kind.encode(sample_point(kind, rng))
-        b = kind.encode(sample_point(kind, rng))
-        d = kind.dist(a, b)
-        # Skip near-degenerate pairs: below this floor the ratio noise
-        # ~2^-52/d from rounded map evaluations would exceed the 1e-9
-        # slack allowed when checking estimates against a claimed ratio.
-        if d < 1e-6:
-            continue
-        for step in steps:
-            ratio = kind.dist(step(a), step(b)) / d
-            if ratio > best:
-                best = ratio
-    return best
+    kind = ifs.space
+    drawn = sample_batch(kind, np.random.default_rng(seed), 2 * sample_pairs)
+    xs, ys = (leafwise(lambda v: v[first::2], drawn) for first in (0, 1))
+    d = kind.dists(xs, ys)
+    # Skip near-degenerate pairs: below this floor the ratio noise
+    # ~2^-52/d from rounded map evaluations would exceed the 1e-9
+    # slack allowed when checking estimates against a claimed ratio.
+    keep = d >= 1e-6
+    xs, ys = (ifs.raw_images(leafwise(lambda v: v[keep], side)) for side in (xs, ys))
+    return float((kind.dists(xs, ys) / d[keep]).max(initial=0.0))
 
 
 def word_digits(mu: int, base: int, k: int) -> tuple[int, ...]:
@@ -536,9 +603,7 @@ def subsystem(ifs: IFSSpec, indices: Sequence[int]) -> IFSSpec:
 def validate_ifs(ifs: IFSSpec) -> None:
     """Spot-check that every map sends 32 sampled points of the space back
     into the space (raises DomainError otherwise)."""
-    rng = np.random.default_rng(0)
-    kind = ifs.space
-    ifs.raw_images(kind.batch([kind.encode(sample_point(kind, rng)) for _ in range(_SPOT_SAMPLES)]))
+    ifs.raw_images(sample_batch(ifs.space, np.random.default_rng(0), _SPOT_SAMPLES))
 
 
 # --- JSON wire format ------------------------------------------------------

@@ -219,7 +219,7 @@ def perturbed_orbit(
     diam = diameter(ifs.space)
     if len(noise_schedule.values) and float(noise_schedule.values.max()) > diam:
         raise DomainError("noise schedule exceeds the space diameter")
-    kind, steps = ifs.space, ifs.raw_steps
+    kind, walk = ifs.space, ifs.raw_walk
     if x0.kind != kind:
         raise DomainError("point does not belong to the IFS space")
     cur, s, rng = kind.encode(x0), noise_schedule.values, np.random.default_rng(seed)
@@ -230,12 +230,7 @@ def perturbed_orbit(
         drawn[need] = rng.integers(0, highs[need])
     move, params = _moves(kind, s, iter(drawn.T))
     lams, error = usable_entries(ifs, selector, len(s))
-    bases, raw = [], [cur]
-    for lam, p in zip(lams, params):
-        base = steps[lam](cur)
-        cur = move(base, p)
-        bases.append(base)
-        raw.append(cur)
+    raw, bases = walk(cur, lams, move, params)
     if error is not None:
         raise error
     errs = kind.dists(kind.batch(bases), kind.batch(raw[1:]))

@@ -9,7 +9,6 @@ candidate over a start grid.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -172,8 +171,11 @@ def contracting_shadow(
     if n is None:
         n = rec.steps
     ds, _ = _track(ifs, rec, y0, n, rec.selector)
-    bounds = list(itertools.accumulate(rec.errors.values[: n - 1].tolist(),
-                                       lambda b, a: a + beta * b, initial=float(ds[0])))
+    b = float(ds[0])
+    bounds = [b]
+    for a in rec.errors.values[: n - 1].tolist():
+        b = a + beta * b
+        bounds.append(b)
     over = np.flatnonzero(ds > np.asarray(bounds) + 1e-9)
     if len(over):
         i = int(over[0])

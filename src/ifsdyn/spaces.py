@@ -151,11 +151,16 @@ class SymbolSpace:
         return 0.0 if a == b else 2.0 ** (1 - (self.depth - (a ^ b).bit_length()))
 
     def dists(self, a, b) -> np.ndarray:
-        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=object))
-        # one xor at a time, so no array of new bitmasks is ever held
-        lengths = np.fromiter(((x ^ y).bit_length() for x, y in zip(a.flat, b.flat)),
-                              dtype=np.int64, count=a.size)
-        return np.where(lengths > 0, np.ldexp(1.0, lengths + (1 - self.depth)), 0.0).reshape(a.shape)
+        if self.depth <= 64:  # on uint64 words: the exact bit length of a ^ b from its 32-bit halves
+            x = np.asarray(a, dtype=np.uint64) ^ np.asarray(b, dtype=np.uint64)
+            high, low = np.frexp(x >> np.uint64(32))[1], np.frexp(x & np.uint64(0xFFFFFFFF))[1]
+            lengths = np.where(high > 0, high + 32, low)
+        else:
+            a, b = np.broadcast_arrays(a, np.asarray(b, dtype=object))
+            # one xor at a time, so no array of new bitmasks is ever held
+            lengths = np.fromiter(((x ^ y).bit_length() for x, y in zip(a.flat, b.flat)),
+                                  dtype=np.int64, count=a.size).reshape(a.shape)
+        return np.where(lengths > 0, np.ldexp(1.0, lengths + (1 - self.depth)), 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,16 +397,28 @@ def grid(kind: SpaceKind, resolution: float) -> list[Point]:
 def sample_point(kind: SpaceKind, rng: np.random.Generator) -> Point:
     """Draw a uniform random point (uniform bits / indices for the discrete
     kinds)."""
+    return kind.decode(unbatch(sample_batch(kind, rng, 1))[0])
+
+
+def sample_batch(kind: SpaceKind, rng: np.random.Generator, count: int):
+    """`count` points drawn as `count` calls of `sample_point` draw them, as
+    one batch of raw coordinates. The draws, and the generator state after
+    them, are those calls' own; a non-product kind makes them in one `rng`
+    call."""
     if isinstance(kind, Interval):
-        return point(kind, kind.lo + (kind.hi - kind.lo) * rng.random())
+        return kind.canon_batch(kind.lo + (kind.hi - kind.lo) * rng.random(count))
     if isinstance(kind, Circle):
-        return point(kind, rng.random())
-    if isinstance(kind, SymbolSpace):
-        return point(kind, rng.integers(0, 2, size=kind.depth))
+        return kind.canon_batch(rng.random(count))
+    if isinstance(kind, SymbolSpace):  # rows of bits, first symbol in the top bit
+        rows = np.packbits(rng.integers(0, 2, size=(count, kind.depth)), axis=1).tobytes()
+        width, pad = -(-kind.depth // 8), -kind.depth % 8
+        return kind.batch([int.from_bytes(rows[i:i + width], "big") >> pad
+                           for i in range(0, count * width, width)])
     if isinstance(kind, FiniteDiscrete):
-        return point(kind, int(rng.integers(0, kind.n)))
-    if isinstance(kind, Product):
-        return point(kind, (sample_point(kind.left, rng), sample_point(kind.right, rng)))
+        return kind.canon_batch(rng.integers(0, kind.n, size=count))
+    if isinstance(kind, Product):  # point by point, the left factor first
+        return kind.batch([(unbatch(sample_batch(kind.left, rng, 1))[0],
+                            unbatch(sample_batch(kind.right, rng, 1))[0]) for _ in range(count)])
     raise UnsupportedKindError(f"unknown space kind {kind!r}")
 
 

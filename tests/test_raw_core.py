@@ -34,6 +34,7 @@ from ifsdyn import (
     constant_series,
     diameter,
     finite_shadowing_check,
+    estimate_contraction_ratio,
     greedy_shadow_search,
     harmonic_series,
     make_system,
@@ -51,8 +52,9 @@ from ifsdyn import (
     stride_subsample,
     word_index,
 )
-from ifsdyn.core import _twopiece
-from ifsdyn.spaces import _EDGE_SLACK, batch_leaves, unbatch
+from ifsdyn.core import _twopiece, walk
+from ifsdyn.errors import IFSError
+from ifsdyn.spaces import _EDGE_SLACK, batch_leaves, sample_batch, unbatch
 
 UNIT = Interval(0.0, 1.0)
 
@@ -615,3 +617,194 @@ def test_permutation_tables_list_one_image_per_point():
         with pytest.raises(DomainError, match="needs 3 images"):
             side.raw_steps[0]((0.5, 0))
     assert IFSSpec(kind, (perm,)).raw_steps[0](2) == 1
+
+
+# --- the compiled walk kernels -------------------------------------------------
+
+def _walk_outcome(fn):
+    """What a walk gives: its points (Python types, floats as exact hex), or
+    its error's type and message."""
+    try:
+        return "ok", [_fingerprint(p) for p in fn()]
+    except IFSError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _perturbed_outcomes(ifs, sel, x0, values, seed):
+    """perturbed_orbit and its oracle on the schedule `values`: the outcome
+    with the errors' bytes, and the state of the generator each drew from
+    (compared only when both walks finish)."""
+    made, recs, real = [], [], np.random.default_rng
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+        got = _walk_outcome(lambda: recs.append(perturbed_orbit(ifs, sel, x0, series(values), seed))
+                            or recs[0].points)
+    if got[0] == "ok":
+        got = got + (recs[0].errors.values.tobytes(), made[0].bit_generator.state)
+    try:
+        pts, errs, state = oracle_perturbed_orbit(ifs, sel, x0, series(values), seed)
+        want = ("ok", [_fingerprint(p) for p in pts], errs.tobytes(), state)
+    except IFSError as exc:
+        want = type(exc).__name__, str(exc)
+    return got, want
+
+
+def _check_walks(ifs, sel, x0, values, seed):
+    """walk, orbit and perturbed_orbit against the per-step oracles at every
+    horizon up to len(values), so an error must come at the oracle's step."""
+    kind = ifs.space
+    for k in range(len(values) + 1):
+        want = _walk_outcome(lambda: oracle_orbit(ifs, sel, x0, k))
+        assert _walk_outcome(lambda: orbit(ifs, sel, x0, k).points) == want
+        assert _walk_outcome(lambda: map(kind.decode, walk(ifs, sel, kind.encode(x0), k))) == want
+        got, want = _perturbed_outcomes(ifs, sel, x0, np.asarray(values[:k], dtype=float), seed)
+        assert got == want
+
+
+_SLOPES = st.one_of(st.sampled_from([0, 1, -1, 2, -2, 0.0, -0.0, 0.5, -0.5, 1.0, -2.0]),
+                    st.floats(-2.0, 2.0))
+# images land on an edge, or past it by less or more than the edge slack
+_PUSHES = st.sampled_from([0.0, 0.5 * _EDGE_SLACK, -0.5 * _EDGE_SLACK, 2 * _EDGE_SLACK, -2 * _EDGE_SLACK])
+
+
+@st.composite
+def _affine_walks(draw):
+    lo, hi = draw(st.one_of(st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (-1.0, 1.0), (0.25, 0.75)]),
+                            st.tuples(st.floats(-4.0, 4.0), st.floats(1e-3, 4.0)).map(lambda p: (p[0], p[0] + p[1]))))
+    kind = Interval(lo, hi)
+    inside = st.one_of(st.sampled_from([kind.lo, kind.hi]), st.floats(kind.lo, kind.hi))
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, anchor, target = draw(_SLOPES), draw(inside), draw(inside)
+        b = draw(st.one_of(st.just(target + draw(_PUSHES) - a * anchor), st.sampled_from([0, 0.0, -0.0]), inside))
+        maps.append(MapDef("a", "affine", (a, b)))
+    ifs = IFSSpec(kind, tuple(maps))
+    n = draw(st.integers(0, 10))
+    entries = draw(st.lists(st.integers(0, len(maps) - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):  # a map index out of range, or a selector that runs out
+        entries.insert(draw(st.integers(0, n)), draw(st.sampled_from([len(maps), len(maps) + 3, -1])))
+    elif n and draw(st.booleans()):
+        entries.pop()
+    start = draw(st.one_of(st.sampled_from([kind.lo, kind.hi, -0.0, 0, np.float64(kind.lo)]), inside))
+    shifts = st.one_of(st.sampled_from([0.0, *(abs(m.params[1]) for m in maps)]).filter(lambda v: v <= hi - lo),
+                       st.floats(0.0, hi - lo))
+    values = draw(st.lists(shifts, min_size=n, max_size=n))
+    return ifs, SelectorSequence(tuple(entries)), Point(kind, start), values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_affine_walks(), st.integers(0, 2**31 - 1))
+def test_affine_kernel_matches_step_oracles(case, seed):
+    """The affine kernel against the per-step oracles: edge starts (and -0.0,
+    and starts that are no float), images on an edge or past it within and
+    beyond the slack, shifts that land exactly on a signed-zero edge, and
+    selectors with a bad entry."""
+    _check_walks(*case, seed)
+
+
+@pytest.mark.parametrize("lo, hi, b", [(-0.0, 1.0, 0.25), (-1.0, -0.0, -0.25), (0.0, 1.0, 0.25)])
+def test_affine_kernel_shifts_onto_signed_zero_edges(lo, hi, b):
+    """Images b shifted by |b| both ways, so some land on 0.0 exactly, next to
+    an edge at -0.0 or 0.0, where the clamp must keep the sum's sign."""
+    ifs = IFSSpec(Interval(lo, hi), (MapDef("c", "affine", (0.0, b)),))
+    _check_walks(ifs, selector_explicit([0] * 8), Point(ifs.space, 0.5), [abs(b)] * 8, 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(depth=st.sampled_from([2, 7, 64, 65, 100]), data=st.data(), seed=st.integers(0, 2**31 - 1))
+def test_prepend_kernel_matches_step_oracles(depth, data, seed):
+    ifs = make_system(f"sigma2_prepend:{depth}")
+    kind = ifs.space
+    n = data.draw(st.integers(0, 10))
+    entries = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        entries.insert(data.draw(st.integers(0, n)), data.draw(st.sampled_from([2, 5, -1])))
+    bits = data.draw(st.one_of(st.sampled_from(["0", "1" * depth, "1", "0" * (depth - 1) + "1"]),
+                               st.lists(st.sampled_from("01"), min_size=depth, max_size=depth).map("".join)))
+    powers = np.ldexp(1.0, -np.arange(depth + 1)).tolist()
+    values = data.draw(st.lists(st.one_of(st.sampled_from([0.0, *powers]), st.floats(0.0, 2.0)),
+                                min_size=n, max_size=n))
+    _check_walks(ifs, SelectorSequence(tuple(entries)), point(kind, bits), values, seed)
+
+
+def test_walk_kernels_compile_for_the_orbit_long_families_only():
+    affine, prepend = make_system("binary_affine"), make_system("sigma2_prepend")
+    assert affine.raw_walk.__name__ == "affine_walk" and prepend.raw_walk.__name__ == "prepend_walk"
+    numpy_params = IFSSpec(UNIT, (MapDef("a", "affine", (np.float64(0.5), 0.0)),))
+    for ifs in (numpy_params, MIXED, power_ifs(affine, 2), product_ifs(affine, affine), CASES["conjugate"][0]):
+        assert ifs.raw_walk.__name__ == "generic"
+    walked = walk(numpy_params, selector_explicit([0, 0]), 1.0, 2)
+    assert walked == [1.0, 0.5, 0.25] and all(type(v) is float for v in walked)
+
+
+# --- word-sized symbol distances and the batch sampler -------------------------
+
+@pytest.mark.parametrize("depth", [2, 8, 63, 64, 65])
+def test_symbol_dists_match_per_pair_dist(depth):
+    kind = SymbolSpace(depth)
+    rng = np.random.default_rng(depth)
+    top, full = 1 << (depth - 1), (1 << depth) - 1
+    a = [kind.encode(sample_point(kind, rng)) for _ in range(30)] + [top, top, full, 0, top | 1, 1]
+    b = a[::-1] + []
+    b[:4] = a[:4]  # equal points
+    m = np.stack([kind.batch(a), kind.batch(b), kind.batch(a[::-1])])
+
+    def expect(rows, other):
+        return np.array([[kind.dist(x, y) for x, y in zip(row, other)] for row in rows])
+
+    assert kind.dists(kind.batch(a), kind.batch(b)).tobytes() == expect([a], b)[0].tobytes()
+    assert kind.dists(m, kind.batch(b)).tobytes() == expect(m.tolist(), b).tobytes()
+    for one in (top, full, 0, a[5]):
+        got = kind.dists(kind.batch(a), one)
+        assert got.shape == (len(a),) and got.tobytes() == expect([a], [one] * len(a))[0].tobytes()
+
+
+def oracle_sample_point(kind, rng):
+    """The draws sample_point made one point at a time."""
+    if isinstance(kind, Interval):
+        return point(kind, kind.lo + (kind.hi - kind.lo) * rng.random())
+    if isinstance(kind, Circle):
+        return point(kind, rng.random())
+    if isinstance(kind, SymbolSpace):
+        return point(kind, rng.integers(0, 2, size=kind.depth))
+    if isinstance(kind, FiniteDiscrete):
+        return point(kind, int(rng.integers(0, kind.n)))
+    return Point(kind, (oracle_sample_point(kind.left, rng), oracle_sample_point(kind.right, rng)))
+
+
+def _sampled_kinds():
+    kinds = {make_system(name).space for name in ("binary_affine", "sigma2_prepend", "circle_pair",
+                                                  "interval_pair", "finite_permutations:4")}
+    kinds |= {SymbolSpace(7), SymbolSpace(100), FiniteDiscrete(1), FiniteDiscrete(5), Interval(-3.0, -0.0)}
+    return sorted(kinds, key=repr) + [Product(UNIT, SymbolSpace(7)), Product(Circle(), Product(FiniteDiscrete(3), UNIT))]
+
+
+@pytest.mark.parametrize("kind", _sampled_kinds(), ids=repr)
+@pytest.mark.parametrize("count", [1, 2, 33])
+def test_sample_batch_draws_as_a_sample_point_loop(kind, count):
+    batched, single, looped = (np.random.default_rng(count) for _ in range(3))
+    want = [oracle_sample_point(kind, looped) for _ in range(count)]
+    assert _same_points([kind.decode(r) for r in unbatch(sample_batch(kind, batched, count))], want)
+    assert _same_points([sample_point(kind, single) for _ in range(count)], want)
+    assert batched.bit_generator.state == single.bit_generator.state == looped.bit_generator.state
+
+
+def oracle_contraction_ratio(ifs, pairs, seed):
+    """The pair-at-a-time ratio estimate."""
+    rng, best = np.random.default_rng(seed), 0.0
+    for _ in range(pairs):
+        x, y = oracle_sample_point(ifs.space, rng), oracle_sample_point(ifs.space, rng)
+        d = oracle_distance(x, y)
+        if d < 1e-6:
+            continue
+        for lam in range(ifs.nmaps):
+            best = max(best, oracle_distance(oracle_apply(ifs, lam, x), oracle_apply(ifs, lam, y)) / d)
+    return best
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("pairs", [1, 7, 300])
+def test_batched_ratio_estimate_matches_pair_loop(name, pairs):
+    ifs = CASES[name][0]
+    got = estimate_contraction_ratio(ifs, pairs, seed=pairs)
+    assert type(got) is float and got == oracle_contraction_ratio(ifs, pairs, pairs)
