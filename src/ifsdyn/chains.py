@@ -317,7 +317,7 @@ def edges_to_csv(g: ChainGraph, path, comments: Sequence[str] = ()) -> None:
     with Path(path).open("w", newline="") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["u", "v", "lambda"])
         for u in range(g.size):
             for v, lam in zip(g.out_edges[u], g.out_labels[u]):

@@ -203,7 +203,7 @@ def _cmd_shadow(args) -> int:
         lines = [f"# {k}={v}" for k, v in cfg.items()]
         lines.append("n,average")
         for i, v in enumerate(rep.cesaro_curve.values, start=1):
-            lines.append(f"{i},{v!r}")
+            lines.append(f"{i},{float(v)!r}")
         _emit("\n".join(lines) + "\n", args.output)
     else:
         _emit_json({"config": cfg, "report": report_to_json(rep)}, args.output)

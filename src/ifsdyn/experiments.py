@@ -89,7 +89,7 @@ def _write_rows(path: Path, header: str, rows) -> None:
 def _curve_csv(values, path: Path, stride: int) -> None:
     """Running-average curve downsampled for artifact size; n is the true
     prefix length of each kept row."""
-    _write_rows(path, "n,average", ((i + 1, repr(values[i])) for i in range(0, len(values), stride)))
+    _write_rows(path, "n,average", ((i + 1, repr(float(values[i]))) for i in range(0, len(values), stride)))
 
 
 def _random_record(ifs, noise: Series, seed: int):

@@ -339,7 +339,7 @@ def record_to_csv(rec: PseudoOrbitRecord, path, comments: Sequence[str] = ()) ->
     with Path(path).open("w", newline="") as fh:
         for c in comments:
             fh.write(f"# {c}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "coordinates", "lambda", "alpha"])
         for i, p in enumerate(rec.points):
             if i < rec.steps:

@@ -13,7 +13,9 @@ from ifsdyn import (
     selector_random,
     shadow_verify,
 )
+from ifsdyn.averaging import running_average_curve, series_from_csv
 from ifsdyn.cli import main
+from ifsdyn.experiments import powers_of_two_series
 from ifsdyn.models import UNIT
 
 
@@ -186,6 +188,43 @@ def test_cesaro_command(tmp_path):
     code = main(["cesaro", "--input", str(src), "--n", "10", "--output", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["average"] == pytest.approx(0.5)
+
+
+def test_curve_csvs_read_back_as_floats(tmp_path):
+    """The lemma-density running average and `shadow --format csv` hold plain
+    float reprs: `cesaro --input` reads them, and `series_from_csv` returns
+    the kept curve values bit for bit."""
+    root = tmp_path / "results"
+    assert main(["experiment", "lemma-density", "--set", "horizon=20000", "--output-root", str(root),
+                 "--output", str(tmp_path / "result.json")]) == 0
+    artifact = next(root.glob("lemma-density/*/running_average.csv"))
+    kept = running_average_curve(powers_of_two_series(20000)).values[::20]  # stride 20000 // 1000
+    assert series_from_csv(artifact).values.tobytes() == kept.tobytes()
+
+    rec_file, shadow_csv, shadow_json = tmp_path / "rec.json", tmp_path / "curve.csv", tmp_path / "rep.json"
+    assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "200",
+                 "--noise", "harmonic", "--seed", "4", "--tol", "1", "--output", str(rec_file)]) == 0
+    shadow = ["shadow", "--model", "binary_affine", "--pseudo-file", str(rec_file), "--mode", "contracting",
+              "--tol", "1"]
+    assert main(shadow + ["--format", "csv", "--output", str(shadow_csv)]) == 0
+    assert main(shadow + ["--output", str(shadow_json)]) == 0
+    curve = np.array(json.loads(shadow_json.read_text())["report"]["cesaro_curve"])
+    assert series_from_csv(shadow_csv).values.tobytes() == curve.tobytes()
+    for path in (artifact, shadow_csv):
+        out = tmp_path / "avg.json"
+        assert main(["cesaro", "--input", str(path), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["average"] == pytest.approx(float(series_from_csv(path).values.mean()))
+
+
+def test_csv_files_end_lines_with_newline_only(tmp_path):
+    pseudo, edges = tmp_path / "rec.csv", tmp_path / "edges.csv"
+    assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "20",
+                 "--noise", "harmonic", "--tol", "1", "--format", "csv", "--output", str(pseudo)]) == 0
+    assert main(["chain", "graph", "--model", "interval_pair", "--epsilon", "0.05", "--grid", "0.0125",
+                 "--format", "csv", "--output", str(edges)]) == 0
+    for path in (pseudo, edges):
+        data = path.read_bytes()
+        assert data.count(b"\n") > 10 and b"\r" not in data
 
 
 def test_ratio_command(tmp_path):

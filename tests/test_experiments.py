@@ -109,7 +109,7 @@ GOLDEN = {
         {"binary_bound": 0.0010915393847544632, "binary_final_average": 0.0005021149182503606,
          "binary_ratio": 0.4600062308913472, "sigma2_bound": 0.0010110321044921875,
          "sigma2_final_average": 0.00046645431518554687, "sigma2_ratio": 0.46136449388007666},
-        {"binary_affine_curve.csv": "1cfcd4101fb9bb5d183f6657de5024ff0ce1098867e42d84a59260d45734a8ba"},
+        {"binary_affine_curve.csv": "63c27fdf6892a5437b99f0635ee9e7e5bd8a793e642b45b3bde4c786e7aec13f"},
     ),
     "thm-power-consistency": (
         {"trials": 6}, True,
@@ -132,7 +132,7 @@ GOLDEN = {
         {"cesaro": 0.00121081447353977, "density": 0.00055, "marked_count": 11.0,
          "no_decay": 0.0, "tail_max": 9.999000099990002e-05},
         {"index_set.json": "2a74a28cda921b7cc885910c0da43d2b6317a0c87d1dc8e981ca577736c5b9f7",
-         "running_average.csv": "7499b67e7b06c13ada761894c2c95f7f7756b8099670e611b1ece42518ab378c"},
+         "running_average.csv": "47d5885c250a4ce7f1bafe42c763f66ba4aa6ba9b58ce034e51dbd38e059c673"},
     ),
     "ex-circle-chain": (
         {"resolution": 0.0078125}, True,
@@ -140,14 +140,14 @@ GOLDEN = {
          "f1_transitive": 0.0, "pair_cr_count": 128.0, "pair_transitive": 1.0,
          "witness_length": 13.0},
         {"chain_recurrent.json": "544fc0cef1e92b087e2e9ce1fec5aa09b538fd5a8fa8cf5ffcd3cbf3e6eb4493",
-         "pair_edges.csv": "3e220f090e23b2f83887efbb61086ea18888d24e260abc708f5cdb7f916c7181",
+         "pair_edges.csv": "75b349220772f156c2877eda3fc6eab37f0415ca35c788ef2e133aef09e1803a",
          "witness.json": "9d455602567bf99e4824e3f225f749af3ab4aeb9d6e570b36e9c099aadb8acab"},
     ),
     "ex-interval-no-shadowing": (
         {"invariance_points": 200, "start_grid_step": 0.02}, True,
         {"crossing_length": 19.0, "crossing_valid": 1.0, "greedy_floor": 0.49,
          "invariance_ok": 1.0},
-        {"crossing.csv": "92f849a582a57b931711966e9633333c7bc5efd9111b67e6352ed242ca11a002",
+        {"crossing.csv": "8912745048fadb5ed63044ac77f88cfa5caecf081cfec4ba41b95fc6eff1b8be",
          "search_report.json": "f915f0276e07f0a0293394c805c3e1104e20a6c27da537018e9b89a3bdcccebd"},
     ),
     "ex-interval-chain-probe": (
