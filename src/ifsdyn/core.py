@@ -219,17 +219,16 @@ def _compile_row(m: MapDef, kind: SpaceKind) -> Callable:
 
 
 def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Callable]) -> Callable:
-    """The walk of a family: `walk(raw, lams, move=None, params=())` returns
+    """The walk of a family: `walk(raw, lams, move=None, params=())` gives
     the raw orbit of `raw` under the map indices `lams`, start included, and
-    the images before displacement (None without `move`); with `move`, step
-    i's image `base` becomes `move(base, params[i])`.
+    the images before displacement (None without `move`); `move(base,
+    params[i])` displaces step i's image.
 
     All-affine families on an interval and all-prepend families on a symbol
     space run a kernel with the map, the range check and the displacement
-    inline: it calls `canon` only off the interval, to clamp the edge slack
-    or raise. Kernels displace as `pseudo_orbits._moves` does (a clamped
-    nonzero shift, an xor with the flip mask) without calling `move`. Other
-    families, and affine walks from a start that is no float, call `steps`."""
+    inline; it calls `canon` only off the interval, to clamp the edge slack
+    or raise, and displaces as `pseudo_orbits._moves` does without calling
+    `move`. Others, and affine walks from a start that is no float, call `steps`."""
 
     def generic(raw, lams, move=None, params=()):
         out, bases = [raw], []
@@ -328,8 +327,7 @@ class IFSSpec:
 
     @cached_property
     def raw_walk(self) -> Callable:
-        """The selector walk of the family on raw coordinates, with an
-        optional per-step displacement (`_compile_walk`)."""
+        """The selector walk on raw coordinates, with an optional displacement (`_compile_walk`)."""
         return _compile_walk(self.maps, self.space, self.raw_steps)
 
     def __getstate__(self) -> dict:

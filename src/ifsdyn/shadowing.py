@@ -171,11 +171,7 @@ def contracting_shadow(
     if n is None:
         n = rec.steps
     ds, _ = _track(ifs, rec, y0, n, rec.selector)
-    b = float(ds[0])
-    bounds = [b]
-    for a in rec.errors.values[: n - 1].tolist():
-        b = a + beta * b
-        bounds.append(b)
+    bounds = [b := float(ds[0])] + [b := a + beta * b for a in rec.errors.values[: n - 1].tolist()]
     over = np.flatnonzero(ds > np.asarray(bounds) + 1e-9)
     if len(over):
         i = int(over[0])

@@ -397,14 +397,23 @@ def grid(kind: SpaceKind, resolution: float) -> list[Point]:
 def sample_point(kind: SpaceKind, rng: np.random.Generator) -> Point:
     """Draw a uniform random point (uniform bits / indices for the discrete
     kinds)."""
-    return kind.decode(unbatch(sample_batch(kind, rng, 1))[0])
+    if isinstance(kind, Interval):
+        return point(kind, kind.lo + (kind.hi - kind.lo) * rng.random())
+    if isinstance(kind, Circle):
+        return point(kind, rng.random())
+    if isinstance(kind, SymbolSpace):
+        return point(kind, rng.integers(0, 2, size=kind.depth))
+    if isinstance(kind, FiniteDiscrete):
+        return point(kind, int(rng.integers(0, kind.n)))
+    if isinstance(kind, Product):
+        return point(kind, (sample_point(kind.left, rng), sample_point(kind.right, rng)))
+    raise UnsupportedKindError(f"unknown space kind {kind!r}")
 
 
 def sample_batch(kind: SpaceKind, rng: np.random.Generator, count: int):
-    """`count` points drawn as `count` calls of `sample_point` draw them, as
-    one batch of raw coordinates. The draws, and the generator state after
-    them, are those calls' own; a non-product kind makes them in one `rng`
-    call."""
+    """The raw coordinates of `count` calls of `sample_point`, as one batch,
+    with the same draws and the same generator state after them. A
+    non-product kind draws them in one `rng` call."""
     if isinstance(kind, Interval):
         return kind.canon_batch(kind.lo + (kind.hi - kind.lo) * rng.random(count))
     if isinstance(kind, Circle):
@@ -416,10 +425,7 @@ def sample_batch(kind: SpaceKind, rng: np.random.Generator, count: int):
                            for i in range(0, count * width, width)])
     if isinstance(kind, FiniteDiscrete):
         return kind.canon_batch(rng.integers(0, kind.n, size=count))
-    if isinstance(kind, Product):  # point by point, the left factor first
-        return kind.batch([(unbatch(sample_batch(kind.left, rng, 1))[0],
-                            unbatch(sample_batch(kind.right, rng, 1))[0]) for _ in range(count)])
-    raise UnsupportedKindError(f"unknown space kind {kind!r}")
+    return kind.batch([kind.encode(sample_point(kind, rng)) for _ in range(count)])
 
 
 def leaf_kinds(kind: SpaceKind) -> list[SpaceKind]:

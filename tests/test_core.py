@@ -312,8 +312,10 @@ def test_used_ifs_pickles():
     """Specs stay picklable (for process pools) after their maps have run."""
     for ifs in (make_system("sigma2_prepend"), power_ifs(make_system("binary_affine"), 2)):
         x = sample_point(ifs.space, np.random.default_rng(0))
+        walked = orbit(ifs, selector_explicit([1, 0, 1]), x, 3).points  # compiles the walk
         clone = pickle.loads(pickle.dumps(ifs))
         assert clone == ifs and apply(clone, 1, x) == apply(ifs, 1, x)
+        assert orbit(clone, selector_explicit([1, 0, 1]), x, 3).points == walked
 
 
 def test_conjugate_does_not_serialize():
