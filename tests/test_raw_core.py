@@ -33,8 +33,8 @@ from ifsdyn import (
     conjugate_ifs,
     constant_series,
     diameter,
-    finite_shadowing_check,
     estimate_contraction_ratio,
+    finite_shadowing_check,
     greedy_shadow_search,
     harmonic_series,
     make_system,
