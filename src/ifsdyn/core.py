@@ -191,7 +191,7 @@ def _compile_images(maps: Sequence[MapDef], kind: SpaceKind) -> Callable:
         right = _compile_images([m.params[1] for m in maps], kind.right)
         return lambda x: (left(x[0]), right(x[1]))
     if form == "prepend":
-        tops = np.array([m.params[0] << (kind.depth - 1) for m in maps], dtype=object)[:, None]
+        tops = kind.batch([m.params[0] << (kind.depth - 1) for m in maps])[:, None]
         return lambda x: tops | (x >> 1)
     if form == "permutation":
         table = np.array([m.params for m in maps], dtype=np.int64)
@@ -224,11 +224,15 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
     the images before displacement (None without `move`); `move(base,
     params[i])` displaces step i's image.
 
-    All-affine families on an interval and all-prepend families on a symbol
-    space run a kernel with the map, the range check and the displacement
-    inline; it calls `canon` only off the interval, to clamp the edge slack
-    or raise, and displaces as `pseudo_orbits._moves` does without calling
-    `move`. Others, and affine walks from a start that is no float, call `steps`."""
+    All-affine families on an interval run a kernel with the map, the range
+    check and the displacement inline; it calls `canon` only off the
+    interval, to clamp the edge slack or raise, and displaces as
+    `pseudo_orbits._moves` does without calling `move`. All-prepend families
+    on a symbol space of depth <= 64 walk as one scan on uint64 words, where
+    step i is x_{i+1} = (x_i >> 1) ^ c_i with c_i = top[lam_i] ^ mask_i (the
+    top bit of the map, and the flip mask of `_moves`, 0 without a move);
+    the orbit and the images are then batches. Others, and affine walks from
+    a start that is no float, call `steps` and give lists."""
 
     def generic(raw, lams, move=None, params=()):
         out, bases = [raw], []
@@ -236,7 +240,7 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
             for lam in lams:
                 out.append(raw := steps[lam](raw))
             return out, None
-        for lam, p in zip(lams, params):
+        for lam, p in zip(lams, unbatch(params)):
             bases.append(base := steps[lam](raw))
             out.append(raw := move(base, p))
         return out, bases
@@ -244,20 +248,27 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
     if any(m.form != maps[0].form or _unsupported(m, kind) for m in maps):
         return generic
     if maps[0].form == "prepend":
-        tops = [m.params[0] << (kind.depth - 1) for m in maps]
+        if kind.depth > 64:
+            return generic
+        tops, depth = kind.batch([m.params[0] << (kind.depth - 1) for m in maps]), kind.depth
 
-        def prepend_walk(x, lams, move=None, masks=()):
-            out, bases = [x], []
-            if move is None:
-                for lam in lams:
-                    out.append(x := tops[lam] | (x >> 1))
-                return out, None
-            for lam, mask in zip(lams, masks):
-                bases.append(base := tops[lam] | (x >> 1))
-                out.append(x := base ^ mask)
-            return out, bases
+        def prepend_scan(x, lams, move=None, masks=()):
+            s = tops[np.fromiter(lams, dtype=np.intp, count=len(lams))]
+            if move is not None:  # as long as the shorter of the two, as zip is
+                masks = kind.batch(masks)[: len(s)]
+                s = s[: len(masks)] ^ masks
+            # x_{i+1} is the XOR of c_{i-j} >> j over j <= i and of x_0 >> (i+1);
+            # terms shifted by depth or more vanish. Each pass doubles the j covered.
+            k = 1
+            while k < min(depth, len(s)):
+                s[k:] ^= s[:-k] >> np.uint64(k)
+                k *= 2
+            x = np.uint64(x)
+            head = min(depth - 1, len(s))
+            s[:head] ^= x >> np.arange(1, head + 1, dtype=np.uint64)
+            return np.concatenate(([x], s)), None if move is None else s ^ masks
 
-        return prepend_walk
+        return prepend_scan
     # int or float slopes and offsets keep a*t + b a Python float for a float t
     if maps[0].form != "affine" or any(not {type(c) for c in m.params} <= {int, float} for m in maps):
         return generic
@@ -358,6 +369,15 @@ class SelectorSequence:
             raise LengthError("shift past end of selector")
         return SelectorSequence(self.entries[n:], f"{self.generator}>>{n}")
 
+    @cached_property
+    def entry_range(self) -> tuple[int, int]:
+        """The least and the greatest entry, (0, -1) when there are none."""
+        return (min(self.entries), max(self.entries)) if self.entries else (0, -1)
+
+    def __getstate__(self) -> dict:
+        # pickle the fields alone, as before the range was cached
+        return {k: v for k, v in self.__dict__.items() if k != "entry_range"}
+
 
 def _check_entries(entries: Sequence[int], nmaps: Optional[int]) -> tuple[int, ...]:
     out = tuple(int(e) for e in entries)
@@ -414,20 +434,22 @@ def usable_entries(ifs: IFSSpec, selector: SelectorSequence, n: int) -> tuple[Se
     DomainError of `apply` for that index, a LengthError when the selector
     runs out, None when all n entries are usable."""
     lams = selector.entries[: max(n, 0)]
-    if lams and not (min(lams) >= 0 and max(lams) < ifs.nmaps):
-        i = next(i for i, lam in enumerate(lams) if not 0 <= lam < ifs.nmaps)
-        return lams[:i], DomainError(f"map index {lams[i]} out of range for {ifs.nmaps} maps")
+    low, high = selector.entry_range
+    if not (low >= 0 and high < ifs.nmaps):  # an entry is out of range; is it among the first n?
+        i = next((i for i, lam in enumerate(lams) if not 0 <= lam < ifs.nmaps), None)
+        if i is not None:
+            return lams[:i], DomainError(f"map index {lams[i]} out of range for {ifs.nmaps} maps")
     if len(lams) < n:
         return lams, LengthError(f"selector exhausted: entry {len(lams)} requested, {len(lams)} realized")
     return lams, None
 
 
-def walk(ifs: IFSSpec, selector: SelectorSequence, raw, n: int) -> list:
+def walk(ifs: IFSSpec, selector: SelectorSequence, raw, n: int):
     """Raw coordinates of the n-step orbit of the raw coordinate `raw`, start
-    included (`IFSSpec.raw_walk`). Steps run up to the first selector entry
-    that `apply` would reject; its error (a map index out of range, or an
-    exhausted selector) is raised after them, as a step-by-step loop would
-    raise it."""
+    included, as a list or a batch (`IFSSpec.raw_walk`). Steps run up to the
+    first selector entry that `apply` would reject; its error (a map index
+    out of range, or an exhausted selector) is raised after them, as a
+    step-by-step loop would raise it."""
     lams, error = usable_entries(ifs, selector, n)
     out, _ = ifs.raw_walk(raw, lams)
     if error is not None:

@@ -43,6 +43,7 @@ from .spaces import (
     leaf_kinds,
     point_from_json,
     point_to_json,
+    unbatch,
     value_repr,
 )
 
@@ -60,19 +61,20 @@ class PseudoOrbitRecord:
     def steps(self) -> int:
         return len(self.points) - 1
 
-    def raw(self, kind: SpaceKind) -> list:
-        """Raw coordinates of the points in `kind`, a view's own list or else
-        encoded on first use. Raises DomainError unless every point lies in `kind`."""
+    def raw(self, kind: SpaceKind):
+        """Raw coordinates of the points in `kind`, a view's own list or batch,
+        or else a list encoded on first use. Raises DomainError unless every
+        point lies in `kind`."""
         if self._raw is None or self._raw[0] != kind:
             self._keep_raw(kind, _raws(kind, self.points))
         return self._raw[1]
 
-    def _keep_raw(self, kind: SpaceKind, raw: list) -> "PseudoOrbitRecord":
+    def _keep_raw(self, kind: SpaceKind, raw) -> "PseudoOrbitRecord":
         object.__setattr__(self, "_raw", (kind, raw))
         return self
 
 
-def _raws(kind: SpaceKind, points: Sequence[Point]) -> list:
+def _raws(kind: SpaceKind, points: Sequence[Point]):
     if isinstance(points, RawPoints) and points.kind == kind:
         return points.raws
     if any(p.kind is not kind and p.kind != kind for p in points):
@@ -94,7 +96,7 @@ def pseudo_orbit_record(ifs: IFSSpec, points: Sequence[Point], selector: Selecto
         return PseudoOrbitRecord(pts, selector, series(np.empty(0), bound=diameter(kind)))
     raw = _raws(kind, pts)
     lams, error = usable_entries(ifs, selector, n)
-    images = [steps[lam](x) for lam, x in zip(lams, raw)]
+    images = [steps[lam](x) for lam, x in zip(lams, unbatch(raw))]
     if error is not None:
         raise error
     errs = kind.dists(kind.batch(images), kind.batch(raw[1:]))
@@ -168,14 +170,15 @@ def _flip_index(s: np.ndarray, depth: int) -> np.ndarray:
         k -= down
 
 
-def _moves(kind: SpaceKind, s: np.ndarray, draws: Iterator[np.ndarray]) -> tuple[Callable, list]:
-    """A raw displacement `move(raw, param)` and its per-step params, which
-    move a point of `kind` by min(s, feasible). `draws` yields each leaf's
-    column of drawn integers, in leaf order."""
+def _moves(kind: SpaceKind, s: np.ndarray, draws: Iterator[np.ndarray]) -> tuple[Callable, Sequence]:
+    """A raw displacement `move(raw, param)` and its per-step params (a list,
+    or on a symbol space a batch of flip masks), which move a point of `kind`
+    by min(s, feasible). `draws` yields each leaf's column of drawn integers,
+    in leaf order."""
     if isinstance(kind, Product):
         left, lp = _moves(kind.left, s, draws)
         right, rp = _moves(kind.right, s, draws)
-        return (lambda x, p: (left(x[0], p[0]), right(x[1], p[1]))), list(zip(lp, rp))
+        return (lambda x, p: (left(x[0], p[0]), right(x[1], p[1]))), list(zip(unbatch(lp), unbatch(rp)))
     drawn = next(draws)
     if isinstance(kind, Interval):
         lo, hi, canon = kind.lo, kind.hi, kind.canon
@@ -186,8 +189,8 @@ def _moves(kind: SpaceKind, s: np.ndarray, draws: Iterator[np.ndarray]) -> tuple
         shifts = np.where(s > 0, np.where(drawn == 1, 1.0, -1.0) * np.minimum(s, 0.5), 0.0)
         return (lambda x, d: canon((x + d) % 1.0) if d else x), shifts.tolist()
     if isinstance(kind, SymbolSpace):
-        masks = [1 << (kind.depth - 1 - k) for k in range(kind.depth)] + [0]  # shared ints
-        return operator.xor, [masks[k] for k in _flip_index(s, kind.depth).tolist()]
+        masks = kind.batch([1 << (kind.depth - 1 - k) for k in range(kind.depth)] + [0])
+        return operator.xor, masks[_flip_index(s, kind.depth)]
     if isinstance(kind, FiniteDiscrete):
         n, canon = kind.n, kind.canon
         shifts = np.where(_draw_highs(kind, s) > 0, 1 + drawn, 0)

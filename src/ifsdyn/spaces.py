@@ -13,12 +13,13 @@ with `encode(point) -> raw` and `decode(raw) -> Point`, and measures raw
 values with `dist(a, b)`.
 
 A batch holds many raw coordinates of one kind as arrays: float64 for
-intervals and circles, int64 for finite spaces, an object array of bitmasks
-for symbol spaces, and a pair of batches for products. `kind.batch(raws)`
-and `unbatch(batch)` convert a list of raw values to a batch and back, and
-`dists(a, b) -> ndarray` measures batches elementwise, broadcasting (a batch
-against one raw value, too). `canon_batch` is the array twin of `canon`, and
-`grid_batch` gives a space's finite net as one batch.
+intervals and circles, int64 for finite spaces, uint64 words for symbol
+spaces of depth <= 64 (an object array of bitmasks above), and a pair of
+batches for products. `kind.batch(raws)` and `unbatch(batch)` convert a list
+of raw values to a batch and back, and `dists(a, b) -> ndarray` measures
+batches elementwise, broadcasting (a batch against one raw value, too).
+`canon_batch` is the array twin of `canon`, and `grid_batch` gives a space's
+finite net as one batch.
 """
 
 from __future__ import annotations
@@ -144,6 +145,8 @@ class SymbolSpace:
         return Point(self, tuple(f"{raw:0{self.depth}b}".encode().translate(_DIGITS_TO_BITS)))
 
     def batch(self, raws) -> np.ndarray:
+        if self.depth <= 64:
+            return np.asarray(raws, dtype=np.uint64)
         return np.fromiter(raws, dtype=object, count=len(raws))
 
     def dist(self, a: int, b: int) -> float:
@@ -238,10 +241,10 @@ def leafwise(fn, *batches):
 
 
 def unbatch(batch) -> list:
-    """The raw values of a batch, as Python values."""
+    """The raw values of a batch, as Python values; a list is returned as it is."""
     if isinstance(batch, tuple):
         return list(zip(unbatch(batch[0]), unbatch(batch[1])))
-    return batch.tolist()
+    return batch.tolist() if isinstance(batch, np.ndarray) else batch
 
 
 def batch_leaves(batch) -> list:
@@ -273,11 +276,13 @@ class Point:
 @dataclass(frozen=True, eq=False, slots=True)
 class RawPoints(Sequence):
     """Points of one kind held as raw coordinates: a read-only sequence that
-    decodes a fresh `Point` on every access and keeps none. Slices are views
-    too; equality and hashing are by value, as for the tuple of the points."""
+    decodes a fresh `Point` on every access and keeps none. The coordinates
+    are a list of raw values or a batch of a non-product kind; either way a
+    point is decoded from Python values. Slices are views too; equality and
+    hashing are by value, as for the tuple of the points."""
 
     kind: SpaceKind
-    raws: list = field(repr=False)
+    raws: Sequence = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.raws)
@@ -285,14 +290,15 @@ class RawPoints(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return RawPoints(self.kind, self.raws[i])
-        return self.kind.decode(self.raws[i])
+        raw = self.raws[i]
+        return self.kind.decode(raw.item() if isinstance(raw, np.generic) else raw)
 
     def __iter__(self):
-        return map(self.kind.decode, self.raws)
+        return map(self.kind.decode, unbatch(self.raws))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RawPoints) and other.kind == self.kind:
-            return self.raws == other.raws
+            return unbatch(self.raws) == unbatch(other.raws)
         return tuple(self) == tuple(other) if isinstance(other, (tuple, RawPoints)) else NotImplemented
 
     def __hash__(self) -> int:
@@ -419,8 +425,13 @@ def sample_batch(kind: SpaceKind, rng: np.random.Generator, count: int):
     if isinstance(kind, Circle):
         return kind.canon_batch(rng.random(count))
     if isinstance(kind, SymbolSpace):  # rows of bits, first symbol in the top bit
-        rows = np.packbits(rng.integers(0, 2, size=(count, kind.depth)), axis=1).tobytes()
+        rows = np.packbits(rng.integers(0, 2, size=(count, kind.depth)), axis=1)
         width, pad = -(-kind.depth // 8), -kind.depth % 8
+        if kind.depth <= 64:  # each row zero-padded in front to one big-endian word
+            words = np.zeros((count, 8), dtype=np.uint8)
+            words[:, 8 - width:] = rows
+            return words.view(">u8").ravel().astype(np.uint64) >> np.uint64(pad)
+        rows = rows.tobytes()
         return kind.batch([int.from_bytes(rows[i:i + width], "big") >> pad
                            for i in range(0, count * width, width)])
     if isinstance(kind, FiniteDiscrete):

@@ -14,6 +14,7 @@ from ifsdyn import (
     Interval,
     LengthError,
     MapDef,
+    SelectorSequence,
     SymbolSpace,
     apply,
     apply_map,
@@ -316,6 +317,26 @@ def test_used_ifs_pickles():
         clone = pickle.loads(pickle.dumps(ifs))
         assert clone == ifs and apply(clone, 1, x) == apply(ifs, 1, x)
         assert orbit(clone, selector_explicit([1, 0, 1]), x, 3).points == walked
+
+
+def test_selector_range_is_cached_outside_equality_and_pickles():
+    b = make_system("binary_affine")
+    sel = SelectorSequence((0, 1, 1, 5, 0, -1))
+    fresh = pickle.dumps(sel)
+    x = point(UNIT, 0.5)
+    assert len(orbit(b, sel, x, 3).points) == 4  # the bad entries lie past the horizon
+    for n in (4, 6):
+        with pytest.raises(DomainError, match=r"^map index 5 out of range for 2 maps$"):
+            orbit(b, sel, x, n)
+    with pytest.raises(DomainError, match=r"^map index -1 out of range for 6 maps$"):
+        orbit(IFSSpec(UNIT, (MapDef("id", "identity"),) * 6), sel, x, 6)
+    assert "entry_range" in vars(sel) and sel.entry_range == (-1, 5)
+    assert pickle.dumps(sel) == fresh and "entry_range" not in vars(pickle.loads(fresh))
+    twin = SelectorSequence((0, 1, 1, 5, 0, -1))
+    assert sel == twin and hash(sel) == hash(twin) and pickle.loads(fresh) == sel
+    assert SelectorSequence(()).entry_range == (0, -1)
+    with pytest.raises(LengthError, match=r"^selector exhausted: entry 0 requested, 0 realized$"):
+        orbit(b, SelectorSequence(()), x, 1)
 
 
 def test_conjugate_does_not_serialize():

@@ -10,6 +10,7 @@ Outputs must agree bit for bit, including the state of the generator that
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from ifsdyn import (
     conjugate_ifs,
     constant_series,
     diameter,
+    distance,
     estimate_contraction_ratio,
     finite_shadowing_check,
     greedy_shadow_search,
@@ -509,6 +511,72 @@ def test_record_points_are_a_decoding_view(name):
     assert rec.raw(kind) is rec.points.raws
 
 
+def _python_payload(p):
+    """Whether a point's payload holds Python values only, no numpy scalars."""
+    if isinstance(p.kind, Product):
+        return all(_python_payload(q) for q in p.value)
+    if isinstance(p.kind, SymbolSpace):
+        return type(p.value) is tuple and all(type(b) is int for b in p.value)
+    return type(p.value) in (float, int)
+
+
+def test_word_backed_views_equal_list_backed_ones():
+    ifs = make_system("sigma2_prepend")
+    kind, n = ifs.space, 40
+    x0 = sample_point(kind, np.random.default_rng(81))
+    sel = selector_random(82, n, 2)
+    for pts in (perturbed_orbit(ifs, sel, x0, harmonic_series(n), 83).points, orbit(ifs, sel, x0, n).points):
+        assert isinstance(pts, RawPoints) and pts.raws.dtype == np.uint64
+        listed = RawPoints(kind, pts.raws.tolist())
+        assert pts == listed and listed == pts and hash(pts) == hash(listed) == hash(tuple(listed))
+        for cut in (slice(2, 9), slice(None, None, 3), slice(-4, None)):
+            assert pts[cut] == listed[cut] and pts[cut] == tuple(listed[cut])
+        assert pts != RawPoints(kind, listed.raws[::-1]) and pts[1:] != listed[:-1]
+        assert _same_points(pts, listed) and all(_same_points([pts[i]], [listed[i]]) for i in (0, 7, -1))
+        assert all(_python_payload(p) for p in (*pts, *pts[3:6], pts[-1]))
+    floats = RawPoints(UNIT, UNIT.batch([0.25, 0.5, 1.0]))  # any kind's batch decodes to Python values
+    assert floats == RawPoints(UNIT, [0.25, 0.5, 1.0]) and all(_python_payload(p) for p in (*floats, floats[1]))
+
+
+def test_no_numpy_word_reaches_scalar_steps_or_metrics(monkeypatch):
+    """Records walked on words, fed to the scalar paths: record errors,
+    strides (power families walk step by step), perturbed walks of power
+    and product families, and Point-level apply and distance."""
+    def python_only(*raws):
+        for r in raws:
+            assert type(r) is int if not isinstance(r, tuple) else all(type(v) in (int, float) for v in r), r
+
+    real_dist = SymbolSpace.dist
+    monkeypatch.setattr(SymbolSpace, "dist", lambda self, a, b: python_only(a, b) or real_dist(self, a, b))
+
+    def checked(ifs):
+        steps = ifs.raw_steps
+        ifs.__dict__["raw_steps"] = tuple((lambda x, f=f: python_only(x) or f(x)) for f in steps)
+        return ifs
+
+    base = make_system("sigma2_prepend")
+    n, sel = 24, selector_random(92, 24, 2)
+    x0 = sample_point(base.space, np.random.default_rng(91))
+    rec = perturbed_orbit(base, sel, x0, harmonic_series(n), 93)
+    orb = orbit(base, sel, x0, n)
+    plain = checked(make_system("sigma2_prepend"))
+    for pts in (rec.points, orb.points):
+        again = pseudo_orbit_record(plain, pts, sel)
+        assert again.points is pts and again.errors.values.tobytes() == \
+            oracle_record_errors(base, list(pts), sel).tobytes()
+        for k in (2, 3):
+            _, sub = stride_subsample(base, again, k)
+            assert all(_python_payload(p) for p in sub.points)
+        assert distance(apply(plain, 1, pts[5]), pts[6]) == oracle_distance(oracle_apply(base, 1, pts[5]), pts[6])
+    binary = make_system("binary_affine")
+    for ifs, start in ((checked(power_ifs(base, 2)), x0),
+                       (checked(product_ifs(base, binary)), point(Product(base.space, UNIT), (x0, 0.25)))):
+        walked = perturbed_orbit(ifs, selector_random(94, n, ifs.nmaps), start, harmonic_series(n), 95)
+        assert all(_python_payload(p) for p in walked.points)
+        for p, q in zip(walked.points, walked.points[1:]):
+            distance(p, q)
+
+
 def test_views_stride_and_replace_as_tuples_did():
     b = CASES["binary_affine"][0]
     kind = b.space
@@ -649,11 +717,12 @@ def _perturbed_outcomes(ifs, sel, x0, values, seed):
     return got, want
 
 
-def _check_walks(ifs, sel, x0, values, seed):
+def _check_walks(ifs, sel, x0, values, seed, horizons=None):
     """walk, orbit and perturbed_orbit against the per-step oracles at every
-    horizon up to len(values), so an error must come at the oracle's step."""
+    horizon up to len(values) (or at `horizons`), so an error must come at
+    the oracle's step."""
     kind = ifs.space
-    for k in range(len(values) + 1):
+    for k in range(len(values) + 1) if horizons is None else horizons:
         want = _walk_outcome(lambda: oracle_orbit(ifs, sel, x0, k))
         assert _walk_outcome(lambda: orbit(ifs, sel, x0, k).points) == want
         assert _walk_outcome(lambda: map(kind.decode, walk(ifs, sel, kind.encode(x0), k))) == want
@@ -727,11 +796,67 @@ def test_prepend_kernel_matches_step_oracles(depth, data, seed):
     _check_walks(ifs, SelectorSequence(tuple(entries)), point(kind, bits), values, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(depth=st.sampled_from([2, 7, 63, 64]), data=st.data(), seed=st.integers(0, 2**31 - 1))
+def test_prepend_scan_matches_step_oracles_past_the_depth(depth, data, seed):
+    """Selectors up to 2*depth + 5 entries long, past the step where the
+    scan saturates and the start word has shifted out: all-ones starts,
+    top-bit flips (noise 2), constant selectors and a late bad entry."""
+    ifs = make_system(f"sigma2_prepend:{depth}")
+    n = data.draw(st.integers(depth - 1, 2 * depth + 5))
+    entries = data.draw(st.one_of(st.sampled_from([[0] * n, [1] * n]),
+                                  st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    bad = data.draw(st.one_of(st.none(), st.integers(max(n - 3, 0), n)))
+    if bad is not None:
+        entries.insert(bad, data.draw(st.sampled_from([2, -1])))
+    bits = data.draw(st.one_of(st.sampled_from(["1" * depth, "1", "0"]),
+                               st.lists(st.sampled_from("01"), min_size=depth, max_size=depth).map("".join)))
+    values = data.draw(st.one_of(st.sampled_from([[2.0] * n, [0.0] * n, [2.0 ** (2 - depth)] * n]),
+                                 st.lists(st.sampled_from([0.0, 2.0, 1.0, 2.0 ** (2 - depth)]), min_size=n, max_size=n)))
+    horizons = sorted({0, 1, depth - 1, depth, depth + 1, n - 1, n} | ({bad, bad + 1} if bad is not None else set()))
+    _check_walks(ifs, SelectorSequence(tuple(entries)), point(ifs.space, bits), values, seed,
+                 [k for k in horizons if 0 <= k <= n])
+
+
+def _prepend_loop(tops, x, lams, masks):
+    """The Python-int walk the word scan replaced: the orbit and the images."""
+    out, bases = [x], []
+    for lam, mask in zip(lams, masks):
+        bases.append(base := tops[lam] | (x >> 1))
+        out.append(x := base ^ mask)
+    return out, bases
+
+
+@pytest.mark.parametrize("depth", [2, 7, 63, 64])
+def test_prepend_scan_matches_the_int_loop_on_long_walks(depth):
+    ifs = make_system(f"sigma2_prepend:{depth}")
+    kind = ifs.space
+    tops = [m.params[0] << (depth - 1) for m in ifs.maps]
+    rng = np.random.default_rng(depth)
+    top, full = 1 << (depth - 1), (1 << depth) - 1
+    flips = [1 << k for k in range(depth)] + [0]
+    for n in sorted({0, 1, depth - 1, depth, depth + 1, 2 * depth + 5, 4 * depth + 3, 300}):
+        lam_rows = ([0] * n, [1] * n, rng.integers(0, 2, n).tolist())
+        mask_rows = ([0] * n, [top] * n, [full] * n,
+                     [flips[k] for k in rng.integers(0, depth + 1, n).tolist()])
+        for x in (full, top, 0, 1, kind.encode(sample_point(kind, rng))):
+            for lams in lam_rows:
+                walked, none = ifs.raw_walk(x, tuple(lams))
+                assert none is None and walked.dtype == np.uint64
+                assert walked.tolist() == _prepend_loop(tops, x, lams, [0] * n)[0]
+                for masks in mask_rows:
+                    # a batch, and rows longer or shorter than the selector: the walk stops with the shorter
+                    for given in (masks, kind.batch(masks), masks + [top], masks[:-1]):
+                        walked, bases = ifs.raw_walk(x, tuple(lams), operator.xor, given)
+                        assert (walked.tolist(), bases.tolist()) == _prepend_loop(tops, x, lams, list(given))
+
+
 def test_walk_kernels_compile_for_the_orbit_long_families_only():
     affine, prepend = make_system("binary_affine"), make_system("sigma2_prepend")
-    assert affine.raw_walk.__name__ == "affine_walk" and prepend.raw_walk.__name__ == "prepend_walk"
+    assert affine.raw_walk.__name__ == "affine_walk" and prepend.raw_walk.__name__ == "prepend_scan"
     numpy_params = IFSSpec(UNIT, (MapDef("a", "affine", (np.float64(0.5), 0.0)),))
-    for ifs in (numpy_params, MIXED, power_ifs(affine, 2), product_ifs(affine, affine), CASES["conjugate"][0]):
+    for ifs in (numpy_params, MIXED, power_ifs(affine, 2), product_ifs(affine, affine), CASES["conjugate"][0],
+                CASES["symbols100"][0]):
         assert ifs.raw_walk.__name__ == "generic"
     walked = walk(numpy_params, selector_explicit([0, 0]), 1.0, 2)
     assert walked == [1.0, 0.5, 0.25] and all(type(v) is float for v in walked)
@@ -775,7 +900,8 @@ def oracle_sample_point(kind, rng):
 def _sampled_kinds():
     kinds = {make_system(name).space for name in ("binary_affine", "sigma2_prepend", "circle_pair",
                                                   "interval_pair", "finite_permutations:4")}
-    kinds |= {SymbolSpace(7), SymbolSpace(100), FiniteDiscrete(1), FiniteDiscrete(5), Interval(-3.0, -0.0)}
+    kinds |= {SymbolSpace(2), SymbolSpace(7), SymbolSpace(9), SymbolSpace(63), SymbolSpace(65), SymbolSpace(100),
+              FiniteDiscrete(1), FiniteDiscrete(5), Interval(-3.0, -0.0)}
     return sorted(kinds, key=repr) + [Product(UNIT, SymbolSpace(7)), Product(Circle(), Product(FiniteDiscrete(3), UNIT))]
 
 
