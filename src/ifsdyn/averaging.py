@@ -236,10 +236,14 @@ def verify_null_density_implies_average(s: Series, j: IndexSet, tol: float) -> D
 # --- exports ----------------------------------------------------------------
 
 def series_from_csv(path) -> Series:
-    values = []
+    """The second field of each row below the header, skipping `#` and blank
+    lines; a row of fewer than two fields raises a DomainError naming its line."""
     with Path(path).open() as fh:
-        rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
-    for row in rows[1:]:
+        lines = [(i, line) for i, line in enumerate(fh, 1) if line.strip() and not line.startswith("#")]
+    values = []
+    for (i, _), row in zip(lines[1:], csv.reader(line for _, line in lines[1:])):
+        if len(row) < 2:
+            raise DomainError(f"{path}: line {i} has {len(row)} field(s), need 2")
         values.append(float(row[1]))
     return series(values)
 

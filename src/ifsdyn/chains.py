@@ -5,10 +5,10 @@ map of the family sends u within epsilon of v. Graph paths are genuine
 epsilon-chains (one-sided soundness); completeness holds at the coarser scale
 epsilon/2, which the h <= epsilon/4 guard protects.
 
-Nodes are held as raw grid coordinates (`RawPoints`); a `Point` is decoded
-only for witnesses and counterexamples. Strongly connected components come
-from Tarjan's algorithm with one numpy gather per visit of a node, and
-`find_chain` stops its breadth-first search at the target.
+Nodes are held as the raw grid batch itself (a `RawPoints` view); a `Point`
+is decoded only for witnesses and counterexamples. Strongly connected
+components come from Tarjan's algorithm with one numpy gather per visit of
+a node, and `find_chain` stops its breadth-first search at the target.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .spaces import (
     grid_batch,
     leaf_kinds,
     point_to_json,
-    unbatch,
 )
 
 _WITNESS_SLACK = 1e-12
@@ -138,14 +137,14 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
         cuts = [0, *np.cumsum(keep)[ends - 1].tolist()]  # every window holds >= 1 index
         out_edges += [targets[a:b] for a, b in zip(cuts, cuts[1:])]
         out_labels += [label[a:b] for a, b in zip(cuts, cuts[1:])]
-    return ChainGraph(ifs, RawPoints(kind, unbatch(batch)), epsilon, resolution,
+    return ChainGraph(ifs, RawPoints(kind, batch), epsilon, resolution,
                       tuple(out_edges), tuple(out_labels))
 
 
 def snap_to_node(g: ChainGraph, p: Point) -> tuple[int, float]:
     """Nearest grid node and its distance."""
     kind = g.ifs.space
-    d = kind.dists(kind.batch(g.nodes.raws), kind.encode(p))
+    d = kind.dists(g.nodes.raws, kind.encode(p))
     i = int(np.argmin(d))
     return i, float(d[i])
 

@@ -104,8 +104,8 @@ def _config(args, keys) -> dict:
 def _emit(text: str, output):
     if output:
         Path(output).write_text(text)
-    else:
-        print(text)
+    else:  # CSV text already ends in its newline
+        print(text, end="" if text.endswith("\n") else "\n")
 
 
 def _emit_json(payload: dict, output):

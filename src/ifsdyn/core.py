@@ -221,8 +221,9 @@ def _compile_row(m: MapDef, kind: SpaceKind) -> Callable:
 def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Callable]) -> Callable:
     """The walk of a family: `walk(raw, lams, move=None, params=())` gives
     the raw orbit of `raw` under the map indices `lams`, start included, and
-    the images before displacement (None without `move`); `move(base,
-    params[i])` displaces step i's image.
+    the images before displacement (None without `move`), both as batches;
+    `move(base, p)` displaces step i's image by the i-th raw value `p` of
+    the batch `params`.
 
     All-affine families on an interval run a kernel with the map, the range
     check and the displacement inline; it calls `canon` only off the
@@ -230,20 +231,19 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
     `pseudo_orbits._moves` does without calling `move`. All-prepend families
     on a symbol space of depth <= 64 walk as one scan on uint64 words, where
     step i is x_{i+1} = (x_i >> 1) ^ c_i with c_i = top[lam_i] ^ mask_i (the
-    top bit of the map, and the flip mask of `_moves`, 0 without a move);
-    the orbit and the images are then batches. Others, and affine walks from
-    a start that is no float, call `steps` and give lists."""
+    top bit of the map, and the flip mask of `_moves`, 0 without a move).
+    Others, and affine walks from a start that is no float, call `steps`."""
 
     def generic(raw, lams, move=None, params=()):
         out, bases = [raw], []
         if move is None:
             for lam in lams:
                 out.append(raw := steps[lam](raw))
-            return out, None
+            return kind.batch(out), None
         for lam, p in zip(lams, unbatch(params)):
             bases.append(base := steps[lam](raw))
             out.append(raw := move(base, p))
-        return out, bases
+        return kind.batch(out), kind.batch(bases)
 
     if any(m.form != maps[0].form or _unsupported(m, kind) for m in maps):
         return generic
@@ -255,7 +255,7 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
         def prepend_scan(x, lams, move=None, masks=()):
             s = tops[np.fromiter(lams, dtype=np.intp, count=len(lams))]
             if move is not None:  # as long as the shorter of the two, as zip is
-                masks = kind.batch(masks)[: len(s)]
+                masks = masks[: len(s)]
                 s = s[: len(masks)] ^ masks
             # x_{i+1} is the XOR of c_{i-j} >> j over j <= i and of x_0 >> (i+1);
             # terms shifted by depth or more vanish. Each pass doubles the j covered.
@@ -284,14 +284,14 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
                 if not lo <= (t := slopes[lam] * t + offsets[lam]) <= hi:  # nan too
                     t = canon(t)
                 out.append(t)
-            return out, None
-        for lam, d in zip(lams, shifts):
+            return kind.batch(out), None
+        for lam, d in zip(lams, shifts.tolist()):
             if not lo <= (base := slopes[lam] * t + offsets[lam]) <= hi:
                 base = canon(base)
             t = (lo if (t := base + d) < lo else hi if t > hi else t) if d else base
             bases.append(base)
             out.append(t)
-        return out, bases
+        return kind.batch(out), kind.batch(bases)
 
     return affine_walk
 
@@ -446,7 +446,7 @@ def usable_entries(ifs: IFSSpec, selector: SelectorSequence, n: int) -> tuple[Se
 
 def walk(ifs: IFSSpec, selector: SelectorSequence, raw, n: int):
     """Raw coordinates of the n-step orbit of the raw coordinate `raw`, start
-    included, as a list or a batch (`IFSSpec.raw_walk`). Steps run up to the
+    included, as one batch (`IFSSpec.raw_walk`). Steps run up to the
     first selector entry that `apply` would reject; its error (a map index
     out of range, or an exhausted selector) is raised after them, as a
     step-by-step loop would raise it."""

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,10 +37,12 @@ from .spaces import (
     RawPoints,
     SpaceKind,
     SymbolSpace,
+    as_batch,
     diameter,
     distance,
     json_key,
     leaf_kinds,
+    leafwise,
     point_from_json,
     point_to_json,
     unbatch,
@@ -50,57 +52,40 @@ from .spaces import (
 
 @dataclass(frozen=True, eq=False)
 class PseudoOrbitRecord:
-    points: Sequence[Point]  # a RawPoints view when the library walked the record
+    """Points, the selector that claims to drive them, and the step errors.
+    `points` is a RawPoints view of one batch unless a caller put others there."""
+
+    points: Sequence[Point]
     selector: SelectorSequence
     errors: Series
-    # (space, raw coordinates of the points), found or encoded at most once;
-    # not an __init__ argument, so dataclasses.replace never copies a stale one
-    _raw: Optional[tuple] = field(default=None, init=False, repr=False)
 
     @property
     def steps(self) -> int:
         return len(self.points) - 1
 
     def raw(self, kind: SpaceKind):
-        """Raw coordinates of the points in `kind`, a view's own list or batch,
-        or else a list encoded on first use. Raises DomainError unless every
-        point lies in `kind`."""
-        if self._raw is None or self._raw[0] != kind:
-            self._keep_raw(kind, _raws(kind, self.points))
-        return self._raw[1]
-
-    def _keep_raw(self, kind: SpaceKind, raw) -> "PseudoOrbitRecord":
-        object.__setattr__(self, "_raw", (kind, raw))
-        return self
-
-
-def _raws(kind: SpaceKind, points: Sequence[Point]):
-    if isinstance(points, RawPoints) and points.kind == kind:
-        return points.raws
-    if any(p.kind is not kind and p.kind != kind for p in points):
-        raise DomainError("record points do not belong to the IFS space")
-    return [kind.encode(p) for p in points]
+        """The points as one batch of `kind`: a view's own, or one encoded now."""
+        return as_batch(kind, self.points, "record point")
 
 
 def pseudo_orbit_record(ifs: IFSSpec, points: Sequence[Point], selector: SelectorSequence) -> PseudoOrbitRecord:
     """Build a record from explicit points, recomputing the error series. A
-    RawPoints view of the IFS space is kept as it is, without decoding."""
-    pts = points if isinstance(points, RawPoints) else tuple(points)
-    if len(pts) < 1:
+    RawPoints view of the IFS space is kept as it is, without decoding;
+    other points are kept as a view of the batch they encode to."""
+    kind, steps = ifs.space, ifs.raw_steps
+    if not (isinstance(points, RawPoints) and points.kind == kind):
+        points = RawPoints(kind, as_batch(kind, points, "record point"))
+    n = len(points) - 1
+    if n < 0:
         raise DomainError("a pseudo-orbit needs at least one point")
-    n = len(pts) - 1
     if len(selector) < n:
         raise LengthError(f"selector provides {len(selector)} entries, need {n}")
-    kind, steps = ifs.space, ifs.raw_steps
-    if n == 0:  # no step to check the point's space
-        return PseudoOrbitRecord(pts, selector, series(np.empty(0), bound=diameter(kind)))
-    raw = _raws(kind, pts)
     lams, error = usable_entries(ifs, selector, n)
-    images = [steps[lam](x) for lam, x in zip(lams, unbatch(raw))]
+    images = [steps[lam](x) for lam, x in zip(lams, unbatch(points.raws))]
     if error is not None:
         raise error
-    errs = kind.dists(kind.batch(images), kind.batch(raw[1:]))
-    return PseudoOrbitRecord(pts, selector, series(errs, bound=diameter(kind)))._keep_raw(kind, raw)
+    errs = kind.dists(kind.batch(images), leafwise(lambda a: a[1:], points.raws))
+    return PseudoOrbitRecord(points, selector, series(errs, bound=diameter(kind)))
 
 
 def record_from_orbit(ifs: IFSSpec, orb) -> PseudoOrbitRecord:
@@ -157,44 +142,36 @@ def _draw_highs(kind: SpaceKind, s: np.ndarray) -> np.ndarray:
 
 def _flip_index(s: np.ndarray, depth: int) -> np.ndarray:
     """Per step, the smallest k with 2^(1-k) <= s: the bit whose flip moves a
-    symbol point by at most s. `depth` where no bit qualifies or s <= 0."""
-    pos = s > 0
-    k = np.full(len(s), depth, dtype=np.int64)
-    k[pos] = np.clip(np.ceil(1.0 - np.log2(s[pos])), 0, depth)
-    while True:  # log2 rounds; settle the estimate against the comparison itself
-        up = pos & (k < depth) & (np.ldexp(1.0, 1 - k) > s)
-        down = pos & (k > 0) & (np.ldexp(1.0, 2 - k) <= s)
-        if not (up.any() or down.any()):
-            return k
-        k += up
-        k -= down
+    symbol point by at most s. `depth` where no bit qualifies or s <= 0.
+    With s = m * 2^e (0.5 <= m < 1), 2^(1-k) <= s exactly when k >= 2 - e."""
+    return np.where(s > 0, np.clip(2 - np.frexp(s)[1], 0, depth), depth)
 
 
 def _moves(kind: SpaceKind, s: np.ndarray, draws: Iterator[np.ndarray]) -> tuple[Callable, Sequence]:
-    """A raw displacement `move(raw, param)` and its per-step params (a list,
-    or on a symbol space a batch of flip masks), which move a point of `kind`
-    by min(s, feasible). `draws` yields each leaf's column of drawn integers,
+    """A raw displacement `move(raw, param)` and its per-step params as a
+    batch (flip masks on a symbol space), which move a point of `kind` by
+    min(s, feasible). `draws` yields each leaf's column of drawn integers,
     in leaf order."""
     if isinstance(kind, Product):
         left, lp = _moves(kind.left, s, draws)
         right, rp = _moves(kind.right, s, draws)
-        return (lambda x, p: (left(x[0], p[0]), right(x[1], p[1]))), list(zip(unbatch(lp), unbatch(rp)))
+        return (lambda x, p: (left(x[0], p[0]), right(x[1], p[1]))), (lp, rp)
     drawn = next(draws)
     if isinstance(kind, Interval):
         lo, hi, canon = kind.lo, kind.hi, kind.canon
-        shifts = np.where(s > 0, np.where(drawn == 1, s, -s), 0.0).tolist()
+        shifts = np.where(s > 0, np.where(drawn == 1, s, -s), 0.0)
         return (lambda x, d: canon(lo if (v := x + d) < lo else hi if v > hi else v) if d else x), shifts
     if isinstance(kind, Circle):
         canon = kind.canon
         shifts = np.where(s > 0, np.where(drawn == 1, 1.0, -1.0) * np.minimum(s, 0.5), 0.0)
-        return (lambda x, d: canon((x + d) % 1.0) if d else x), shifts.tolist()
+        return (lambda x, d: canon((x + d) % 1.0) if d else x), shifts
     if isinstance(kind, SymbolSpace):
         masks = kind.batch([1 << (kind.depth - 1 - k) for k in range(kind.depth)] + [0])
         return operator.xor, masks[_flip_index(s, kind.depth)]
     if isinstance(kind, FiniteDiscrete):
         n, canon = kind.n, kind.canon
         shifts = np.where(_draw_highs(kind, s) > 0, 1 + drawn, 0)
-        return (lambda x, k: canon((x + k) % n) if k else x), shifts.tolist()
+        return (lambda x, k: canon((x + k) % n) if k else x), shifts
     raise DomainError(f"unknown space kind {kind!r}")
 
 
@@ -236,7 +213,7 @@ def perturbed_orbit(
     raw, bases = walk(cur, lams, move, params)
     if error is not None:
         raise error
-    errs = kind.dists(kind.batch(bases), kind.batch(raw[1:]))
+    errs = kind.dists(bases, leafwise(lambda a: a[1:], raw))
     return PseudoOrbitRecord(RawPoints(kind, raw), selector, series(errs, bound=diam))
 
 

@@ -25,7 +25,9 @@ from .core import (
 )
 from .errors import ContractionError, DomainError, LengthError
 from .pseudo_orbits import PseudoOrbitRecord
-from .spaces import Point, leafwise, point_to_json
+from .spaces import Point, as_batch, leafwise, point_to_json
+
+_VALIDATE_PAIRS = 1000  # pairs of the ratio estimate that contracting_shadow checks the claim with
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +79,7 @@ def _track(ifs: IFSSpec, rec: PseudoOrbitRecord, z: Point, n: int, sigma: Select
     if z.kind != kind:
         raise DomainError("start point does not belong to the IFS space")
     walked = walk(ifs, sigma, kind.encode(z), n - 1)
-    return kind.dists(kind.batch(walked), kind.batch(xs[:n])), sigma.entries[: n - 1]
+    return kind.dists(walked, leafwise(lambda a: a[:n], xs)), sigma.entries[: n - 1]
 
 
 def _greedy_tracks(ifs: IFSSpec, rec: PseudoOrbitRecord, starts: Sequence[Point], n: int):
@@ -91,17 +93,15 @@ def _greedy_tracks(ifs: IFSSpec, rec: PseudoOrbitRecord, starts: Sequence[Point]
     _check_horizon(rec, n)
     kind = ifs.space
     xs = rec.raw(kind)
-    if any(z.kind != kind for z in starts):
-        raise DomainError("start point does not belong to the IFS space")
-    cur = kind.batch([kind.encode(z) for z in starts])
+    cur = as_batch(kind, starts, "start point")
     cols = np.arange(len(starts))
     ds = np.empty((len(starts), n))  # rows contiguous: per-start reductions match 1-D ones
     lams = np.empty((len(starts), n - 1), dtype=np.intp)
-    ds[:, 0] = kind.dists(cur, xs[0])
+    ds[:, 0] = kind.dists(cur, leafwise(lambda a: a[0], xs))
     images = ifs.raw_images
     for i in range(1, n):
         imgs = images(cur)
-        gaps = kind.dists(imgs, xs[i])
+        gaps = kind.dists(imgs, leafwise(lambda a: a[i], xs))
         pick = gaps.argmin(axis=0)
         cur = leafwise(lambda a: a[pick, cols], imgs)
         ds[:, i] = gaps[pick, cols]
@@ -146,14 +146,13 @@ def contracting_shadow(
     n: Optional[int] = None,
     tol_avg: float = 1e-2,
     validate: bool = True,
-    validate_pairs: int = 1000,
 ) -> ShadowReport:
     """Shadow with the record's own selector from an arbitrary start, over
     the first n record points (1 <= n <= len(rec.points), default rec.steps).
 
-    Requires a claimed contraction ratio; when `validate` is set, a sampled
-    ratio estimate must not exceed the claim. After the walk, each measured
-    step error is checked against the inductive bound
+    Requires a claimed contraction ratio; when `validate` is set, a ratio
+    estimate from 1000 sampled pairs must not exceed the claim. After the
+    walk, each measured step error is checked against the inductive bound
         d_i <= b_i,  b_0 = d(y0, x_0),  b_{i+1} = alpha_i + beta*b_i
     (that is, alpha_{i-1} + beta*alpha_{i-2} + ... + beta^i*b_0) with slack
     1e-9. A violation falsifies the claimed ratio and raises a
@@ -163,7 +162,7 @@ def contracting_shadow(
     if beta is None:
         raise ContractionError("IFS carries no claimed contraction ratio")
     if validate:
-        est = estimate_contraction_ratio(ifs, validate_pairs, seed=0)
+        est = estimate_contraction_ratio(ifs, _VALIDATE_PAIRS, seed=0)
         if est > beta + 1e-9:
             raise ContractionError(f"sampled ratio {est} exceeds claimed {beta}")
     if y0 is None:

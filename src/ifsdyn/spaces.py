@@ -15,11 +15,13 @@ values with `dist(a, b)`.
 A batch holds many raw coordinates of one kind as arrays: float64 for
 intervals and circles, int64 for finite spaces, uint64 words for symbol
 spaces of depth <= 64 (an object array of bitmasks above), and a pair of
-batches for products. `kind.batch(raws)` and `unbatch(batch)` convert a list
-of raw values to a batch and back, and `dists(a, b) -> ndarray` measures
-batches elementwise, broadcasting (a batch against one raw value, too).
-`canon_batch` is the array twin of `canon`, and `grid_batch` gives a space's
-finite net as one batch.
+batches for products. A batch is the one raw form of a point sequence:
+walks return one, and records and chain graphs keep the one they walked or
+encoded. `kind.batch(raws)` and `unbatch(batch)` convert a list of raw
+values to a batch and back, and `dists(a, b) -> ndarray` measures batches
+elementwise, broadcasting (a batch against one raw value, too). `canon_batch`
+is the array twin of `canon`, and `grid_batch` gives a space's finite net as
+one batch.
 """
 
 from __future__ import annotations
@@ -241,10 +243,10 @@ def leafwise(fn, *batches):
 
 
 def unbatch(batch) -> list:
-    """The raw values of a batch, as Python values; a list is returned as it is."""
+    """The raw values of a batch, as Python values."""
     if isinstance(batch, tuple):
         return list(zip(unbatch(batch[0]), unbatch(batch[1])))
-    return batch.tolist() if isinstance(batch, np.ndarray) else batch
+    return batch.tolist()
 
 
 def batch_leaves(batch) -> list:
@@ -275,23 +277,21 @@ class Point:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class RawPoints(Sequence):
-    """Points of one kind held as raw coordinates: a read-only sequence that
-    decodes a fresh `Point` on every access and keeps none. The coordinates
-    are a list of raw values or a batch of a non-product kind; either way a
-    point is decoded from Python values. Slices are views too; equality and
-    hashing are by value, as for the tuple of the points."""
+    """Points of one kind held as one batch of raw coordinates: a read-only
+    sequence that decodes a fresh `Point` from Python values on every access
+    and keeps none. Slices are views too; equality and hashing are by value,
+    as for the tuple of the points."""
 
     kind: SpaceKind
-    raws: Sequence = field(repr=False)
+    raws: object = field(repr=False)  # a batch of `kind`
 
     def __len__(self) -> int:
-        return len(self.raws)
+        return len(batch_leaves(self.raws)[0])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return RawPoints(self.kind, self.raws[i])
-        raw = self.raws[i]
-        return self.kind.decode(raw.item() if isinstance(raw, np.generic) else raw)
+            return RawPoints(self.kind, leafwise(lambda a: a[i], self.raws))
+        return self.kind.decode(unbatch(leafwise(lambda a: a[[i]], self.raws))[0])
 
     def __iter__(self):
         return map(self.kind.decode, unbatch(self.raws))
@@ -303,6 +303,16 @@ class RawPoints(Sequence):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
+
+
+def as_batch(kind: SpaceKind, points: Sequence[Point], what: str = "point"):
+    """The points as one batch of `kind`: a RawPoints view's own batch, or
+    else one encoded now. Raises DomainError unless every point lies in `kind`."""
+    if isinstance(points, RawPoints) and points.kind == kind:
+        return points.raws
+    if any(p.kind is not kind and p.kind != kind for p in points):
+        raise DomainError(f"a {what} lies outside the space {kind}")
+    return kind.batch([kind.encode(p) for p in points])
 
 
 _BIT_VALUES = frozenset((0, 1))

@@ -408,7 +408,7 @@ def test_scc_and_transitivity_on_random_digraphs(out_edges):
     assert strongly_connected_components(out_edges) == tarjan_oracle(out_edges)
     n = len(out_edges)
     space = FiniteDiscrete(n)
-    g = ChainGraph(IFSSpec(space, (MapDef("id", "identity"),)), RawPoints(space, list(range(n))),
+    g = ChainGraph(IFSSpec(space, (MapDef("id", "identity"),)), RawPoints(space, np.arange(n)),
                    1.0, 1.0, out_edges, tuple(np.zeros_like(e) for e in out_edges))
     rep = is_chain_transitive(g)
     pair = transitivity_oracle(g)

@@ -227,6 +227,40 @@ def test_csv_files_end_lines_with_newline_only(tmp_path):
         assert data.count(b"\n") > 10 and b"\r" not in data
 
 
+@pytest.mark.parametrize("command", ["orbit", "shadow"])
+def test_csv_on_stdout_equals_the_output_file(command, tmp_path, capsys):
+    """CSV text reaches stdout unchanged, with no blank line after its last
+    row; JSON on stdout ends in one newline."""
+    if command == "orbit":
+        args = ["orbit", "--model", "binary_affine", "--sigma", "0101", "--x0", "0", "--steps", "4"]
+    else:
+        rec_file = tmp_path / "rec.json"
+        assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "30",
+                     "--noise", "harmonic", "--tol", "1", "--output", str(rec_file)]) == 0
+        args = ["shadow", "--model", "binary_affine", "--pseudo-file", str(rec_file), "--mode", "contracting",
+                "--tol", "1"]
+    out = tmp_path / "out.csv"
+    assert main(args + ["--format", "csv", "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args + ["--format", "csv"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.encode() == out.read_bytes() and printed.endswith("\n") and not printed.endswith("\n\n")
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith("}\n") and json.loads(printed)["config"]["model"] == "binary_affine"
+
+
+def test_cesaro_skips_blank_rows_and_names_short_ones(tmp_path, capsys):
+    curve, out = tmp_path / "curve.csv", tmp_path / "avg.json"
+    curve.write_text("# model=binary_affine\nn,average\n1,0.5\n\n2,0.25\n\n")
+    assert main(["cesaro", "--input", str(curve), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["average"] == 0.375
+    for text, line in (("n,average\n1,0.5\n2\n", 3), ("# c\nn,average\n\n1,0.5\n0.25\n", 5)):
+        curve.write_text(text)
+        assert main(["cesaro", "--input", str(curve)]) == 2
+        assert f"line {line} has 1 field(s)" in _one_error_line(capsys)
+
+
 def test_ratio_command(tmp_path):
     out = tmp_path / "ratio.json"
     code = main(["ratio", "--model", "binary_affine", "--pairs", "2000",

@@ -56,7 +56,7 @@ from ifsdyn import (
 )
 from ifsdyn.core import _twopiece, walk
 from ifsdyn.errors import IFSError
-from ifsdyn.spaces import _EDGE_SLACK, batch_leaves, sample_batch, unbatch
+from ifsdyn.spaces import _EDGE_SLACK, batch_leaves, leafwise, sample_batch, unbatch
 
 UNIT = Interval(0.0, 1.0)
 
@@ -302,7 +302,8 @@ def test_symbol_flips_at_powers_of_two(depth, monkeypatch):
     """Noise at and next to every power of two, where a log2 estimate of the
     flipped bit rounds the wrong way."""
     powers = np.ldexp(1.0, -np.arange(0, depth + 2))
-    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, 2.0)])
+    subnormals = np.ldexp([1.0, 1.5, 1.0, 1.75], [-1074, -1060, -1023, -1023])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, 2.0), subnormals])
     values = np.minimum(values, 2.0)
     ifs = make_system(f"sigma2_prepend:{depth}")
     n = len(values)
@@ -496,7 +497,7 @@ def test_record_points_are_a_decoding_view(name):
     assert _same_points(orb.points[:1], [x0]) and _same_points(rec.points[:1], [x0])
     for pts in (rec.points, orb.points):
         assert isinstance(pts, RawPoints) and len(pts) == n + 1
-        eager = (x0, *map(kind.decode, pts.raws[1:]))  # the tuple the view replaced
+        eager = (x0, *map(kind.decode, unbatch(pts.raws)[1:]))  # the tuple of the points
         assert _same_points(pts, eager)
         assert _same_points([pts[i] for i in range(-len(pts), len(pts))], eager + eager)
         assert pts[7] == pts[7] and pts[7] is not pts[7]  # equal, decoded afresh, never cached
@@ -505,7 +506,7 @@ def test_record_points_are_a_decoding_view(name):
             assert pts[cut] == eager[cut] and eager[cut] == pts[cut]
         assert pts == eager and eager == pts and hash(pts) == hash(eager)
         assert pts != eager[:-1] and pts != list(eager) and pts != eager[::-1]
-        assert pts == RawPoints(kind, list(pts.raws)) and pts[1:] != pts[:-1]
+        assert pts == RawPoints(kind, leafwise(np.copy, pts.raws)) and pts[1:] != pts[:-1]
         with pytest.raises(IndexError):
             pts[n + 1]
     assert rec.raw(kind) is rec.points.raws
@@ -520,22 +521,53 @@ def _python_payload(p):
     return type(p.value) in (float, int)
 
 
-def test_word_backed_views_equal_list_backed_ones():
+def test_word_backed_views_equal_int_backed_ones():
+    """A view of uint64 words equals, slices and decodes as a view of the
+    same points held as Python ints (the batch form above depth 64)."""
     ifs = make_system("sigma2_prepend")
     kind, n = ifs.space, 40
     x0 = sample_point(kind, np.random.default_rng(81))
     sel = selector_random(82, n, 2)
     for pts in (perturbed_orbit(ifs, sel, x0, harmonic_series(n), 83).points, orbit(ifs, sel, x0, n).points):
         assert isinstance(pts, RawPoints) and pts.raws.dtype == np.uint64
-        listed = RawPoints(kind, pts.raws.tolist())
-        assert pts == listed and listed == pts and hash(pts) == hash(listed) == hash(tuple(listed))
+        ints = RawPoints(kind, pts.raws.astype(object))
+        assert pts == ints and ints == pts and hash(pts) == hash(ints) == hash(tuple(ints))
         for cut in (slice(2, 9), slice(None, None, 3), slice(-4, None)):
-            assert pts[cut] == listed[cut] and pts[cut] == tuple(listed[cut])
-        assert pts != RawPoints(kind, listed.raws[::-1]) and pts[1:] != listed[:-1]
-        assert _same_points(pts, listed) and all(_same_points([pts[i]], [listed[i]]) for i in (0, 7, -1))
+            assert pts[cut] == ints[cut] and pts[cut] == tuple(ints[cut])
+        assert pts != RawPoints(kind, ints.raws[::-1]) and pts[1:] != ints[:-1]
+        assert _same_points(pts, ints) and all(_same_points([pts[i]], [ints[i]]) for i in (0, 7, -1))
         assert all(_python_payload(p) for p in (*pts, *pts[3:6], pts[-1]))
     floats = RawPoints(UNIT, UNIT.batch([0.25, 0.5, 1.0]))  # any kind's batch decodes to Python values
-    assert floats == RawPoints(UNIT, [0.25, 0.5, 1.0]) and all(_python_payload(p) for p in (*floats, floats[1]))
+    assert floats == tuple(point(UNIT, v) for v in (0.25, 0.5, 1.0))
+    assert all(_python_payload(p) for p in (*floats, floats[1]))
+
+
+def _is_batch(kind, raws, n):
+    """Whether `raws` is a batch of n points of `kind`: one array per leaf,
+    of that leaf's dtype, nested as the product is."""
+    same = leafwise(lambda a, e: type(a) is np.ndarray and a.dtype == e.dtype and a.shape == (n,),
+                    raws, kind.batch([]))
+    return all(batch_leaves(same))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_walks_views_and_records_hold_batches(name):
+    ifs, noise = CASES[name]
+    kind, n = ifs.space, 30
+    sel = selector_random(64, n, ifs.nmaps)
+    x0 = sample_point(kind, np.random.default_rng(65))
+    rec = perturbed_orbit(ifs, sel, x0, _schedule(ifs, noise, n), 66)
+    walked, bases = ifs.raw_walk(kind.encode(x0), sel.entries, None)
+    assert _is_batch(kind, walked, n + 1) and bases is None
+    assert _is_batch(kind, walk(ifs, sel, kind.encode(x0), n), n + 1)
+    encoded = pseudo_orbit_record(ifs, tuple(rec.points), sel)
+    for r in (rec, encoded, pseudo_orbit_record(ifs, rec.points, sel)):
+        assert isinstance(r.points, RawPoints) and _is_batch(kind, r.points.raws, n + 1)
+        assert r.raw(kind) is r.points.raws and _is_batch(kind, r.points[::2].raws, n // 2 + 1)
+    assert _is_batch(kind, orbit(ifs, sel, x0, n).points.raws, n + 1)
+    assert encoded.points == rec.points and encoded.errors.values.tobytes() == rec.errors.values.tobytes()
+    replaced = dataclasses.replace(rec, points=tuple(rec.points))
+    assert _is_batch(kind, replaced.raw(kind), n + 1) and replaced.raw(kind) is not replaced.raw(kind)
 
 
 def test_no_numpy_word_reaches_scalar_steps_or_metrics(monkeypatch):
@@ -585,17 +617,17 @@ def test_views_stride_and_replace_as_tuples_did():
     tup = dataclasses.replace(rec, points=tuple(rec.points))
     for k in (2, 3, 4):
         (pa, a), (pb, bb) = stride_subsample(b, rec, k), stride_subsample(b, tup, k)
-        assert pa == pb and isinstance(a.points, RawPoints) and isinstance(bb.points, tuple)
+        assert pa == pb and isinstance(a.points, RawPoints) and isinstance(bb.points, RawPoints)
         assert _same_points(a.points, bb.points) and a.points == bb.points
         assert a.errors.values.tobytes() == bb.errors.values.tobytes()
-    # a record built from a view keeps it; a replaced record never reuses the old raw list
+    # a record built from a view keeps it; a replaced record never reuses the old batch
     again = pseudo_orbit_record(b, rec.points, sel)
     assert again.points is rec.points and again.raw(kind) is rec.raw(kind)
     pts = list(rec.points)
     pts[10] = point(UNIT, 0.99)
     for moved in (dataclasses.replace(rec, points=tuple(pts)), dataclasses.replace(again, points=tuple(pts))):
         assert moved.raw(kind) is not rec.raw(kind)
-        assert moved.raw(kind) == [kind.encode(p) for p in pts]
+        assert moved.raw(kind).tolist() == [kind.encode(p) for p in pts]
     with pytest.raises(DomainError):
         rec.raw(Circle())
 
@@ -711,10 +743,16 @@ def _perturbed_outcomes(ifs, sel, x0, values, seed):
         got = got + (recs[0].errors.values.tobytes(), made[0].bit_generator.state)
     try:
         pts, errs, state = oracle_perturbed_orbit(ifs, sel, x0, series(values), seed)
-        want = ("ok", [_fingerprint(p) for p in pts], errs.tobytes(), state)
+        want = ("ok", [_fingerprint(p) for p in (_stored(x0), *pts[1:])], errs.tobytes(), state)
     except IFSError as exc:
         want = type(exc).__name__, str(exc)
     return got, want
+
+
+def _stored(x0):
+    """The start as a batch holds it: an interval start that is no float
+    (0, np.float64) comes back as a Python float of the same value."""
+    return RawPoints(x0.kind, x0.kind.batch([x0.kind.encode(x0)]))[0]
 
 
 def _check_walks(ifs, sel, x0, values, seed, horizons=None):
@@ -723,9 +761,9 @@ def _check_walks(ifs, sel, x0, values, seed, horizons=None):
     the oracle's step."""
     kind = ifs.space
     for k in range(len(values) + 1) if horizons is None else horizons:
-        want = _walk_outcome(lambda: oracle_orbit(ifs, sel, x0, k))
+        want = _walk_outcome(lambda: [_stored(x0), *oracle_orbit(ifs, sel, x0, k)[1:]])
         assert _walk_outcome(lambda: orbit(ifs, sel, x0, k).points) == want
-        assert _walk_outcome(lambda: map(kind.decode, walk(ifs, sel, kind.encode(x0), k))) == want
+        assert _walk_outcome(lambda: RawPoints(kind, walk(ifs, sel, kind.encode(x0), k))) == want
         got, want = _perturbed_outcomes(ifs, sel, x0, np.asarray(values[:k], dtype=float), seed)
         assert got == want
 
@@ -845,10 +883,10 @@ def test_prepend_scan_matches_the_int_loop_on_long_walks(depth):
                 assert none is None and walked.dtype == np.uint64
                 assert walked.tolist() == _prepend_loop(tops, x, lams, [0] * n)[0]
                 for masks in mask_rows:
-                    # a batch, and rows longer or shorter than the selector: the walk stops with the shorter
-                    for given in (masks, kind.batch(masks), masks + [top], masks[:-1]):
-                        walked, bases = ifs.raw_walk(x, tuple(lams), operator.xor, given)
-                        assert (walked.tolist(), bases.tolist()) == _prepend_loop(tops, x, lams, list(given))
+                    # rows as long as the selector, longer or shorter: the walk stops with the shorter
+                    for given in (masks, masks + [top], masks[:-1]):
+                        walked, bases = ifs.raw_walk(x, tuple(lams), operator.xor, kind.batch(given))
+                        assert (walked.tolist(), bases.tolist()) == _prepend_loop(tops, x, lams, given)
 
 
 def test_walk_kernels_compile_for_the_orbit_long_families_only():
@@ -859,7 +897,7 @@ def test_walk_kernels_compile_for_the_orbit_long_families_only():
                 CASES["symbols100"][0]):
         assert ifs.raw_walk.__name__ == "generic"
     walked = walk(numpy_params, selector_explicit([0, 0]), 1.0, 2)
-    assert walked == [1.0, 0.5, 0.25] and all(type(v) is float for v in walked)
+    assert walked.dtype == np.float64 and walked.tolist() == [1.0, 0.5, 0.25]
 
 
 # --- word-sized symbol distances and the batch sampler -------------------------
