@@ -13,11 +13,10 @@ a node, and `find_chain` stops its breadth-first search at the target.
 
 from __future__ import annotations
 
-import csv
 import functools
+import itertools
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .spaces import (
     Point,
     RawPoints,
     batch_leaves,
+    csv_lines,
     distance,
     grid_batch,
     leaf_kinds,
@@ -87,7 +87,7 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
     Only nodes inside per-leaf windows around the images of u are candidates,
     and each candidate is checked with the metric itself, so the edges and
     labels equal those of comparing every pair of nodes, at O(edges) cost."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     if resolution > epsilon / 4 + 1e-15:
         raise GuardError(f"grid resolution {resolution} exceeds epsilon/4 = {epsilon / 4}")
@@ -312,15 +312,10 @@ def is_chain_transitive(g: ChainGraph) -> TransitivityReport:
 
 # --- exports ----------------------------------------------------------------
 
-def edges_to_csv(g: ChainGraph, path, comments: Sequence[str] = ()) -> None:
-    with Path(path).open("w", newline="") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["u", "v", "lambda"])
-        for u in range(g.size):
-            for v, lam in zip(g.out_edges[u], g.out_labels[u]):
-                writer.writerow([u, int(v), int(lam)])
+def edges_csv(g: ChainGraph, comments: Sequence[str] = ()) -> Iterator[str]:
+    rows = itertools.chain.from_iterable(
+        zip(itertools.repeat(u), g.out_edges[u].tolist(), g.out_labels[u].tolist()) for u in range(g.size))
+    return csv_lines("u,v,lambda", rows, comments)
 
 
 def witness_to_json(w: ChainWitness) -> dict:

@@ -20,7 +20,7 @@ from .averaging import cesaro_average, constant_series, harmonic_series, series_
 from .chains import (
     build_chain_graph,
     chain_recurrent_set,
-    edges_to_csv,
+    edges_csv,
     find_chain,
     graph_to_dot,
     is_chain_transitive,
@@ -41,7 +41,7 @@ from .pseudo_orbits import (
     perturbed_orbit,
     pseudo_orbit_record,
     record_from_json,
-    record_to_csv,
+    record_csv,
     record_to_json,
     validate_aapo,
 )
@@ -55,6 +55,7 @@ from .spaces import (
     FiniteDiscrete,
     Product,
     SymbolSpace,
+    csv_lines,
     grid,
     point,
     point_to_json,
@@ -101,22 +102,32 @@ def _config(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _emit(text: str, output):
+def _comments(cfg: dict) -> list[str]:
+    return [f"{k}={v}" for k, v in cfg.items()]
+
+
+def _emit(chunks, output):
+    """Write the text chunks unchanged to `output`, or to stdout ending in
+    exactly one newline (CSV lines carry their own)."""
     if output:
-        Path(output).write_text(text)
-    else:  # CSV text already ends in its newline
-        print(text, end="" if text.endswith("\n") else "\n")
+        with open(output, "w") as fh:
+            fh.writelines(chunks)
+        return
+    last = ""
+    for last in chunks:
+        sys.stdout.write(last)
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 def _emit_json(payload: dict, output):
-    _emit(json.dumps(payload, indent=2), output)
+    _emit([json.dumps(payload, indent=2)], output)
 
 
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_list_models(args) -> int:
-    for name, desc in list_models():
-        print(f"{name:24s} {desc}")
+    _emit((f"{name:24s} {desc}\n" for name, desc in list_models()), None)
     return 0
 
 
@@ -127,12 +138,9 @@ def _cmd_orbit(args) -> int:
     orb = orbit(ifs, sel, x0, args.steps)
     cfg = _config(args, ["model", "sigma", "x0", "steps"])
     if args.format == "csv":
-        lines = [f"# {k}={v}" for k, v in cfg.items()]
-        lines.append("index,coordinates,lambda")
-        for i, p in enumerate(orb.points):
-            lam = sel.entries[i] if i < args.steps else ""
-            lines.append(f"{i},{value_repr(p)},{lam}")
-        _emit("\n".join(lines) + "\n", args.output)
+        rows = ((i, value_repr(p), sel.entries[i] if i < args.steps else "")
+                for i, p in enumerate(orb.points))
+        _emit(csv_lines("index,coordinates,lambda", rows, _comments(cfg)), args.output)
     else:
         _emit_json({
             "config": cfg,
@@ -161,9 +169,7 @@ def _cmd_pseudo(args) -> int:
     report = validate_aapo(rec, args.steps, args.tol)
     cfg = _config(args, ["model", "sigma", "x0", "steps", "noise", "seed", "tol"])
     if args.format == "csv":
-        if not args.output:
-            raise IFSError("csv pseudo output requires --output")
-        record_to_csv(rec, args.output, comments=[f"{k}={v}" for k, v in cfg.items()])
+        _emit(record_csv(rec, _comments(cfg)), args.output)
     else:
         _emit_json({
             "config": cfg,
@@ -200,11 +206,8 @@ def _cmd_shadow(args) -> int:
         rep = shadow_verify(ifs, rec, z, rec.selector, n, tol_avg=args.tol)
     cfg = _config(args, ["model", "pseudo_file", "mode", "z0", "horizon", "tol", "grid_step"])
     if args.format == "csv":
-        lines = [f"# {k}={v}" for k, v in cfg.items()]
-        lines.append("n,average")
-        for i, v in enumerate(rep.cesaro_curve.values, start=1):
-            lines.append(f"{i},{float(v)!r}")
-        _emit("\n".join(lines) + "\n", args.output)
+        rows = enumerate(map(repr, rep.cesaro_curve.values.tolist()), start=1)
+        _emit(csv_lines("n,average", rows, _comments(cfg)), args.output)
     else:
         _emit_json({"config": cfg, "report": report_to_json(rep)}, args.output)
     return 0 if rep.verdict_avg else 1
@@ -216,11 +219,9 @@ def _cmd_chain(args) -> int:
     cfg = _config(args, ["model", "epsilon", "grid", "action", "from", "to"])
     if args.action == "graph":
         if args.dot:
-            _emit(graph_to_dot(g), args.output)
+            _emit([graph_to_dot(g)], args.output)
         elif args.format == "csv":
-            if not args.output:
-                raise IFSError("csv graph output requires --output")
-            edges_to_csv(g, args.output, comments=[f"{k}={v}" for k, v in cfg.items()])
+            _emit(edges_csv(g, _comments(cfg)), args.output)
         else:
             _emit_json({"config": cfg, "nodes": g.size, "edges": g.edge_count}, args.output)
         return 0

@@ -433,7 +433,7 @@ def usable_entries(ifs: IFSSpec, selector: SelectorSequence, n: int) -> tuple[Se
     range, and the error a step-by-step loop raises where they stop: the
     DomainError of `apply` for that index, a LengthError when the selector
     runs out, None when all n entries are usable."""
-    lams = selector.entries[: max(n, 0)]
+    lams = selector.entries[:n]
     low, high = selector.entry_range
     if not (low >= 0 and high < ifs.nmaps):  # an entry is out of range; is it among the first n?
         i = next((i for i, lam in enumerate(lams) if not 0 <= lam < ifs.nmaps), None)
@@ -458,8 +458,10 @@ def walk(ifs: IFSSpec, selector: SelectorSequence, raw, n: int):
 
 
 def orbit(ifs: IFSSpec, selector: SelectorSequence, x0: Point, n: int) -> OrbitRecord:
-    """Iterate n steps under the selector, keeping every point."""
+    """Iterate n >= 0 steps under the selector, keeping every point."""
     kind = ifs.space
+    if n < 0:
+        raise DomainError(f"step count must be >= 0, got {n}")
     if x0.kind != kind:
         raise DomainError("initial point does not belong to the IFS space")
     return OrbitRecord(x0, selector, RawPoints(kind, walk(ifs, selector, kind.encode(x0), n)))
@@ -467,9 +469,7 @@ def orbit(ifs: IFSSpec, selector: SelectorSequence, x0: Point, n: int) -> OrbitR
 
 def compose_apply(ifs: IFSSpec, selector: SelectorSequence, n: int, x: Point) -> Point:
     """n-step composition applied to x; the 0-step composition is the identity."""
-    if n <= 0:
-        return x
-    return orbit(ifs, selector, x, n).points[-1]
+    return x if n == 0 else orbit(ifs, selector, x, n).points[-1]
 
 
 def estimate_contraction_ratio(ifs: IFSSpec, sample_pairs: int, seed: int) -> float:

@@ -1,9 +1,11 @@
 """Named, reproducible experiment procedures.
 
 Each experiment binds library operations to a falsifiable numeric verdict
-with its thresholds declared in the parameter dict, and writes result.json
-plus data files under results/<name>/<timestamp>/. Library modules only
-expose raw quantities; the pass/fail logic lives here.
+with its thresholds declared in the parameter dict. An experiment body is
+pure: it returns its verdict, its metrics and its data files, each file as
+a name and its text chunks. `run` writes those files and result.json under
+results/<name>/<timestamp>/. Library modules only expose raw quantities; the
+pass/fail logic lives here.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .chains import (
     ChainWitness,
     build_chain_graph,
     chain_recurrent_set,
-    edges_to_csv,
+    edges_csv,
     find_chain,
     is_chain_transitive,
     snap_to_node,
@@ -55,7 +57,7 @@ from .pseudo_orbits import (
     PseudoOrbitRecord,
     perturbed_orbit,
     pseudo_orbit_record,
-    record_to_csv,
+    record_csv,
     validate_delta_pseudo_orbit,
 )
 from .shadowing import (
@@ -64,7 +66,7 @@ from .shadowing import (
     report_to_json,
     shadow_verify,
 )
-from .spaces import Point, distance, point, sample_point
+from .spaces import Point, csv_lines, distance, point, sample_point
 
 
 @dataclass(frozen=True)
@@ -77,19 +79,10 @@ class ExperimentResult:
     wall_time: float
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
-    """CSV artifact: the header line, then each row's fields as `str` gives
-    them."""
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        for r in rows:
-            fh.write(",".join(map(str, r)) + "\n")
-
-
-def _curve_csv(values, path: Path, stride: int) -> None:
+def _curve_csv(values, stride: int):
     """Running-average curve downsampled for artifact size; n is the true
     prefix length of each kept row."""
-    _write_rows(path, "n,average", ((i + 1, repr(float(values[i]))) for i in range(0, len(values), stride)))
+    return csv_lines("n,average", ((i + 1, repr(float(values[i]))) for i in range(0, len(values), stride)))
 
 
 def _random_record(ifs, noise: Series, seed: int):
@@ -102,7 +95,7 @@ def _random_record(ifs, noise: Series, seed: int):
 
 # --- experiment bodies -------------------------------------------------------
 
-def _exp_contracting_bound(p: dict, outdir: Path):
+def _exp_contracting_bound(p: dict):
     n = p["n"]
     seed = p["seed"]
     binary, sigma2 = make_system("binary_affine"), make_system("sigma2_prepend")
@@ -120,12 +113,11 @@ def _exp_contracting_bound(p: dict, outdir: Path):
         metrics[f"{tag}_ratio"] = rep.final_average / rep.bound if rep.bound else 0.0
     ok = (all(rep.final_average <= rep.bound + 1e-12 for rep in reps.values())
           and reps["binary"].final_average <= p["tol_abs"])
-    curve_path = outdir / "binary_affine_curve.csv"
-    _curve_csv(reps["binary"].cesaro_curve.values, curve_path, max(1, n // 1000))
-    return ok, metrics, [str(curve_path)]
+    curve = _curve_csv(reps["binary"].cesaro_curve.values, max(1, n // 1000))
+    return ok, metrics, {"binary_affine_curve.csv": curve}
 
 
-def _exp_power_consistency(p: dict, outdir: Path):
+def _exp_power_consistency(p: dict):
     ks = p["ks"]
     trials = p["trials"]
     steps = p["steps"]
@@ -152,9 +144,8 @@ def _exp_power_consistency(p: dict, outdir: Path):
         dev = max(0.0, *map(distance, a, b))
         rows.append((t, k, base.name, dev))
         max_dev = max(max_dev, dev)
-    path = outdir / "deviations.csv"
-    _write_rows(path, "trial,k,model,deviation", rows)
-    return max_dev <= p["tol"], {"max_deviation": max_dev}, [str(path)]
+    files = {"deviations.csv": csv_lines("trial,k,model,deviation", rows)}
+    return max_dev <= p["tol"], {"max_deviation": max_dev}, files
 
 
 def _square(pt: Point) -> Point:
@@ -165,7 +156,7 @@ def _sqrt(pt: Point) -> Point:
     return point(pt.kind, pt.value ** 0.5)
 
 
-def _exp_conjugacy(p: dict, outdir: Path):
+def _exp_conjugacy(p: dict):
     trials = p["trials"]
     n = p["n"]
     tol_avg = p["tol_avg"]
@@ -186,18 +177,16 @@ def _exp_conjugacy(p: dict, outdir: Path):
         if r1.verdict_avg != r2.verdict_avg:
             mismatches += 1
         rows.append((t, r1.final_average, r2.final_average, r1.verdict_avg, r2.verdict_avg))
-    path = outdir / "trials.csv"
-    _write_rows(path, "trial,avg_original,avg_transported,verdict_original,verdict_transported",
-                rows)
     metrics = {
         "mismatches": float(mismatches),
         "max_avg_original": max(r[1] for r in rows),
         "max_avg_transported": max(r[2] for r in rows),
     }
-    return mismatches == 0, metrics, [str(path)]
+    header = "trial,avg_original,avg_transported,verdict_original,verdict_transported"
+    return mismatches == 0, metrics, {"trials.csv": csv_lines(header, rows)}
 
 
-def _exp_product(p: dict, outdir: Path):
+def _exp_product(p: dict):
     trials = p["trials"]
     n = p["n"]
     tol = p["tol"]
@@ -227,9 +216,8 @@ def _exp_product(p: dict, outdir: Path):
         ]
         worst = max(worst, *gaps)
         rows.append((t, rp.final_average, rl.final_average, rr.final_average))
-    path = outdir / "trials.csv"
-    _write_rows(path, "trial,avg_product,avg_left,avg_right", rows)
-    return worst <= tol, {"max_sandwich_violation": worst}, [str(path)]
+    files = {"trials.csv": csv_lines("trial,avg_product,avg_left,avg_right", rows)}
+    return worst <= tol, {"max_sandwich_violation": worst}, files
 
 
 def powers_of_two_series(horizon: int):
@@ -242,7 +230,7 @@ def powers_of_two_series(horizon: int):
     return series(vals, bound=1.0)
 
 
-def _exp_lemma_density(p: dict, outdir: Path):
+def _exp_lemma_density(p: dict):
     horizon = p["horizon"]
     s = powers_of_two_series(horizon)
     decomp = extract_null_density_set(s)
@@ -255,11 +243,8 @@ def _exp_lemma_density(p: dict, outdir: Path):
         and decomp.tail_max < p["tail_cutoff"]
         and check.verdict
     )
-    jpath = outdir / "index_set.json"
-    jpath.write_text(json.dumps(list(j.indices)))
-    curve = running_average_curve(s)
-    cpath = outdir / "running_average.csv"
-    _curve_csv(curve.values, cpath, max(1, horizon // 1000))
+    files = {"index_set.json": [json.dumps(list(j.indices))],
+             "running_average.csv": _curve_csv(running_average_curve(s).values, max(1, horizon // 1000))}
     metrics = {
         "density": dens,
         "tail_max": decomp.tail_max,
@@ -267,10 +252,10 @@ def _exp_lemma_density(p: dict, outdir: Path):
         "marked_count": float(len(j)),
         "no_decay": float(decomp.no_decay),
     }
-    return bool(ok), metrics, [str(jpath), str(cpath)]
+    return bool(ok), metrics, files
 
 
-def _exp_circle_chain(p: dict, outdir: Path):
+def _exp_circle_chain(p: dict):
     eps = p["epsilon"]
     h = p["resolution"]
     pair = make_system("circle_pair")
@@ -295,17 +280,10 @@ def _exp_circle_chain(p: dict, outdir: Path):
     cr_f1 = chain_recurrent_set(g1)
     half_idx, _ = snap_to_node(g1, half)
     ok = trans.transitive and witness_ok and not trans1.transitive
-    artifacts = []
-    epath = outdir / "pair_edges.csv"
-    edges_to_csv(g, epath)
-    artifacts.append(str(epath))
+    files = {"pair_edges.csv": edges_csv(g)}
     if witness is not None:
-        wpath = outdir / "witness.json"
-        wpath.write_text(json.dumps(witness_to_json(witness), indent=2))
-        artifacts.append(str(wpath))
-    crpath = outdir / "chain_recurrent.json"
-    crpath.write_text(json.dumps({"pair": list(cr_pair), "f1_only": list(cr_f1)}))
-    artifacts.append(str(crpath))
+        files["witness.json"] = [json.dumps(witness_to_json(witness), indent=2)]
+    files["chain_recurrent.json"] = [json.dumps({"pair": list(cr_pair), "f1_only": list(cr_f1)})]
     metrics = {
         "pair_transitive": float(trans.transitive),
         "f1_transitive": float(trans1.transitive),
@@ -315,7 +293,7 @@ def _exp_circle_chain(p: dict, outdir: Path):
         "witness_length": float(len(witness.points)) if witness else 0.0,
         "edge_count": float(g.edge_count),
     }
-    return bool(ok), metrics, artifacts
+    return bool(ok), metrics, files
 
 
 def crossing_record(ifs, delta: float) -> PseudoOrbitRecord:
@@ -338,7 +316,7 @@ def crossing_record(ifs, delta: float) -> PseudoOrbitRecord:
     return pseudo_orbit_record(ifs, pts, sel)
 
 
-def _exp_interval_no_shadowing(p: dict, outdir: Path):
+def _exp_interval_no_shadowing(p: dict):
     pair = make_system("interval_pair")
     us = np.arange(p["invariance_points"] + 1) / p["invariance_points"]
     vs = pair.raw_images(pair.space.canon_batch(us))  # (maps, points)
@@ -351,20 +329,18 @@ def _exp_interval_no_shadowing(p: dict, outdir: Path):
     starts = [point(pair.space, i * step) for i in range(int(round(1.0 / step)) + 1)]
     result = finite_shadowing_check(pair, rec, p["epsilon"], starts, len(rec.points))
     ok = invariance_ok and dcheck.ok and not result.found and result.sup_achieved >= p["epsilon"]
-    rpath = outdir / "crossing.csv"
-    record_to_csv(rec, rpath)
-    spath = outdir / "search_report.json"
-    spath.write_text(json.dumps(report_to_json(result.report), indent=2))
+    files = {"crossing.csv": record_csv(rec),
+             "search_report.json": [json.dumps(report_to_json(result.report), indent=2)]}
     metrics = {
         "invariance_ok": float(invariance_ok),
         "crossing_valid": float(dcheck.ok),
         "crossing_length": float(len(rec.points)),
         "greedy_floor": result.sup_achieved,
     }
-    return bool(ok), metrics, [str(rpath), str(spath)]
+    return bool(ok), metrics, files
 
 
-def _exp_interval_chain_probe(p: dict, outdir: Path):
+def _exp_interval_chain_probe(p: dict):
     pair = make_system("interval_pair")
     metrics = {}
     verdicts = {}
@@ -377,10 +353,8 @@ def _exp_interval_chain_probe(p: dict, outdir: Path):
         key = f"transitive@{eps}"
         metrics[key] = float(rep.transitive)
         verdicts[str(eps)] = rep.transitive
-    path = outdir / "verdicts.json"
-    path.write_text(json.dumps(verdicts, indent=2))
     # diagnostic probe: completing the sweep is the only pass condition
-    return True, metrics, [str(path)]
+    return True, metrics, {"verdicts.json": [json.dumps(verdicts, indent=2)]}
 
 
 _DEFAULTS: dict[str, tuple[Callable, dict]] = {
@@ -420,8 +394,11 @@ def run(name: str, overrides: dict | None = None, output_root="results",
     outdir = Path(output_root) / name / stamp
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    verdict, metrics, artifacts = fn(params, outdir)
+    verdict, metrics, files = fn(params)
+    for fname, chunks in files.items():
+        with (outdir / fname).open("w") as fh:
+            fh.writelines(chunks)
     wall = time.perf_counter() - t0
-    result = ExperimentResult(name, params, verdict, metrics, artifacts, wall)
+    result = ExperimentResult(name, params, verdict, metrics, [str(outdir / f) for f in files], wall)
     (outdir / "result.json").write_text(json.dumps(asdict(result), indent=2))
     return result

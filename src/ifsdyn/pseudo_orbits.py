@@ -8,10 +8,8 @@ average) conditions at a finite horizon.
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +36,7 @@ from .spaces import (
     SpaceKind,
     SymbolSpace,
     as_batch,
+    csv_lines,
     diameter,
     distance,
     json_key,
@@ -102,7 +101,7 @@ class DeltaCheck:
 
 def validate_delta_pseudo_orbit(rec: PseudoOrbitRecord, delta: float) -> DeltaCheck:
     """True iff every step error is strictly below delta; reports the argmax."""
-    if delta <= 0:
+    if not delta > 0:
         raise DomainError("delta must be positive")
     errs = rec.errors.values
     if len(errs) == 0:
@@ -315,15 +314,8 @@ def record_from_json(d: dict) -> PseudoOrbitRecord:
     return PseudoOrbitRecord(pts, sel, series(errors))
 
 
-def record_to_csv(rec: PseudoOrbitRecord, path, comments: Sequence[str] = ()) -> None:
-    with Path(path).open("w", newline="") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "coordinates", "lambda", "alpha"])
-        for i, p in enumerate(rec.points):
-            if i < rec.steps:
-                writer.writerow([i, value_repr(p), rec.selector.entries[i],
-                                 repr(float(rec.errors.values[i]))])
-            else:
-                writer.writerow([i, value_repr(p), "", ""])
+def record_csv(rec: PseudoOrbitRecord, comments: Sequence[str] = ()) -> Iterator[str]:
+    """The record as CSV lines; the last point has no map index or error."""
+    steps = zip(rec.selector.entries, map(repr, rec.errors.values.tolist()))
+    rows = ((i, value_repr(p), *next(steps, ("", ""))) for i, p in enumerate(rec.points))
+    return csv_lines("index,coordinates,lambda,alpha", rows, comments)

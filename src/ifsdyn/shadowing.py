@@ -69,8 +69,7 @@ def _check_horizon(rec: PseudoOrbitRecord, n: int) -> None:
 
 def _track(ifs: IFSSpec, rec: PseudoOrbitRecord, z: Point, n: int, sigma: SelectorSequence):
     """Distances d_i = d(cur_i, x_i) of the orbit of z under `sigma` to the
-    first n record points, walked on raw coordinates, and the n-1 map indices
-    taken."""
+    first n record points, walked on raw coordinates."""
     _check_horizon(rec, n)
     if len(sigma) < n - 1:
         raise LengthError("selector shorter than the horizon")
@@ -79,7 +78,7 @@ def _track(ifs: IFSSpec, rec: PseudoOrbitRecord, z: Point, n: int, sigma: Select
     if z.kind != kind:
         raise DomainError("start point does not belong to the IFS space")
     walked = walk(ifs, sigma, kind.encode(z), n - 1)
-    return kind.dists(walked, leafwise(lambda a: a[:n], xs)), sigma.entries[: n - 1]
+    return kind.dists(walked, leafwise(lambda a: a[:n], xs))
 
 
 def _greedy_tracks(ifs: IFSSpec, rec: PseudoOrbitRecord, starts: Sequence[Point], n: int):
@@ -123,7 +122,7 @@ def shadow_verify(
     identity, so d_0 = d(z, x_0)."""
     if n < 1:
         raise DomainError("horizon must be >= 1")
-    ds, _ = _track(ifs, rec, z, n, sigma)
+    ds = _track(ifs, rec, z, n, sigma)
     return _finish_report(z, sigma, ds, None, tol_avg, tol_sup)
 
 
@@ -169,7 +168,7 @@ def contracting_shadow(
         y0 = rec.points[0]
     if n is None:
         n = rec.steps
-    ds, _ = _track(ifs, rec, y0, n, rec.selector)
+    ds = _track(ifs, rec, y0, n, rec.selector)
     bounds = [b := float(ds[0])] + [b := a + beta * b for a in rec.errors.values[: n - 1].tolist()]
     over = np.flatnonzero(ds > np.asarray(bounds) + 1e-9)
     if len(over):
@@ -226,7 +225,7 @@ def finite_shadowing_check(
     A positive answer carries a witness orbit; a negative answer only means
     the grid search found nothing and reports the infimum achieved.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     report = _best_start(ifs, rec, initial_grid, n, np.max, 1e-2, epsilon)
     return FiniteShadowingResult(report.verdict_sup, report.sup_error, report)

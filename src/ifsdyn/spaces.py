@@ -27,7 +27,7 @@ one batch.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -383,7 +383,7 @@ def grid_batch(kind: SpaceKind, resolution: float):
     """Finite net as one batch of raw coordinates: every point of the space
     lies within `resolution` of a grid point. Ordering is deterministic
     (ascending coordinates, left component outermost for products)."""
-    if resolution <= 0:
+    if not resolution > 0:
         raise DomainError("resolution must be positive")
     if isinstance(kind, Interval):
         span = kind.hi - kind.lo
@@ -534,3 +534,13 @@ def value_repr(p: Point) -> str:
     """Compact single-cell text form of a point payload (CSV export): its
     JSON value, with product components joined by ';'."""
     return _cell(_value_to_json(p))
+
+
+def csv_lines(header: str, rows: Iterable[tuple], comments: Iterable[str] = ()) -> Iterator[str]:
+    """CSV text one line at a time: a `# c` line per comment, the header,
+    then each row tuple's fields as `str` gives them, joined by commas. A
+    row with more or fewer fields than the header raises TypeError."""
+    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"  # one slot per column
+    yield from (f"# {c}\n" for c in comments)
+    yield header + "\n"
+    yield from map(line.__mod__, rows)

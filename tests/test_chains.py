@@ -1,3 +1,4 @@
+import math
 from collections import deque
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import ifsdyn.chains
 from ifsdyn import (
     Circle,
+    DomainError,
     FiniteDiscrete,
     GuardError,
     IFSSpec,
@@ -49,6 +51,9 @@ def halving_ifs():
 def test_guard_and_unsupported():
     with pytest.raises(GuardError):
         build_chain_graph(identity_ifs(), 0.01, 0.02)  # h > eps/4
+    for eps, h in ((0.0, 0.001), (-0.1, 0.001), (math.nan, 0.001), (0.02, math.nan), (0.02, 0.0)):
+        with pytest.raises(DomainError):
+            build_chain_graph(identity_ifs(), h, eps)
     s2 = make_system("sigma2_prepend")
     with pytest.raises(UnsupportedKindError):
         build_chain_graph(s2, 0.001, 0.01)

@@ -31,15 +31,27 @@ def test_usage_errors_exit_2(capsys):
     assert "error" in err or "usage" in err
 
 
-def test_unparseable_values_exit_2(capsys):
+def test_unparseable_values_exit_2(tmp_path, capsys):
+    rec_file = tmp_path / "rec.json"
+    assert main(["pseudo", "--model", "interval_pair", "--x0", "0.2", "--steps", "10", "--tol", "1",
+                 "--output", str(rec_file)]) == 0
     assert main(["orbit", "--model", "binary_affine", "--x0", "abc", "--steps", "3"]) == 2
     assert main(["orbit", "--model", "binary_affine", "--x0", "0", "--steps", "3",
                  "--sigma", "random:x"]) == 2
     assert main(["pseudo", "--model", "binary_affine", "--x0", "0", "--steps", "3",
                  "--noise", "const:nan"]) == 2
     assert main(["experiment", "lemma-density", "--set", "tol=bad"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 4 and all(line.startswith("error: ") for line in err)
+    # negative horizons, and nan where a parameter must be positive
+    assert main(["orbit", "--model", "binary_affine", "--sigma", "0101", "--x0", "0", "--steps", "-1"]) == 2
+    assert main(["orbit", "--model", "binary_affine", "--sigma", "periodic:01", "--x0", "0",
+                 "--steps", "-3", "--format", "csv"]) == 2
+    assert main(["chain", "transitive", "--model", "interval_pair", "--epsilon", "nan", "--grid", "0.01"]) == 2
+    assert main(["chain", "transitive", "--model", "interval_pair", "--epsilon", "0.05", "--grid", "nan"]) == 2
+    assert main(["shadow", "--model", "interval_pair", "--pseudo-file", str(rec_file), "--mode", "search",
+                 "--grid-step", "nan"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 9 and all(line.startswith("error: ") for line in err)
 
 
 def test_list_models(capsys):
@@ -227,12 +239,16 @@ def test_csv_files_end_lines_with_newline_only(tmp_path):
         assert data.count(b"\n") > 10 and b"\r" not in data
 
 
-@pytest.mark.parametrize("command", ["orbit", "shadow"])
+@pytest.mark.parametrize("command", ["orbit", "shadow", "pseudo", "chain graph"])
 def test_csv_on_stdout_equals_the_output_file(command, tmp_path, capsys):
     """CSV text reaches stdout unchanged, with no blank line after its last
     row; JSON on stdout ends in one newline."""
     if command == "orbit":
         args = ["orbit", "--model", "binary_affine", "--sigma", "0101", "--x0", "0", "--steps", "4"]
+    elif command == "pseudo":
+        args = ["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "20", "--tol", "1"]
+    elif command == "chain graph":
+        args = ["chain", "graph", "--model", "binary_affine", "--epsilon", "0.05", "--grid", "0.0125"]
     else:
         rec_file = tmp_path / "rec.json"
         assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "30",

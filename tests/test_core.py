@@ -103,6 +103,18 @@ def test_compose_apply():
     assert compose_apply(b, selector_explicit([0, 1]), 2, point(UNIT, 0.0)).value == 0.5
 
 
+def test_negative_horizons_raise():
+    b = make_system("binary_affine")
+    x = point(UNIT, 0.3)
+    sel = selector_explicit([0, 1, 0])
+    for n in (-1, -5):
+        with pytest.raises(DomainError):
+            orbit(b, sel, x, n)
+        with pytest.raises(DomainError):
+            compose_apply(b, sel, n, x)
+    assert len(orbit(b, sel, x, 0).points) == 1 and compose_apply(b, sel, 0, x) is x
+
+
 def test_compose_equals_orbit_endpoint():
     b = make_system("binary_affine")
     rng = np.random.default_rng(11)

@@ -6,7 +6,7 @@ import pytest
 
 from ifsdyn import DomainError, run
 from ifsdyn.cli import main
-from ifsdyn.experiments import experiment_names
+from ifsdyn.experiments import _DEFAULTS, experiment_names
 
 
 def test_experiment_names():
@@ -179,3 +179,18 @@ def test_golden_fixed_seed(name, tmp_path):
     assert res["parameters"] == {**res["parameters"], **overrides, "seed": 0}
     got = {Path(a).name: hashlib.sha256(Path(a).read_bytes()).hexdigest() for a in res["artifacts"]}
     assert got == hashes
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_bodies_return_their_files_and_write_none(name, tmp_path, monkeypatch):
+    """An experiment body returns each file as text chunks and leaves the
+    writing to run(): its bytes match the golden hashes, and the working
+    directory stays empty."""
+    monkeypatch.chdir(tmp_path)
+    fn, defaults = _DEFAULTS[name]
+    overrides, verdict, metrics, hashes = GOLDEN[name]
+    got_verdict, got_metrics, files = fn({**defaults, "seed": 0, **overrides})
+    assert (got_verdict, got_metrics) == (verdict, metrics)
+    got = {fname: hashlib.sha256("".join(chunks).encode()).hexdigest() for fname, chunks in files.items()}
+    assert got == hashes
+    assert list(tmp_path.iterdir()) == []

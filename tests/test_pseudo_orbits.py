@@ -45,6 +45,14 @@ def test_true_orbit_validates_for_every_delta():
         assert validate_delta_pseudo_orbit(rec, delta).ok
 
 
+def test_delta_must_be_positive():
+    b = make_system("binary_affine")
+    rec = record_from_orbit(b, orbit(b, selector_random(0, 5, 2), point(UNIT, 0.7), 5))
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            validate_delta_pseudo_orbit(rec, bad)
+
+
 def test_injected_jump_detected():
     b = make_system("binary_affine")
     orb = orbit(b, selector_random(1, 20, 2), point(UNIT, 0.2), 20)

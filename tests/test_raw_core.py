@@ -284,9 +284,8 @@ def test_raw_core_matches_point_oracles(name, monkeypatch):
     assert again.errors.values.tobytes() == oracle_record_errors(ifs, pts, sel).tobytes()
 
     for start in (rec.points[0], z):
-        ds, lams = shadowing._track(ifs, rec, start, n + 1, sel)
-        ods, olams = oracle_track(ifs, pts, start, n + 1, sel)
-        assert ds.tobytes() == ods.tobytes() and list(lams) == olams
+        ds = shadowing._track(ifs, rec, start, n + 1, sel)
+        assert ds.tobytes() == oracle_track(ifs, pts, start, n + 1, sel)[0].tobytes()
 
     # the lockstep greedy search, from a grid with duplicate starts
     starts = [rec.points[0], z, z, *(sample_point(ifs.space, rng) for _ in range(4)), rec.points[0]]
@@ -323,7 +322,7 @@ def test_replaced_record_points_are_encoded_again():
     pts = list(rec.points)
     pts[10] = point(UNIT, 0.99)
     moved = dataclasses.replace(rec, points=tuple(pts))
-    ds, _ = shadowing._track(b, moved, pts[0], 21, sel)
+    ds = shadowing._track(b, moved, pts[0], 21, sel)
     assert ds.tobytes() == oracle_track(b, pts, pts[0], 21, sel)[0].tobytes()
 
 

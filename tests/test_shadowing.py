@@ -191,6 +191,14 @@ def test_finite_shadowing_check_true_orbit():
     assert res.found and res.sup_achieved == 0.0
 
 
+def test_finite_shadowing_epsilon_must_be_positive():
+    b = make_system("binary_affine")
+    rec = record_from_orbit(b, orbit(b, selector_random(40, 5, 2), point(UNIT, 0.3), 5))
+    for bad in (0.0, -0.1, float("nan")):
+        with pytest.raises(DomainError):
+            finite_shadowing_check(b, rec, bad, [rec.points[0]], 5)
+
+
 def test_finite_shadowing_contracting_delta_orbit():
     b = make_system("binary_affine")
     n = 400

@@ -22,7 +22,7 @@ from ifsdyn import (
     space_from_json,
     space_to_json,
 )
-from ifsdyn.spaces import value_repr
+from ifsdyn.spaces import csv_lines, value_repr
 
 UNIT = Interval(0.0, 1.0)
 
@@ -160,8 +160,9 @@ def test_grid_examples():
     assert [p.value for p in fpts] == [0, 1, 2]
     with pytest.raises(UnsupportedKindError):
         grid(SymbolSpace(8), 0.1)
-    with pytest.raises(DomainError):
-        grid(UNIT, 0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            grid(UNIT, bad)
 
 
 @pytest.mark.parametrize("kind,h", [
@@ -264,3 +265,11 @@ def test_symbol_payload_entries_must_equal_bits():
         p = point(kind, payload)
         bits = [int(b) for b in payload] + [0] * (4 - len(payload))
         assert p.value == tuple(bits) and all(type(b) is int for b in p.value)
+
+
+def test_csv_lines():
+    lines = list(csv_lines("a,b", [(1, "x"), (2.5, "")], ["k=v"]))
+    assert lines == ["# k=v\n", "a,b\n", "1,x\n", "2.5,\n"]
+    for ragged in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError):
+            list(csv_lines("a,b", [ragged]))
