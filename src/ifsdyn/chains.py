@@ -20,16 +20,16 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import IFSSpec, apply
+from .core import IFSSpec, SelectorSequence, step_errors, usable_entries
 from .errors import DomainError, GuardError, IFSError
 from .spaces import (
     Circle,
     FiniteDiscrete,
     Point,
     RawPoints,
+    as_batch,
     batch_leaves,
     csv_lines,
-    distance,
     grid_batch,
     leaf_kinds,
     point_to_json,
@@ -160,10 +160,12 @@ class ChainWitness:
 def validate_witness(ifs: IFSSpec, w: ChainWitness, epsilon: float) -> bool:
     if len(w.points) != len(w.labels) + 1 or len(w.labels) < 1:
         return False
-    return all(
-        distance(apply(ifs, lam, a), b) <= epsilon + _WITNESS_SLACK
-        for a, b, lam in zip(w.points, w.points[1:], w.labels)
-    )
+    lams, error = usable_entries(ifs, SelectorSequence(tuple(w.labels)), len(w.labels))
+    errs = step_errors(ifs, as_batch(ifs.space, w.points, "witness point"), lams)
+    ok = bool((errs <= epsilon + _WITNESS_SLACK).all())
+    if ok and error is not None:  # a label out of range after good steps raises as `apply` does
+        raise error
+    return ok
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,10 +314,13 @@ def is_chain_transitive(g: ChainGraph) -> TransitivityReport:
 
 # --- exports ----------------------------------------------------------------
 
-def edges_csv(g: ChainGraph, comments: Sequence[str] = ()) -> Iterator[str]:
-    rows = itertools.chain.from_iterable(
+def _edge_rows(g: ChainGraph) -> Iterator[tuple[int, int, int]]:  # (u, v, label) as Python ints
+    return itertools.chain.from_iterable(
         zip(itertools.repeat(u), g.out_edges[u].tolist(), g.out_labels[u].tolist()) for u in range(g.size))
-    return csv_lines("u,v,lambda", rows, comments)
+
+
+def edges_csv(g: ChainGraph, comments: Sequence[str] = ()) -> Iterator[str]:
+    return csv_lines("u,v,lambda", _edge_rows(g), comments)
 
 
 def witness_to_json(w: ChainWitness) -> dict:
@@ -325,10 +330,8 @@ def witness_to_json(w: ChainWitness) -> dict:
     }
 
 
-def graph_to_dot(g: ChainGraph) -> str:
-    lines = ["digraph chains {"]
-    for u in range(g.size):
-        for v, lam in zip(g.out_edges[u], g.out_labels[u]):
-            lines.append(f'  n{u} -> n{int(v)} [label="{int(lam)}"];')
-    lines.append("}")
-    return "\n".join(lines)
+def graph_to_dot(g: ChainGraph) -> Iterator[str]:
+    """The graph in DOT, one chunk per line; the text ends in `}` with no newline."""
+    yield "digraph chains {"
+    yield from map('\n  n%d -> n%d [label="%d"];'.__mod__, _edge_rows(g))
+    yield "\n}"

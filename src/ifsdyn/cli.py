@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -108,16 +109,22 @@ def _comments(cfg: dict) -> list[str]:
 
 def _emit(chunks, output):
     """Write the text chunks unchanged to `output`, or to stdout ending in
-    exactly one newline (CSV lines carry their own)."""
+    exactly one newline (CSV lines carry their own). If the reader closes
+    stdout early, stdout moves to the null device, so the last flush passes."""
     if output:
         with open(output, "w") as fh:
             fh.writelines(chunks)
         return
     last = ""
-    for last in chunks:
-        sys.stdout.write(last)
-    if not last.endswith("\n"):
-        sys.stdout.write("\n")
+    try:
+        for last in chunks:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
 
 
 def _emit_json(payload: dict, output):
@@ -192,7 +199,7 @@ def _cmd_shadow(args) -> int:
         i = int(np.argmax(gaps > 1e-12))
         raise IFSError(f"stored step error {i} is {stored.errors.values[i]!r}, but the "
                        f"points give {rec.errors.values[i]!r}")
-    n = args.horizon or rec.steps
+    n = rec.steps if args.horizon is None else args.horizon
     if args.mode == "search":
         starts = grid(ifs.space, args.grid_step)
         rep = greedy_shadow_search(ifs, rec, starts, n, tol_avg=args.tol)
@@ -214,20 +221,22 @@ def _cmd_shadow(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    if args.action != "graph" and (args.dot or args.format == "csv"):
+        raise IFSError(f"--dot and --format csv apply to chain graph, not chain {args.action}")
+    if args.action == "find" and (getattr(args, "from") is None or args.to is None):
+        raise IFSError("chain find requires --from and --to")
     ifs = _load_ifs(args)
     g = build_chain_graph(ifs, args.grid, args.epsilon)
     cfg = _config(args, ["model", "epsilon", "grid", "action", "from", "to"])
     if args.action == "graph":
         if args.dot:
-            _emit([graph_to_dot(g)], args.output)
+            _emit(graph_to_dot(g), args.output)
         elif args.format == "csv":
             _emit(edges_csv(g, _comments(cfg)), args.output)
         else:
             _emit_json({"config": cfg, "nodes": g.size, "edges": g.edge_count}, args.output)
         return 0
     if args.action == "find":
-        if getattr(args, "from") is None or args.to is None:
-            raise IFSError("chain find requires --from and --to")
         x = _parse_point(ifs.space, getattr(args, "from"))
         y = _parse_point(ifs.space, args.to)
         res = find_chain(g, x, y)
@@ -264,7 +273,7 @@ def _cmd_chain(args) -> int:
 
 def _cmd_cesaro(args) -> int:
     s = series_from_csv(args.input)
-    n = args.n or s.horizon
+    n = s.horizon if args.n is None else args.n
     avg = cesaro_average(s, n)
     _emit_json({"config": _config(args, ["input", "n"]), "average": avg}, args.output)
     return 0

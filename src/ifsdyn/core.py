@@ -170,52 +170,42 @@ def _compile_step(m: MapDef, kind: SpaceKind) -> Callable:
 
 
 def _compile_images(maps: Sequence[MapDef], kind: SpaceKind) -> Callable:
-    """The array twin of `_compile_step` for a whole family: a batch of raw
-    coordinates of shape (S,) in (see `spaces`), their canonical images under
-    every map out, stacked on a leading map axis: shape (M, S), one such
-    array per leaf on products. Maps that share one form with numeric
-    parameters broadcast them along the map axis, so the family costs one
-    array evaluation; product families recurse into each side; the other
-    families stack one row per map. A form that cannot act on `kind` raises
-    the DomainError its scalar step raises."""
+    """The array twin of `_compile_step` for a whole family: `images(x, lams)`
+    gives at [..., s] the canonical image of x[s], for a batch x of shape (S,)
+    (see `spaces`), under map lams[..., s] of an index array broadcast against
+    x; one such array per leaf on products. Numeric forms gather their
+    parameters by `lams`, one array evaluation per call; product families
+    recurse into each side; the others call their scalar steps once per
+    broadcast (map, point) pair, map-major, as a map-by-map loop would."""
     form = maps[0].form
     if form in ("identity", "compose", "conjugate") or any(
-            m.form != form or len(m.params) != len(maps[0].params) for m in maps):
-        rows = [_compile_row(m, kind) for m in maps]
-        return lambda x: leafwise(lambda *r: np.stack(r), *(row(x) for row in rows))
-    why = next(filter(None, (_unsupported(m, kind) for m in maps)), None)
-    if why is not None:
-        return _raising(why)
+            m.form != form or len(m.params) != len(maps[0].params) or _unsupported(m, kind) for m in maps):
+        steps = [_compile_step(m, kind) for m in maps]
+
+        def pairwise(x, lams):
+            raws = unbatch(x)
+            lams, at = np.broadcast_arrays(lams, np.arange(len(raws)))
+            out = kind.batch([steps[lam](raws[i]) for lam, i in zip(lams.ravel().tolist(), at.ravel().tolist())])
+            return leafwise(lambda a: a.reshape(lams.shape), out)
+
+        return pairwise
     if form == "product":
         left = _compile_images([m.params[0] for m in maps], kind.left)
         right = _compile_images([m.params[1] for m in maps], kind.right)
-        return lambda x: (left(x[0]), right(x[1]))
+        return lambda x, lams: (left(x[0], lams), right(x[1], lams))
     if form == "prepend":
-        tops = kind.batch([m.params[0] << (kind.depth - 1) for m in maps])[:, None]
-        return lambda x: tops | (x >> 1)
+        tops = kind.batch([m.params[0] << (kind.depth - 1) for m in maps])
+        return lambda x, lams: tops[lams] | (x >> 1)
     if form == "permutation":
         table = np.array([m.params for m in maps], dtype=np.int64)
-        return lambda i: kind.canon_batch(table[:, i])
-    # affine (a, b) or twopiece (c_low, c_high): one float column of shape
-    # (M, 1) per parameter, broadcast against (S,)
-    p, q = (np.array(c, dtype=float)[:, None] for c in zip(*(m.params for m in maps)))
+        return lambda i, lams: kind.canon_batch(table[lams, i])
+    # affine (a, b) or twopiece (c_low, c_high): one float array per
+    # parameter, gathered by lams and broadcast against (S,)
+    p, q = (np.array(c, dtype=float) for c in zip(*(m.params for m in maps)))
     if form == "affine":
-        return lambda t: kind.canon_batch(p * t + q)
-    return lambda t: kind.canon_batch(np.where(t <= 0.5, t + p * (0.5 - t) * t,  # twopiece
-                                               t + q * (1.0 - t) * (t - 0.5)))
-
-
-def _compile_row(m: MapDef, kind: SpaceKind) -> Callable:
-    """One map's batch step: a batch of shape (S,) in, its images out."""
-    if m.form == "identity":
-        return _identity
-    if m.form == "compose":
-        return _chain([_compile_row(sub, kind) for sub in m.params])
-    if m.form == "conjugate":  # an arbitrary callable: its scalar step, elementwise
-        step = _compile_step(m, kind)
-        return lambda x: kind.batch([step(r) for r in unbatch(x)])
-    images = _compile_images((m,), kind)
-    return lambda x: leafwise(lambda a: a[0], images(x))
+        return lambda t, lams: kind.canon_batch(p[lams] * t + q[lams])
+    return lambda t, lams: kind.canon_batch(np.where(t <= 0.5, t + p[lams] * (0.5 - t) * t,  # twopiece
+                                                     t + q[lams] * (1.0 - t) * (t - 0.5)))
 
 
 def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Callable]) -> Callable:
@@ -332,9 +322,11 @@ class IFSSpec:
 
     @cached_property
     def raw_images(self) -> Callable:
-        """Images of a batch of raw coordinates under every map, shape (M, S)
-        per leaf (`_compile_images`)."""
-        return _compile_images(self.maps, self.space)
+        """`raw_images(x, lams)`: images of a batch of raw coordinates under
+        the maps of `lams`, an index array or one index broadcast against the
+        batch; under every map, shape (M, S) per leaf, without `lams` (`_compile_images`)."""
+        images, every = _compile_images(self.maps, self.space), np.arange(self.nmaps)[:, None]
+        return lambda x, lams=every: images(x, np.asarray(lams, dtype=np.intp))
 
     @cached_property
     def raw_walk(self) -> Callable:
@@ -426,6 +418,14 @@ def apply(ifs: IFSSpec, lam: int, x: Point) -> Point:
     if x.kind is not kind and x.kind != kind:
         raise DomainError("point does not belong to the IFS space")
     return kind.decode(ifs.raw_steps[lam](kind.encode(x)))
+
+
+def step_errors(ifs: IFSSpec, raws, lams: Sequence[int]) -> np.ndarray:
+    """d(f_{lams[i]}(x_i), x_{i+1}) for the first len(lams) steps of the batch
+    `raws`, in one `raw_images` call; the indices must be in range."""
+    n = len(lams)
+    images = ifs.raw_images(leafwise(lambda a: a[:n], raws), lams)
+    return ifs.space.dists(images, leafwise(lambda a: a[1:n + 1], raws))
 
 
 def usable_entries(ifs: IFSSpec, selector: SelectorSequence, n: int) -> tuple[Sequence[int], Optional[IFSError]]:

@@ -18,10 +18,10 @@ from .averaging import Series, running_average_curve, series
 from .core import (
     IFSSpec,
     SelectorSequence,
-    apply,
     orbit,
     power_ifs,
     selector_explicit,
+    step_errors,
     usable_entries,
     word_index,
 )
@@ -44,7 +44,6 @@ from .spaces import (
     leafwise,
     point_from_json,
     point_to_json,
-    unbatch,
     value_repr,
 )
 
@@ -71,7 +70,7 @@ def pseudo_orbit_record(ifs: IFSSpec, points: Sequence[Point], selector: Selecto
     """Build a record from explicit points, recomputing the error series. A
     RawPoints view of the IFS space is kept as it is, without decoding;
     other points are kept as a view of the batch they encode to."""
-    kind, steps = ifs.space, ifs.raw_steps
+    kind = ifs.space
     if not (isinstance(points, RawPoints) and points.kind == kind):
         points = RawPoints(kind, as_batch(kind, points, "record point"))
     n = len(points) - 1
@@ -80,10 +79,9 @@ def pseudo_orbit_record(ifs: IFSSpec, points: Sequence[Point], selector: Selecto
     if len(selector) < n:
         raise LengthError(f"selector provides {len(selector)} entries, need {n}")
     lams, error = usable_entries(ifs, selector, n)
-    images = [steps[lam](x) for lam, x in zip(lams, unbatch(points.raws))]
+    errs = step_errors(ifs, points.raws, lams)
     if error is not None:
         raise error
-    errs = kind.dists(kind.batch(images), leafwise(lambda a: a[1:], points.raws))
     return PseudoOrbitRecord(points, selector, series(errs, bound=diameter(kind)))
 
 
@@ -120,6 +118,8 @@ class AapoReport:
 def validate_aapo(rec: PseudoOrbitRecord, horizon: int, tol: float) -> AapoReport:
     """Cesàro average of the first `horizon` errors, with its running curve
     for decay inspection."""
+    if np.isnan(tol):
+        raise DomainError("tol must be a number, got nan")
     if not 1 <= horizon <= rec.errors.horizon:
         raise LengthError(f"horizon {horizon} outside [1, {rec.errors.horizon}]")
     curve = running_average_curve(series(rec.errors.values[:horizon]))
@@ -260,9 +260,8 @@ def dyadic_block_sequence(
         raise BranchError(f"backward branch has {len(branch)} points, need {need}")
     if distance(branch[-1], y) > 1e-9:
         raise BranchError("backward branch must end at y")
-    for a, b in zip(branch, branch[1:]):
-        if distance(apply(ifs, g, a), b) > 1e-9:
-            raise BranchError("backward branch fails forward re-validation")
+    if (step_errors(ifs, as_batch(ifs.space, branch, "branch point"), [g] * (len(branch) - 1)) > 1e-9).any():
+        raise BranchError("backward branch fails forward re-validation")
 
     fwd = orbit(ifs, selector_explicit([g] * (need - 1)), x, need - 1).points  # shared by all blocks
 

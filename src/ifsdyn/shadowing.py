@@ -45,6 +45,8 @@ class ShadowReport:
 
 
 def _finish_report(candidate, sel, ds, bound, tol_avg, tol_sup) -> ShadowReport:
+    if math.isnan(tol_avg) or math.isnan(tol_sup):
+        raise DomainError("shadowing tolerances must be numbers, got nan")
     curve = running_average_curve(series(ds))
     final = float(curve.values[-1])
     sup = float(ds.max())
@@ -198,12 +200,11 @@ def greedy_shadow_search(
     initial_grid: Sequence[Point],
     n: int,
     tol_avg: float = 1e-2,
-    tol_sup: float = math.inf,
 ) -> ShadowReport:
     """Best greedy candidate over a start grid, ranked by final Cesàro
     average (first grid point wins ties). Refining the grid can only improve
     the result."""
-    return _best_start(ifs, rec, initial_grid, n, np.mean, tol_avg, tol_sup)
+    return _best_start(ifs, rec, initial_grid, n, np.mean, tol_avg, math.inf)
 
 
 @dataclass(frozen=True, eq=False)

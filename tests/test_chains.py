@@ -34,7 +34,7 @@ from ifsdyn import (
     snap_to_node,
     validate_witness,
 )
-from ifsdyn.chains import ChainGraph, strongly_connected_components
+from ifsdyn.chains import ChainGraph, ChainWitness, graph_to_dot, strongly_connected_components
 
 UNIT = Interval(0.0, 1.0)
 
@@ -112,6 +112,28 @@ def test_find_chain_interval_pair():
     us = np.linspace(0.15, 0.35, 200)
     gaps = [min(apply(pair, lam, point(UNIT, u)).value - u for lam in range(2)) for u in us]
     assert max(gaps) > 0.01
+
+
+def test_witness_labels_out_of_range_raise_after_good_steps():
+    """Steps are checked in one batch call, in the order a step-by-step
+    check meets them: a label out of range raises the DomainError of
+    `apply`, unless an earlier step already fails."""
+    half = halving_ifs()
+    pts = tuple(point(UNIT, v) for v in (0.8, 0.4, 0.2))
+    assert validate_witness(half, ChainWitness(pts, (0, 0)), 1e-12)
+    assert not validate_witness(half, ChainWitness(pts[::-1], (0, 0)), 0.1)
+    for bad in (1, -1):
+        with pytest.raises(DomainError, match=f"map index {bad} out of range for 1 maps"):
+            validate_witness(half, ChainWitness(pts, (0, bad)), 0.01)
+        assert not validate_witness(half, ChainWitness(pts[::-1], (0, bad)), 0.01)
+
+
+def test_dot_export_is_the_joined_edge_lines():
+    g = build_chain_graph(make_system("interval_pair"), 0.0125, 0.05)
+    old = ["digraph chains {"] + [f'  n{u} -> n{int(v)} [label="{int(lam)}"];' for u in range(g.size)
+                                  for v, lam in zip(g.out_edges[u], g.out_labels[u])] + ["}"]
+    chunks = list(graph_to_dot(g))
+    assert "".join(chunks) == "\n".join(old) and len(chunks) == g.edge_count + 2
 
 
 def test_chain_recurrent_identity_all():

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from ifsdyn import (
     shadow_verify,
 )
 from ifsdyn.averaging import running_average_curve, series_from_csv
+import ifsdyn.cli
 from ifsdyn.cli import main
 from ifsdyn.experiments import powers_of_two_series
 from ifsdyn.models import UNIT
@@ -386,3 +391,51 @@ def test_removed_flags_exit_2(capsys):
     assert main(["ratio", "--model", "binary_affine", "--format", "csv"]) == 2
     err = capsys.readouterr().err
     assert err.count("unrecognized arguments") == 3
+
+
+def test_zero_horizons_and_nan_tolerances_exit_2(tmp_path, capsys):
+    """0 reaches the library's guards instead of meaning "everything", and a
+    nan tolerance is refused before any output."""
+    rec_file, series_file = tmp_path / "rec.json", tmp_path / "s.csv"
+    assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "20",
+                 "--tol", "1", "--output", str(rec_file)]) == 0
+    series_file.write_text("index,value\n0,1\n1,2\n2,3\n")
+    capsys.readouterr()
+    shadow = ["shadow", "--model", "binary_affine", "--pseudo-file", str(rec_file), "--z0", "0.5"]
+    for mode in ("contracting", "search", "verify"):
+        assert main(shadow + ["--mode", mode, "--horizon", "0"]) == 2
+        assert main(shadow + ["--mode", mode, "--tol", "nan"]) == 2
+    assert main(["cesaro", "--input", str(series_file), "--n", "0"]) == 2
+    assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "10", "--tol", "nan"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 8 and all(line.startswith("error: ") for line in err)
+
+
+def test_chain_flags_apply_to_their_action(monkeypatch, capsys):
+    """--format csv and --dot belong to `chain graph`, and `chain find`
+    needs both ends; each is refused before a graph is built."""
+    built = []
+    monkeypatch.setattr(ifsdyn.cli, "build_chain_graph", lambda *args: built.append(args))
+    for action in (["transitive", "--format", "csv"], ["cr", "--dot"], ["find", "--from", "0.1", "--to", "0.9", "--dot"],
+                   ["find", "--from", "0.1"], ["find", "--to", "0.9"]):
+        assert main(["chain", *action, "--model", "interval_pair", "--epsilon", "0.05", "--grid", "0.0125"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert built == [] and captured.out == "" and len(err) == 5 and all(line.startswith("error: ") for line in err)
+
+
+def test_closed_stdout_pipe_ends_quietly_with_the_command_code():
+    """A reader that stops after one line leaves no traceback, and the
+    command exits with the code of a run whose output is read to the end."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "ifsdyn.cli", "pseudo", "--model", "binary_affine", "--x0", "0.5",
+           "--steps", "20000", "--format", "csv"]
+    full = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=False)
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"# model=binary_affine\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == full.returncode and err == b"" and full.stderr == b""

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import ifsdyn.models as models
+
 from ifsdyn import (
     BranchError,
     Circle,
@@ -181,6 +183,25 @@ def test_backward_branch_prepend_image_only():
     assert br[0].value[:2] == (0, 0)
     with pytest.raises(BranchError):
         backward_branch(s2, 0, y, 1)  # 1... is not in prepend0's image
+
+
+def test_backward_branch_of_length_zero_is_the_point():
+    cp = make_system("circle_pair")
+    y = point(Circle(), 0.9)
+    assert backward_branch(cp, 1, y, 0) == [y]
+
+
+def test_backward_branch_revalidates_every_step(monkeypatch):
+    cp = make_system("circle_pair")
+    real, made = models.invert_map, []
+
+    def third_off(m, y):  # the third preimage is off by 1e-9
+        made.append(real(m, y))
+        return point(y.kind, made[-1].value + 1e-9) if len(made) == 3 else made[-1]
+
+    monkeypatch.setattr(models, "invert_map", third_off)
+    with pytest.raises(BranchError, match="re-validation"):
+        backward_branch(cp, 1, point(Circle(), 0.9), 5)
 
 
 def test_invert_permutation():

@@ -201,6 +201,28 @@ def test_dyadic_preconditions():
         dyadic_block_sequence(b, 0, point(UNIT, 0.1), point(UNIT, 0.9), [point(UNIT, 0.9)], 1)
 
 
+def test_dyadic_branch_is_revalidated_forward():
+    cp, x, y, branch = _dyadic_fixture(4)
+    moved = branch[:3] + [point(Circle(), branch[3].value + 1e-6)] + branch[4:]
+    with pytest.raises(BranchError, match="re-validation"):
+        dyadic_block_sequence(cp, 1, x, y, moved, 4)
+    with pytest.raises(DomainError):  # a branch point off the space
+        dyadic_block_sequence(cp, 1, x, y, [point(UNIT, 0.5)] + branch[1:], 4)
+
+
+def test_one_point_record_has_no_errors():
+    b = make_system("binary_affine")
+    rec = pseudo_orbit_record(b, [point(UNIT, 0.3)], selector_explicit([]))
+    assert rec.steps == 0 and len(rec.errors.values) == 0
+
+
+def test_nan_tolerance_is_rejected():
+    b = make_system("binary_affine")
+    rec = record_from_orbit(b, orbit(b, selector_random(3, 30, 2), point(UNIT, 0.9), 30))
+    with pytest.raises(DomainError, match="nan"):
+        validate_aapo(rec, 30, tol=math.nan)
+
+
 def test_stride_subsample_true_orbit():
     b = make_system("binary_affine")
     rec = record_from_orbit(b, orbit(b, selector_random(17, 12, 2), point(UNIT, 0.8), 12))

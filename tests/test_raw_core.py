@@ -445,6 +445,65 @@ def test_family_images_raise_as_the_steps_do():
     _raises_same(lambda: perm.raw_images(FiniteDiscrete(3).batch([1])), lambda: perm.raw_steps[0](1))
 
 
+def _pairs_oracle(ifs, raws, lams):
+    """The scalar step of map lams[..., s] at raws[s], for every broadcast
+    (map, point) pair, map-major."""
+    lams, at = np.broadcast_arrays(lams, np.arange(len(raws)))
+    return [ifs.raw_steps[lam](raws[i]) for lam, i in zip(lams.ravel().tolist(), at.ravel().tolist())]
+
+
+def _flat(batch):
+    """Leaf values of a batch in C order, as (type, exact value) pairs."""
+    return [[(type(v), v.hex() if isinstance(v, float) else v) for v in a.ravel().tolist()]
+            for a in batch_leaves(batch)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(FAMILIES))
+def test_images_under_given_maps_match_raw_steps(name):
+    """`raw_images(x, lams)` is the scalar step of map lams[..., s] at x[s],
+    bit for bit and in type: one map per point, one map for all points, every
+    map, and on an empty batch."""
+    ifs = FAMILIES[name] if name in FAMILIES else CASES[name][0]
+    kind, m = ifs.space, ifs.nmaps
+    rng = np.random.default_rng(52)
+    raws = [kind.encode(sample_point(kind, rng)) for _ in range(9)]
+    per_point = rng.integers(0, m, size=len(raws))
+    for lams in (per_point, tuple(per_point.tolist()), m - 1, np.intp(0), np.arange(m)[:, None]):
+        images = ifs.raw_images(kind.batch(raws), lams)
+        shape = np.broadcast_shapes(np.shape(lams), (len(raws),))
+        assert all(a.shape == shape for a in batch_leaves(images))
+        assert _flat(images) == _flat(kind.batch(_pairs_oracle(ifs, raws, lams)))
+    empty = kind.batch([])
+    for lams, shape in ((np.zeros(0, dtype=np.intp), (0,)), (0, (0,)), (np.arange(m)[:, None], (m, 0))):
+        images = ifs.raw_images(empty, lams)
+        assert all(a.shape == shape and a.dtype == b.dtype for a, b in zip(batch_leaves(images), batch_leaves(empty)))
+    assert _flat(ifs.raw_images(kind.batch(raws))) == _flat(ifs.raw_images(kind.batch(raws), np.arange(m)[:, None]))
+
+
+def test_images_under_given_maps_raise_as_the_steps_do():
+    """A map is evaluated only where `lams` names it, and the first error is
+    of the type a map-by-map loop over the broadcast pairs raises."""
+    out, half = MapDef("out", "affine", (1.0, 0.5)), MapDef("a", "affine", (0.5, 0.0))
+    cases = [(IFSSpec(UNIT, maps), [0.2, 0.9, 0.6])
+             for maps in ((half, out), (out, half), (half, MapDef("p", "prepend", (1,))),
+                          (half, MapDef("p", "permutation", (0, 1))),
+                          (MapDef("id", "identity"), MapDef("c", "compose", (out, out))))]
+    perms = IFSSpec(FiniteDiscrete(3), (MapDef("q", "permutation", (2, 0, 1)), MapDef("p", "permutation", (0, 5, 1))))
+    cases += [(perms, [0, 2, 1]), (product_ifs(CASES["binary_affine"][0], perms), [(0.2, 0), (0.9, 2), (0.6, 1)])]
+    raised = 0
+    for ifs, raws in cases:
+        for lams in (0, 1, [0, 1, 0], [1, 0, 0], [0, 0, 0], np.arange(2)[:, None]):
+            try:
+                want = _flat(ifs.space.batch(_pairs_oracle(ifs, raws, lams)))
+            except IFSError as exc:
+                with pytest.raises(type(exc)):
+                    ifs.raw_images(ifs.space.batch(raws), lams)
+                raised += 1
+                continue
+            assert _flat(ifs.raw_images(ifs.space.batch(raws), lams)) == want
+    assert raised >= len(cases)
+
+
 def _map_strategy():
     affine = st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0)).map(
         lambda p: MapDef("a", "affine", (p[0], p[1] * (1.0 - p[0]))))
