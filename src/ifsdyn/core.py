@@ -8,6 +8,7 @@ definitions; `conjugate` wraps an arbitrary callable and does not serialize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -208,29 +209,95 @@ def _compile_images(maps: Sequence[MapDef], kind: SpaceKind) -> Callable:
                                                      t + q[lams] * (1.0 - t) * (t - 0.5)))
 
 
+def lane_shape(slope: float, n: int) -> Optional[tuple[int, int]]:
+    """Burn-in W (steps that shrink a gap by 2^-80) and lane length L of
+    `lane_scan` at slopes |a| <= slope, or None when lanes do not pay:
+    slope >= 1 or nan, or n < 40*(W + L)."""
+    if not slope < 1:
+        return None
+    burn = math.ceil(80 / -math.log2(slope)) if slope else 1
+    lane = max(256, 2 * burn)
+    return (burn, lane) if n >= 40 * (burn + lane) else None
+
+
+def lane_scan(x0: float, a: np.ndarray, b: np.ndarray, shape: tuple[int, int], d: Optional[np.ndarray] = None,
+              lo: float = -math.inf, hi: float = math.inf):
+    """x_{i+1} = a_i*x_i + b_i for i < n = len(a), each image then shifted
+    by d_i where d_i != 0 and clamped as `lo if v < lo else hi if v > hi
+    else v`, on lanes of L steps (`shape` = (W, L)) stepping as numpy rows
+    with the float operations of the scalar loop, in its order.
+
+    Each lane starts W steps early from x0, lane 0 at x0 itself; a lane
+    whose start lacks the bits of the previous lane's end walks again from
+    that end, up to three times. Returns the orbit x_0..x_n, the images
+    (None without d) and the count p of leading exact steps: those before
+    the first unsettled lane and before the first image off [lo, hi] (or
+    nan), where the scalar loop must take over."""
+    (burn, lane), n = shape, len(a)
+    at = np.clip(np.arange(-(-n // lane)) * lane + np.arange(-burn, lane)[:, None], 0, n - 1)
+    if d is not None:  # x + -0.0 is x, so a zero shift keeps the image, as `if d` does
+        d = np.where(d == 0, -0.0, d)
+    a, b, d = (None if v is None else v[at] for v in (a, b, d))
+
+    def rows(cur, cols):
+        ac, bc, dc = (None if v is None else v[cols] for v in (a, b, d))
+        out = np.empty((len(ac), len(cur)))
+        bases, below = out if d is None else np.empty(out.shape), np.empty(len(cur), dtype=bool)
+        for r in range(len(ac)):
+            cur = np.multiply(ac[r], cur, out=bases[r])
+            cur += bc[r]
+            if d is not None:
+                cur = np.add(cur, dc[r], out=out[r])
+                np.copyto(cur, lo, where=np.less(cur, lo, out=below))
+                np.copyto(cur, hi, where=np.greater(cur, hi, out=below))
+        return cur, out, bases
+
+    cur = rows(np.full(len(at[0]), x0), slice(burn))[0]
+    cur[0] = x0
+    starts = cur.copy()
+    _, xs, bs = rows(cur, slice(burn, None))
+    for tries in range(4):
+        todo = np.flatnonzero(starts[1:].view(np.int64) != xs[-1, :-1].view(np.int64)) + 1
+        if not len(todo) or tries == 3:
+            break
+        starts[todo] = xs[-1, todo - 1]
+        _, xs[:, todo], bs[:, todo] = rows(starts[todo], (slice(burn, None), todo))
+    p = min(n, int(todo[0]) * lane) if len(todo) else n
+    images = bs.T.ravel()[:n]
+    off = np.flatnonzero(~((lo <= images[:p]) & (images[:p] <= hi)))  # nan too
+    orbit = np.concatenate(([x0], images if d is None else xs.T.ravel()[:n]))
+    return orbit, None if d is None else images, int(off[0]) if len(off) else p
+
+
 def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Callable]) -> Callable:
     """The walk of a family: `walk(raw, lams, move=None, params=())` gives
-    the raw orbit of `raw` under the map indices `lams`, start included, and
-    the images before displacement (None without `move`), both as batches;
-    `move(base, p)` displaces step i's image by the i-th raw value `p` of
-    the batch `params`.
+    the raw orbit of `raw` under the map indices `lams` (an intp array or
+    ints), start included, and the images before displacement (None without
+    `move`), both as batches; `move(base, p)` displaces step i's image by
+    the i-th raw value `p` of the batch `params`.
 
-    All-affine families on an interval run a kernel with the map, the range
-    check and the displacement inline; it calls `canon` only off the
-    interval, to clamp the edge slack or raise, and displaces as
-    `pseudo_orbits._moves` does without calling `move`. All-prepend families
-    on a symbol space of depth <= 64 walk as one scan on uint64 words, where
-    step i is x_{i+1} = (x_i >> 1) ^ c_i with c_i = top[lam_i] ^ mask_i (the
-    top bit of the map, and the flip mask of `_moves`, 0 without a move).
-    Others, and affine walks from a start that is no float, call `steps`."""
+    All-affine families on an interval walk from a float start in a loop
+    with the map, the range check and the displacement (as
+    `pseudo_orbits._moves` does) inline, calling `canon` only off the
+    interval, to clamp the edge slack or raise. Long walks at slopes |a| < 1
+    (`lane_shape`) run on lanes (`lane_scan`) up to the first step these
+    leave inexact, and the loop does the rest, so the points are the loop's,
+    bit for bit. All-prepend families on a symbol space of depth <= 64 walk as one scan
+    on uint64 words, where step i is x_{i+1} = (x_i >> 1) ^ c_i with
+    c_i = top[lam_i] ^ mask_i (the top bit of the map, and the flip mask of
+    `_moves`, 0 without a move). Others, and affine walks from a start that
+    is no float, call `steps` on Python ints."""
+
+    def ints(lams):
+        return lams.tolist() if isinstance(lams, np.ndarray) else lams
 
     def generic(raw, lams, move=None, params=()):
         out, bases = [raw], []
         if move is None:
-            for lam in lams:
+            for lam in ints(lams):
                 out.append(raw := steps[lam](raw))
             return kind.batch(out), None
-        for lam, p in zip(lams, unbatch(params)):
+        for lam, p in zip(ints(lams), unbatch(params)):
             bases.append(base := steps[lam](raw))
             out.append(raw := move(base, p))
         return kind.batch(out), kind.batch(bases)
@@ -243,7 +310,7 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
         tops, depth = kind.batch([m.params[0] << (kind.depth - 1) for m in maps]), kind.depth
 
         def prepend_scan(x, lams, move=None, masks=()):
-            s = tops[np.fromiter(lams, dtype=np.intp, count=len(lams))]
+            s = tops[np.asarray(lams, dtype=np.intp)]
             if move is not None:  # as long as the shorter of the two, as zip is
                 masks = masks[: len(s)]
                 s = s[: len(masks)] ^ masks
@@ -264,24 +331,34 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
         return generic
     slopes, offsets = [m.params[0] for m in maps], [m.params[1] for m in maps]
     lo, hi, canon = kind.lo, kind.hi, kind.canon
+    # lanes need float tables: offsets too large for a float stay with the scalar loop
+    slope = max(map(abs, slopes)) if all(abs(c) < 1e308 for c in offsets) else math.inf
+    a_tab, b_tab = (np.array(c, dtype=float) for c in (slopes, offsets)) if slope < 1 else (None, None)
 
     def affine_walk(t, lams, move=None, shifts=()):
         if type(t) is not float:
             return generic(t, lams, move, shifts)
-        out, bases = [t], []
+        n = len(lams) if move is None else min(len(lams), len(shifts))
+        shifts = None if move is None else shifts[:n]
+        head, heads, p = np.array([t]), np.empty(0), 0
+        if shape := lane_shape(slope, n):  # lanes, then the loop from the first step they leave inexact
+            lam = np.asarray(lams[:n], dtype=np.intp)
+            head, heads, p = lane_scan(t, a_tab[lam], b_tab[lam], shape, shifts, lo, hi)
+            t, head, heads = float(head[p]), head[: p + 1], None if move is None else heads[:p]
+        out, bases = [], []
         if move is None:
-            for lam in lams:
+            for lam in ints(lams[p:n]):
                 if not lo <= (t := slopes[lam] * t + offsets[lam]) <= hi:  # nan too
                     t = canon(t)
                 out.append(t)
-            return kind.batch(out), None
-        for lam, d in zip(lams, shifts.tolist()):
+            return np.concatenate((head, out)), None
+        for lam, d in zip(ints(lams[p:n]), shifts[p:].tolist()):
             if not lo <= (base := slopes[lam] * t + offsets[lam]) <= hi:
                 base = canon(base)
             t = (lo if (t := base + d) < lo else hi if t > hi else t) if d else base
             bases.append(base)
             out.append(t)
-        return kind.batch(out), kind.batch(bases)
+        return np.concatenate((head, out)), np.concatenate((heads, bases))
 
     return affine_walk
 
@@ -366,9 +443,19 @@ class SelectorSequence:
         """The least and the greatest entry, (0, -1) when there are none."""
         return (min(self.entries), max(self.entries)) if self.entries else (0, -1)
 
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """The entries as a read-only intp array; an entry no intp holds reads -1, no map's index."""
+        (low, high), info = self.entry_range, np.iinfo(np.intp)
+        fits = info.min <= low and high <= info.max
+        out = np.fromiter(self.entries if fits else (e if info.min <= e <= info.max else -1 for e in self.entries),
+                          dtype=np.intp, count=len(self.entries))
+        out.flags.writeable = False
+        return out
+
     def __getstate__(self) -> dict:
-        # pickle the fields alone, as before the range was cached
-        return {k: v for k, v in self.__dict__.items() if k != "entry_range"}
+        # pickle the fields alone, as before the range and the array were cached
+        return {k: v for k, v in self.__dict__.items() if k not in ("entry_range", "indices")}
 
 
 def _check_entries(entries: Sequence[int], nmaps: Optional[int]) -> tuple[int, ...]:
@@ -428,17 +515,18 @@ def step_errors(ifs: IFSSpec, raws, lams: Sequence[int]) -> np.ndarray:
     return ifs.space.dists(images, leafwise(lambda a: a[1:n + 1], raws))
 
 
-def usable_entries(ifs: IFSSpec, selector: SelectorSequence, n: int) -> tuple[Sequence[int], Optional[IFSError]]:
-    """The first n selector entries, cut before the first map index out of
-    range, and the error a step-by-step loop raises where they stop: the
-    DomainError of `apply` for that index, a LengthError when the selector
-    runs out, None when all n entries are usable."""
-    lams = selector.entries[:n]
+def usable_entries(ifs: IFSSpec, selector: SelectorSequence, n: int) -> tuple[np.ndarray, Optional[IFSError]]:
+    """The first n selector entries (a slice of `indices`), cut before the
+    first map index out of range, and the error a step-by-step loop raises
+    where they stop: the DomainError of `apply` for that index, a
+    LengthError when the selector runs out, None when all n are usable."""
+    lams = selector.indices[:n]
     low, high = selector.entry_range
     if not (low >= 0 and high < ifs.nmaps):  # an entry is out of range; is it among the first n?
-        i = next((i for i, lam in enumerate(lams) if not 0 <= lam < ifs.nmaps), None)
-        if i is not None:
-            return lams[:i], DomainError(f"map index {lams[i]} out of range for {ifs.nmaps} maps")
+        bad = np.flatnonzero((lams < 0) | (lams >= ifs.nmaps))
+        if len(bad):
+            i = int(bad[0])
+            return lams[:i], DomainError(f"map index {selector.entries[i]} out of range for {ifs.nmaps} maps")
     if len(lams) < n:
         return lams, LengthError(f"selector exhausted: entry {len(lams)} requested, {len(lams)} realized")
     return lams, None

@@ -23,7 +23,6 @@ from .core import (
     selector_explicit,
     step_errors,
     usable_entries,
-    word_index,
 )
 from .errors import BranchError, DomainError, LengthError
 from .spaces import (
@@ -284,12 +283,13 @@ def stride_subsample(ifs: IFSSpec, rec: PseudoOrbitRecord, k: int) -> tuple[IFSS
     if n % k != 0:
         raise LengthError(f"record length {n} is not a multiple of {k}")
     pspec = power_ifs(ifs, k)
-    pts = rec.points[::k]
-    words = [
-        word_index([rec.selector.entry(i * k + j) for j in range(k)], ifs.nmaps)
-        for i in range(n // k)
-    ]
-    return pspec, pseudo_orbit_record(pspec, pts, selector_explicit(words, pspec.nmaps))
+    sel, base = rec.selector, ifs.nmaps
+    if len(sel) < n:
+        sel.entry(len(sel))  # raises the LengthError of the first missing entry
+    low, high = sel.entry_range  # entries past the index range compose as Python ints
+    digits = sel.indices[:n] if 0 <= low and high < base else np.array(sel.entries[:n], dtype=object)
+    words = digits.reshape(-1, k) @ base ** np.arange(k - 1, -1, -1)
+    return pspec, pseudo_orbit_record(pspec, rec.points[::k], selector_explicit(words.tolist(), pspec.nmaps))
 
 
 # --- wire formats -----------------------------------------------------------

@@ -20,6 +20,8 @@ from .core import (
     IFSSpec,
     SelectorSequence,
     estimate_contraction_ratio,
+    lane_scan,
+    lane_shape,
     selector_explicit,
     walk,
 )
@@ -171,12 +173,18 @@ def contracting_shadow(
     if n is None:
         n = rec.steps
     ds = _track(ifs, rec, y0, n, rec.selector)
-    bounds = [b := float(ds[0])] + [b := a + beta * b for a in rec.errors.values[: n - 1].tolist()]
-    over = np.flatnonzero(ds > np.asarray(bounds) + 1e-9)
+    # b_{i+1} = beta*b_i + alpha_i on lanes when n is long (`lane_scan`), the
+    # scalar loop from the first step the lanes leave inexact
+    alphas, bounds, p = rec.errors.values[: n - 1], [float(ds[0])], 0
+    if shape := lane_shape(beta, n - 1):
+        bounds, _, p = lane_scan(bounds[0], np.full(n - 1, float(beta)), alphas, shape)
+    b = float(bounds[p])
+    bounds = np.concatenate((bounds[: p + 1], [b := a + beta * b for a in alphas[p:].tolist()]))
+    over = np.flatnonzero(ds > bounds + 1e-9)
     if len(over):
         i = int(over[0])
         raise ContractionError(
-            f"step {i}: tracking error {float(ds[i])} exceeds inductive bound {bounds[i]}"
+            f"step {i}: tracking error {float(ds[i])} exceeds inductive bound {float(bounds[i])}"
         )
     bound = contracting_shadow_bound(beta, float(ds[0]), rec.errors, n)
     return _finish_report(y0, rec.selector, ds, bound, tol_avg, math.inf)

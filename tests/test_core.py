@@ -343,7 +343,13 @@ def test_selector_range_is_cached_outside_equality_and_pickles():
     with pytest.raises(DomainError, match=r"^map index -1 out of range for 6 maps$"):
         orbit(IFSSpec(UNIT, (MapDef("id", "identity"),) * 6), sel, x, 6)
     assert "entry_range" in vars(sel) and sel.entry_range == (-1, 5)
-    assert pickle.dumps(sel) == fresh and "entry_range" not in vars(pickle.loads(fresh))
+    assert "indices" in vars(sel) and sel.indices.tolist() == [0, 1, 1, 5, 0, -1]
+    assert sel.indices.dtype == np.intp and not sel.indices.flags.writeable
+    assert pickle.dumps(sel) == fresh and not {"entry_range", "indices"} & set(vars(pickle.loads(fresh)))
+    huge = SelectorSequence((1, 0, 2 ** 70))  # no intp holds the last entry
+    assert huge.indices.tolist() == [1, 0, -1] and len(orbit(b, huge, x, 2).points) == 3
+    with pytest.raises(DomainError, match=rf"^map index {2 ** 70} out of range for 2 maps$"):
+        orbit(b, huge, x, 3)
     twin = SelectorSequence((0, 1, 1, 5, 0, -1))
     assert sel == twin and hash(sel) == hash(twin) and pickle.loads(fresh) == sel
     assert SelectorSequence(()).entry_range == (0, -1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ from ifsdyn import (
     BranchError,
     Circle,
     DomainError,
+    GuardError,
     IFSError,
     Interval,
     LengthError,
+    SelectorSequence,
     apply,
     backward_branch,
     constant_series,
@@ -32,6 +35,7 @@ from ifsdyn import (
     stride_subsample,
     validate_aapo,
     validate_delta_pseudo_orbit,
+    word_index,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -242,6 +246,34 @@ def test_stride_word_indices():
     assert sub.selector.entries == (1, 2, 3)
     with pytest.raises(LengthError):
         stride_subsample(b, rec, 4)
+
+
+def test_stride_words_match_the_entry_loop():
+    """The word indices of `stride_subsample` equal the per-word
+    `word_index` of the selector's entries, out-of-range digits included,
+    and a short selector raises the LengthError of its first missing entry,
+    after the power guard."""
+    b = make_system("binary_affine")
+    rec = record_from_orbit(b, orbit(b, selector_random(24, 12, 2), point(UNIT, 0.4), 12))
+    for entries in (rec.selector.entries, (0, 2, 1, 1, 3, 0, 1, 0, 0, 1, 1, 1), (1, -1) * 6):
+        for k in (2, 3, 4):
+            again = dataclasses.replace(rec, selector=SelectorSequence(entries))
+            words = [word_index(entries[i * k:(i + 1) * k], 2) for i in range(12 // k)]
+            try:
+                want = ("ok", tuple(selector_explicit(words, 2 ** k).entries))
+            except DomainError as exc:
+                want = ("DomainError", str(exc))
+            try:
+                got = ("ok", stride_subsample(b, again, k)[1].selector.entries)
+            except DomainError as exc:
+                got = ("DomainError", str(exc))
+            assert got == want
+    long = record_from_orbit(b, orbit(b, selector_random(25, 26, 2), point(UNIT, 0.4), 26))
+    short = dataclasses.replace(long, selector=SelectorSequence(long.selector.entries[:5]))
+    with pytest.raises(LengthError, match=r"^selector exhausted: entry 5 requested, 5 realized$"):
+        stride_subsample(b, short, 2)
+    with pytest.raises(GuardError):
+        stride_subsample(b, short, 13)
 
 
 def test_stride_harmonic_aapo():

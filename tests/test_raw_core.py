@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ifsdyn.core as core
 import ifsdyn.shadowing as shadowing
 from ifsdyn import (
     Circle,
@@ -49,6 +50,7 @@ from ifsdyn import (
     running_average_curve,
     sample_point,
     selector_explicit,
+    selector_periodic,
     selector_random,
     series,
     stride_subsample,
@@ -956,6 +958,108 @@ def test_walk_kernels_compile_for_the_orbit_long_families_only():
         assert ifs.raw_walk.__name__ == "generic"
     walked = walk(numpy_params, selector_explicit([0, 0]), 1.0, 2)
     assert walked.dtype == np.float64 and walked.tolist() == [1.0, 0.5, 0.25]
+
+
+# --- lanes on long contracting affine walks ------------------------------------
+
+def _raw_outcome(fn):
+    try:
+        return "ok", fn()
+    except IFSError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _walk_bytes(ifs, sel, x0, values, seed, k):
+    """orbit, walk and perturbed_orbit at horizon k, as raw bytes or error
+    texts, with the errors and the generator state of perturbed_orbit."""
+    kind, made, real = ifs.space, [], np.random.default_rng
+
+    def perturbed():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+            rec = perturbed_orbit(ifs, sel, x0, series(values[:k]), seed)
+        return rec.points.raws.tobytes(), rec.errors.values.tobytes(), made[0].bit_generator.state
+
+    return (_raw_outcome(lambda: orbit(ifs, sel, x0, k).points.raws.tobytes()),
+            _raw_outcome(lambda: walk(ifs, sel, kind.encode(x0), k).tobytes()),
+            _raw_outcome(perturbed))
+
+
+def _lane_case(name, lane):
+    """A family, a selector, a start and a shift schedule, about 8 lanes long."""
+    n, rng = 8 * lane, np.random.default_rng(lane)
+    ran = rng.integers(0, 2, n).tolist()
+    harmonic = harmonic_series(n).values
+    binary = make_system("binary_affine")
+    if name == "binary_affine":
+        return binary, SelectorSequence(tuple(ran)), point(UNIT, 0.3), harmonic
+    if name == "affine_family":
+        fam = make_system("affine_family", betas=(0.3, 0.5, 0.9), offsets=(0.2, 0.3, 0.05))
+        return fam, selector_random(lane, n, 3), point(UNIT, 0.7), harmonic
+    if name == "negative_and_zero_slopes":
+        ifs = IFSSpec(Interval(-1.0, 1.0), (MapDef("a", "affine", (-0.5, 0.25)), MapDef("b", "affine", (0, -0.5)),
+                                           MapDef("c", "affine", (0.75, -0.0))))
+        return ifs, selector_random(lane, n, 3), point(ifs.space, -0.4), harmonic
+    if name == "zero_slopes":  # x -> 0*x + -0.0 keeps the sign of x, and so must a zero shift
+        ifs = IFSSpec(Interval(-1.0, 1.0), (MapDef("z", "affine", (0.0, -0.0)), MapDef("q", "affine", (0, -0.25))))
+        return ifs, selector_random(lane, n, 2), point(ifs.space, -0.5), np.resize([0.0, 0.0, 0.25], n)
+    if name == "signed_zero_edges":  # shifts by 0.25 land on 0.0 next to the edge -0.0
+        ifs = IFSSpec(Interval(-1.0, -0.0), (MapDef("a", "affine", (0.5, -0.25)), MapDef("b", "affine", (0.5, -0.0))))
+        return ifs, selector_random(lane, n, 2), point(ifs.space, -0.5), np.full(n, 0.25)
+    if name in ("late_exits", "late_bad_entry"):
+        # 60 halvings toward 1, then a map past the edge: within the slack at
+        # 3.5 lanes (clamped), beyond it at 6.5 lanes (raises); or an index
+        # out of range at 6.5 lanes
+        maps = binary.maps + (MapDef("s", "affine", (0.5, 0.5 + 0.5 * _EDGE_SLACK)), MapDef("x", "affine", (0.5, 0.6)))
+        for at, lam in ((7 * lane // 2, 2), (13 * lane // 2, 3)):
+            ran[at - 60:at + 1] = [1] * 60 + [lam if name == "late_exits" else 5]
+        return IFSSpec(UNIT, maps), SelectorSequence(tuple(ran)), point(UNIT, 0.3), harmonic
+    assert name == "zero_periodic"  # t/2 is exact, so lanes settle only once the orbit underflows to 0
+    return binary, selector_periodic([0], n), point(UNIT, 0.3), harmonic
+
+
+@pytest.mark.parametrize("name", ["binary_affine", "affine_family", "negative_and_zero_slopes", "zero_slopes",
+                                  "signed_zero_edges", "late_exits", "late_bad_entry", "zero_periodic"])
+def test_lanes_match_the_scalar_loop(name, monkeypatch):
+    """orbit, walk and perturbed_orbit on lanes against the scalar loop,
+    byte for byte, at 1, 2 and 7 lanes (the length rule lifted) and past
+    the length rule: points, errors, generator state and error texts."""
+    real_shape, real_scan, scans = core.lane_shape, core.lane_scan, []
+    ifs = _lane_case(name, 256)[0]
+    slope = max(abs(m.params[0]) for m in ifs.maps)
+    burn, lane = real_shape(slope, math.inf)
+    ifs, sel, x0, values = _lane_case(name, lane)
+    monkeypatch.setattr(core, "lane_scan", lambda *args: scans.append(len(args[1])) or real_scan(*args))
+    for k in (lane - 1, lane + 1, 7 * lane + 5):
+        monkeypatch.setattr(core, "lane_shape", lambda slope, n: None)
+        want = _walk_bytes(ifs, sel, x0, values, 5, k)
+        monkeypatch.setattr(core, "lane_shape", lambda slope, n: real_shape(slope, math.inf))
+        assert _walk_bytes(ifs, sel, x0, values, 5, k) == want
+    assert len(scans) >= 9  # every walk took the lanes
+    if name == "binary_affine":  # past the length rule, against the per-step oracles
+        monkeypatch.setattr(core, "lane_shape", real_shape)
+        reach = 40 * (burn + lane)
+        ifs, sel, x0, values = _lane_case(name, reach // 8 + 1)
+        scans.clear()
+        _check_walks(ifs, sel, x0, values, 5, [reach])
+        assert scans == [reach] * 3
+
+
+def test_lane_rule_reads_the_family_slopes():
+    """Lanes engage from 40*(W + L) steps, W = ceil(80 / -log2 max|a|),
+    L = max(256, 2W): not on criterion 02's 10,000-step records (max slope
+    0.9), nor at max slope 0.99, 1 or nan; a zero slope takes W = 1."""
+    assert core.lane_shape(0.5, 13_439) is None and core.lane_shape(0.5, 13_440) == (80, 256)
+    assert core.lane_shape(0.9, 10_000) is None and core.lane_shape(0.9, math.inf) == (527, 1054)
+    assert core.lane_shape(0.0, 10_280) == (1, 256) and core.lane_shape(0.75, math.inf) == (193, 386)
+    assert core.lane_shape(0.99, 600_000) is None
+    assert core.lane_shape(1.0, math.inf) is None and core.lane_shape(math.nan, math.inf) is None
+    fam = make_system("affine_family", betas=(0.3, 0.99), offsets=(0.2, 0.0))
+    scalar = orbit(fam, selector_random(1, 20_000, 2), point(UNIT, 0.7), 20_000)
+    huge = IFSSpec(UNIT, (MapDef("h", "affine", (0.5, 10 ** 400)),))  # no float offset: the scalar loop
+    with pytest.raises(OverflowError):
+        orbit(huge, selector_explicit([0] * 20_000), point(UNIT, 0.5), 20_000)
+    assert scalar.points.raws[-1] == oracle_orbit(fam, scalar.selector, point(UNIT, 0.7), 20_000)[-1].value
 
 
 # --- word-sized symbol distances and the batch sampler -------------------------

@@ -127,6 +127,26 @@ def test_contracting_shadow_reports_first_bound_violation():
         contracting_shadow(fake, rec, y0=point(UNIT, 1.0), validate=False)
 
 
+def test_long_bound_violation_names_the_step_of_the_scalar_bounds():
+    """At n = 20,000 the bounds run on lanes; a claimed ratio of 0.25 for
+    halvings breaks them a few steps after the noise starts, at step 18,000,
+    and the error names the step and the bound the scalar recurrence gives."""
+    from ifsdyn.shadowing import _track
+
+    b = make_system("binary_affine")
+    fake = IFSSpec(UNIT, b.maps, claimed_contraction=0.25)
+    n = 20_000
+    values = np.where(np.arange(n) < 18_000, 0.0, 1e-3)
+    rec = perturbed_orbit(fake, selector_random(37, n, 2), point(UNIT, 0.3), series(values), seed=38)
+    ds = _track(fake, rec, rec.points[0], n, rec.selector)
+    bounds = [bd := float(ds[0])] + [bd := a + 0.25 * bd for a in rec.errors.values[: n - 1].tolist()]
+    i = next(i for i in range(n) if ds[i] > bounds[i] + 1e-9)
+    assert i > 18_000
+    msg = f"step {i}: tracking error {float(ds[i])} exceeds inductive bound {bounds[i]}"
+    with pytest.raises(ContractionError, match=f"^{re.escape(msg)}$"):
+        contracting_shadow(fake, rec, validate=False)
+
+
 def test_pointwise_inductive_bound_binary_and_symbolic():
     b = make_system("binary_affine")
     n = 3000
