@@ -78,9 +78,9 @@ def _twopiece(c_low: float, c_high: float, t: float) -> float:
     return t + c_high * (1.0 - t) * (t - 0.5)
 
 
-def _raising(message: str) -> Callable:
+def _raising(message: str, error: type = DomainError) -> Callable:
     def step(_):
-        raise DomainError(message)
+        raise error(message)
 
     return step
 

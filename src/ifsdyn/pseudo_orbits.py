@@ -253,24 +253,23 @@ def dyadic_block_sequence(
         raise DomainError(f"map index {g} out of range")
     if not ifs.surjective_flags[g]:
         raise DomainError("dyadic blocks need a surjective map (flag not set)")
-    branch = list(backward_branch)
+    branch, kind = backward_branch, ifs.space
     need = 2 ** (depth - 1)
     if len(branch) < need:
         raise BranchError(f"backward branch has {len(branch)} points, need {need}")
     if distance(branch[-1], y) > 1e-9:
         raise BranchError("backward branch must end at y")
-    if (step_errors(ifs, as_batch(ifs.space, branch, "branch point"), [g] * (len(branch) - 1)) > 1e-9).any():
+    raws = as_batch(kind, branch, "branch point")
+    if (step_errors(ifs, raws, [g] * (len(branch) - 1)) > 1e-9).any():
         raise BranchError("backward branch fails forward re-validation")
 
-    fwd = orbit(ifs, selector_explicit([g] * (need - 1)), x, need - 1).points  # shared by all blocks
-
-    pts: list[Point] = [x, y]
-    for k in range(1, depth + 1):
-        half = 2 ** (k - 1)
-        pts.extend(fwd[:half])
-        pts.extend(branch[-half:])
-    sel = selector_explicit([g] * (len(pts) - 1), ifs.nmaps)
-    return pseudo_orbit_record(ifs, pts, sel)
+    fwd = orbit(ifs, selector_explicit([g] * (need - 1)), x, need - 1).points.raws  # shared by all blocks
+    # one batch of fwd (x first), the branch and y, gathered into [x, y, blocks 1..depth]
+    end = need + len(branch)
+    src = leafwise(lambda *a: np.concatenate(a), fwd, raws, as_batch(kind, [y], "branch point"))
+    at = np.concatenate([[0, end]] + [np.r_[:h, end - h:end] for h in 2 ** np.arange(depth)])
+    sel = selector_explicit([g] * (len(at) - 1), ifs.nmaps)
+    return pseudo_orbit_record(ifs, RawPoints(kind, leafwise(lambda a: a[at], src)), sel)
 
 
 def stride_subsample(ifs: IFSSpec, rec: PseudoOrbitRecord, k: int) -> tuple[IFSSpec, PseudoOrbitRecord]:
@@ -283,12 +282,10 @@ def stride_subsample(ifs: IFSSpec, rec: PseudoOrbitRecord, k: int) -> tuple[IFSS
     if n % k != 0:
         raise LengthError(f"record length {n} is not a multiple of {k}")
     pspec = power_ifs(ifs, k)
-    sel, base = rec.selector, ifs.nmaps
-    if len(sel) < n:
-        sel.entry(len(sel))  # raises the LengthError of the first missing entry
-    low, high = sel.entry_range  # entries past the index range compose as Python ints
-    digits = sel.indices[:n] if 0 <= low and high < base else np.array(sel.entries[:n], dtype=object)
-    words = digits.reshape(-1, k) @ base ** np.arange(k - 1, -1, -1)
+    lams, error = usable_entries(ifs, rec.selector, n)
+    if error is not None:
+        raise error
+    words = lams.reshape(-1, k) @ ifs.nmaps ** np.arange(k - 1, -1, -1)
     return pspec, pseudo_orbit_record(pspec, rec.points[::k], selector_explicit(words.tolist(), pspec.nmaps))
 
 

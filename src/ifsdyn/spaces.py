@@ -291,7 +291,8 @@ class RawPoints(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return RawPoints(self.kind, leafwise(lambda a: a[i], self.raws))
-        return self.kind.decode(unbatch(leafwise(lambda a: a[[i]], self.raws))[0])
+        # a basic slice is cheaper than a[[i]]; a[-1:0] is empty, so -1 ends at None
+        return self.kind.decode(unbatch(leafwise(lambda a: a[i:i + 1 or None], self.raws))[0])
 
     def __iter__(self):
         return map(self.kind.decode, unbatch(self.raws))

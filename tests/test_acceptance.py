@@ -85,6 +85,7 @@ def test_criterion_01_contracting_bound():
 
 
 def test_criterion_02_pointwise_inductive_bound():
+    t0 = time.perf_counter()
     fam = make_system("affine_family", betas=(0.3, 0.5, 0.9),
                       offsets=(0.2, 0.3, 0.05))
     beta = 0.9
@@ -108,7 +109,7 @@ def test_criterion_02_pointwise_inductive_bound():
             bound = float(alphas[i]) + beta * bound
         if not ok:
             break
-    _report(2, "pointwise inductive bound, 100 seeded records", ok)
+    _report(2, "pointwise inductive bound, 100 seeded records", ok, time.perf_counter() - t0)
 
 
 def test_criterion_03_power_stride_identity():
@@ -141,6 +142,7 @@ def test_criterion_03_power_stride_identity():
 
 
 def test_criterion_04_conjugacy_invariance():
+    t0 = time.perf_counter()
     binary = make_system("binary_affine")
 
     def h(p):
@@ -164,10 +166,11 @@ def test_criterion_04_conjugacy_invariance():
         r1 = shadow_verify(binary, rec, rec.points[0], sel, n, tol_avg=tol)
         r2 = shadow_verify(conj, trec, h(rec.points[0]), sel, n, tol_avg=tol)
         ok &= r1.verdict_avg == r2.verdict_avg
-    _report(4, "conjugacy invariance of shadow verdicts", ok)
+    _report(4, "conjugacy invariance of shadow verdicts", ok, time.perf_counter() - t0)
 
 
 def test_criterion_05_product_sandwich():
+    t0 = time.perf_counter()
     binary = make_system("binary_affine")
     prod = product_ifs(binary, binary)
     n = 5000
@@ -192,7 +195,7 @@ def test_criterion_05_product_sandwich():
         ok &= rp.final_average <= rl.final_average + rr.final_average + 1e-12
         ok &= rl.final_average <= rp.final_average + 1e-12
         ok &= rr.final_average <= rp.final_average + 1e-12
-    _report(5, "product max-metric sandwich", ok)
+    _report(5, "product max-metric sandwich", ok, time.perf_counter() - t0)
 
 
 def _oracle_levels_agree(values, dec):
@@ -233,6 +236,7 @@ def test_criterion_06_density_decomposition():
 
 
 def test_criterion_07_dyadic_block_aapo():
+    t0 = time.perf_counter()
     depth = 14
     cp = make_system("circle_pair")
     x = point(Circle(), 0.2)
@@ -249,7 +253,7 @@ def test_criterion_07_dyadic_block_aapo():
     avg = validate_aapo(rec, 2 ** 14, tol=1.0).final_average
     ok &= avg <= 2 * 15 * 0.5 / 2 ** 14  # = 9.155e-4
     ok &= avg <= 9.2e-4
-    _report(7, "dyadic block seams and average", ok)
+    _report(7, "dyadic block seams and average", ok, time.perf_counter() - t0)
 
 
 def test_criterion_08_circle_chain():
@@ -303,6 +307,7 @@ def test_criterion_09_no_shadowing_certificate():
 
 
 def test_criterion_10_monotonicity_suite():
+    t0 = time.perf_counter()
     ok = True
     # epsilon-edge-set inclusion, 10 instances
     pair = make_system("interval_pair")
@@ -336,4 +341,4 @@ def test_criterion_10_monotonicity_suite():
             est = estimate_contraction_ratio(binary, pairs, seed)
             ok &= est >= prev
             prev = est
-    _report(10, "monotonicity suite", ok)
+    _report(10, "monotonicity suite", ok, time.perf_counter() - t0)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ifsdyn.models as models
 
@@ -9,7 +13,9 @@ from ifsdyn import (
     DomainError,
     GuardError,
     Interval,
+    MapDef,
     apply,
+    apply_map,
     backward_branch,
     distance,
     estimate_contraction_ratio,
@@ -188,20 +194,66 @@ def test_backward_branch_prepend_image_only():
 def test_backward_branch_of_length_zero_is_the_point():
     cp = make_system("circle_pair")
     y = point(Circle(), 0.9)
-    assert backward_branch(cp, 1, y, 0) == [y]
+    assert list(backward_branch(cp, 1, y, 0)) == [y]
 
 
 def test_backward_branch_revalidates_every_step(monkeypatch):
     cp = make_system("circle_pair")
-    real, made = models.invert_map, []
+    real, made = models._compile_inverse, []
 
-    def third_off(m, y):  # the third preimage is off by 1e-9
-        made.append(real(m, y))
-        return point(y.kind, made[-1].value + 1e-9) if len(made) == 3 else made[-1]
+    def third_off(m, kind):  # the third preimage is off by 1e-9
+        inverse = real(m, kind)
 
-    monkeypatch.setattr(models, "invert_map", third_off)
+        def step(v):
+            made.append(inverse(v))
+            return made[-1] + 1e-9 if len(made) == 3 else made[-1]
+
+        return step
+
+    monkeypatch.setattr(models, "_compile_inverse", third_off)
     with pytest.raises(BranchError, match="re-validation"):
         backward_branch(cp, 1, point(Circle(), 0.9), 5)
+
+
+_NEAR_TWO = 2 - 3 * 2 ** -52  # B rounds down, and D = B^2 - 4cv reads below 0 at v = 1/2
+
+
+@settings(max_examples=300, deadline=None)
+@given(c_low=st.floats(-2.0, 2.0), c_high=st.floats(-2.0, 2.0),
+       v=st.one_of(st.sampled_from([0.0, 0.5 - 2 ** -54, 0.5, 1.0]),
+                   st.floats(0.0, 0.5, exclude_max=True), st.floats(0.5, 1.0)))
+@example(c_low=-2.0, c_high=-2.0, v=0.0)  # B = 0: the quotient reads 0/0
+@example(c_low=2.0, c_high=_NEAR_TWO, v=1.0)  # D < 0 on the upper piece
+@example(c_low=_NEAR_TWO, c_high=2.0, v=0.5 - 2 ** -54)  # the quotient reads above 1/2
+def test_twopiece_inverse_is_exact_on_its_piece(c_low, c_high, v):
+    """For |c| <= 2 the closed-form preimage t of v maps back to v within
+    2^-51 and lies on v's piece: [0, 1/2] for v < 1/2, else [1/2, 1]."""
+    m = MapDef("f", "twopiece_quadratic", (c_low, c_high))
+    t = invert_map(m, point(UNIT, v)).value
+    assert abs(apply_map(m, point(UNIT, t)).value - v) <= 2 ** -51
+    assert (0.0 <= t <= 0.5) if v < 0.5 else (0.5 <= t <= 1.0)
+
+
+def test_twopiece_inverse_needs_a_monotone_map():
+    for params in ((2.5, 1.0), (1.0, -2.5), (math.nan, 1.0)):
+        with pytest.raises(BranchError, match="has no inverse"):
+            invert_map(MapDef("steep", "twopiece_quadratic", params), point(UNIT, 0.3))
+
+
+@pytest.mark.parametrize("model", ["circle_pair", "interval_pair"])
+def test_twopiece_branches_keep_their_side(model):
+    """4,096-point branches end at y and stay on y's half: [0, 1/2] below
+    1/2, [1/2, 1] above it, where the circle's 0 is its 1."""
+    ifs = make_system(model)
+    top, one = (1.0 - 2 ** -53, 0.0) if model == "circle_pair" else (1.0, 1.0)
+    for lam in range(ifs.nmaps):
+        for y in (0.0, 0.1, 0.45, 0.5 - 2 ** -54, 0.5 + 2 ** -53, 0.55, 0.9, top):
+            vals = backward_branch(ifs, lam, point(ifs.space, y), 4095).raws
+            assert len(vals) == 4096 and vals[-1] == y
+            if y < 0.5:
+                assert vals.max() <= 0.5
+            else:
+                assert np.all((vals >= 0.5) | (vals == one))
 
 
 def test_invert_permutation():

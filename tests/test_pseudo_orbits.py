@@ -197,7 +197,7 @@ def test_dyadic_preconditions():
     cp, x, y, branch = _dyadic_fixture(4)
     with pytest.raises(BranchError):
         dyadic_block_sequence(cp, 1, x, y, branch[-2:], 4)  # branch too short
-    bad = branch[:-1] + [x]  # does not end at y
+    bad = list(branch)[:-1] + [x]  # does not end at y
     with pytest.raises(BranchError):
         dyadic_block_sequence(cp, 1, x, y, bad, 4)
     b = make_system("binary_affine")  # no surjective map
@@ -207,11 +207,11 @@ def test_dyadic_preconditions():
 
 def test_dyadic_branch_is_revalidated_forward():
     cp, x, y, branch = _dyadic_fixture(4)
-    moved = branch[:3] + [point(Circle(), branch[3].value + 1e-6)] + branch[4:]
+    moved = list(branch)[:3] + [point(Circle(), branch[3].value + 1e-6)] + list(branch)[4:]
     with pytest.raises(BranchError, match="re-validation"):
         dyadic_block_sequence(cp, 1, x, y, moved, 4)
     with pytest.raises(DomainError):  # a branch point off the space
-        dyadic_block_sequence(cp, 1, x, y, [point(UNIT, 0.5)] + branch[1:], 4)
+        dyadic_block_sequence(cp, 1, x, y, [point(UNIT, 0.5)] + list(branch)[1:], 4)
 
 
 def test_one_point_record_has_no_errors():
@@ -250,16 +250,20 @@ def test_stride_word_indices():
 
 def test_stride_words_match_the_entry_loop():
     """The word indices of `stride_subsample` equal the per-word
-    `word_index` of the selector's entries, out-of-range digits included,
-    and a short selector raises the LengthError of its first missing entry,
-    after the power guard."""
+    `word_index` of the selector's entries; an entry that is no map index
+    raises the DomainError of `apply` for the first such entry, and a short
+    selector raises the LengthError of its first missing entry, after the
+    power guard."""
     b = make_system("binary_affine")
     rec = record_from_orbit(b, orbit(b, selector_random(24, 12, 2), point(UNIT, 0.4), 12))
-    for entries in (rec.selector.entries, (0, 2, 1, 1, 3, 0, 1, 0, 0, 1, 1, 1), (1, -1) * 6):
+    for entries in (rec.selector.entries, (0, 2, 1, 1, 3, 0, 1, 0, 0, 1, 1, 1), (1, -1) * 6,
+                    (0, 1) * 5 + (0, 2)):
         for k in (2, 3, 4):
             again = dataclasses.replace(rec, selector=SelectorSequence(entries))
             words = [word_index(entries[i * k:(i + 1) * k], 2) for i in range(12 // k)]
             try:
+                for e in entries:  # the error a step-by-step loop meets first
+                    apply(b, e, point(UNIT, 0.4))
                 want = ("ok", tuple(selector_explicit(words, 2 ** k).entries))
             except DomainError as exc:
                 want = ("DomainError", str(exc))

@@ -567,8 +567,9 @@ def test_record_points_are_a_decoding_view(name):
         assert pts == eager and eager == pts and hash(pts) == hash(eager)
         assert pts != eager[:-1] and pts != list(eager) and pts != eager[::-1]
         assert pts == RawPoints(kind, leafwise(np.copy, pts.raws)) and pts[1:] != pts[:-1]
-        with pytest.raises(IndexError):
-            pts[n + 1]
+        for out in (n + 1, -n - 2):
+            with pytest.raises(IndexError):
+                pts[out]
     assert rec.raw(kind) is rec.points.raws
 
 
