@@ -222,10 +222,9 @@ def lane_shape(slope: float, n: int) -> Optional[tuple[int, int]]:
 
 def lane_scan(x0: float, a: np.ndarray, b: np.ndarray, shape: tuple[int, int], d: Optional[np.ndarray] = None,
               lo: float = -math.inf, hi: float = math.inf):
-    """x_{i+1} = a_i*x_i + b_i for i < n = len(a), each image then shifted
-    by d_i where d_i != 0 and clamped as `lo if v < lo else hi if v > hi
-    else v`, on lanes of L steps (`shape` = (W, L)) stepping as numpy rows
-    with the float operations of the scalar loop, in its order.
+    """The recurrence of `affine_orbit` on per-step a, b (and d), n = len(a),
+    on lanes of L steps (`shape` = (W, L)) stepping as numpy rows with the
+    float operations of its scalar loop, in its order.
 
     Each lane starts W steps early from x0, lane 0 at x0 itself; a lane
     whose start lacks the bits of the previous lane's end walks again from
@@ -269,6 +268,40 @@ def lane_scan(x0: float, a: np.ndarray, b: np.ndarray, shape: tuple[int, int], d
     return orbit, None if d is None else images, int(off[0]) if len(off) else p
 
 
+def affine_orbit(x0: float, a: np.ndarray, b: np.ndarray, d: Optional[np.ndarray] = None,
+                 lo: float = -math.inf, hi: float = math.inf, canon: Callable = float,
+                 lams: Optional[np.ndarray] = None):
+    """x_0..x_n of x_{i+1} = a_i*x_i + b_i from the float x0, and the images
+    before the shifts `d` (None without): a_i, b_i are a[i], b[i], or
+    a[lams[i]], b[lams[i]] of per-map tables. An image off [lo, hi] (or nan)
+    becomes `canon(image)`; a nonzero d_i shifts it, clamped to [lo, hi] as
+    `lo if v < lo else hi if v > hi else v`. Lanes (`lane_scan`) walk what
+    `lane_shape` allows, the scalar loop the rest from the first inexact step."""
+    n, p = len(a if lams is None else lams), 0
+    head, heads = np.array([x0]), None if d is None else np.empty(0)
+    if shape := lane_shape(max(a.max(initial=0.0), -a.min(initial=0.0)), n):  # max|a|, nan if any is
+        steps = slice(None) if lams is None else lams  # gathers go in as temporaries lane_scan frees
+        head, heads, p = lane_scan(x0, a[steps], b[steps], shape, d, lo, hi)
+        x0, head, heads = float(head[p]), head[: p + 1], None if d is None else heads[:p]
+    # the loop indexes Python floats: the rest of the per-step values, or the per-map tables
+    a, b, at = (a[p:], b[p:], range(n - p)) if lams is None else (a, b, lams[p:].tolist())
+    a, b = a.tolist(), b.tolist()
+    t, out, bases = x0, [], []
+    if d is None:
+        for i in at:
+            if not lo <= (t := a[i] * t + b[i]) <= hi:  # nan too
+                t = canon(t)
+            out.append(t)
+        return np.concatenate((head, out)), None
+    for i, s in zip(at, d[p:].tolist()):
+        if not lo <= (base := a[i] * t + b[i]) <= hi:
+            base = canon(base)
+        t = (lo if (t := base + s) < lo else hi if t > hi else t) if s else base
+        bases.append(base)
+        out.append(t)
+    return np.concatenate((head, out)), np.concatenate((heads, bases))
+
+
 def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Callable]) -> Callable:
     """The walk of a family: `walk(raw, lams, move=None, params=())` gives
     the raw orbit of `raw` under the map indices `lams` (an intp array or
@@ -276,28 +309,21 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
     `move`), both as batches; `move(base, p)` displaces step i's image by
     the i-th raw value `p` of the batch `params`.
 
-    All-affine families on an interval walk from a float start in a loop
-    with the map, the range check and the displacement (as
-    `pseudo_orbits._moves` does) inline, calling `canon` only off the
-    interval, to clamp the edge slack or raise. Long walks at slopes |a| < 1
-    (`lane_shape`) run on lanes (`lane_scan`) up to the first step these
-    leave inexact, and the loop does the rest, so the points are the loop's,
-    bit for bit. All-prepend families on a symbol space of depth <= 64 walk as one scan
-    on uint64 words, where step i is x_{i+1} = (x_i >> 1) ^ c_i with
-    c_i = top[lam_i] ^ mask_i (the top bit of the map, and the flip mask of
-    `_moves`, 0 without a move). Others, and affine walks from a start that
-    is no float, call `steps` on Python ints."""
-
-    def ints(lams):
-        return lams.tolist() if isinstance(lams, np.ndarray) else lams
+    All-affine families on an interval walk from a float start on
+    `affine_orbit`, with one float table per parameter and the displacement
+    of `pseudo_orbits._moves`. All-prepend families on a symbol space of
+    depth <= 64 walk as one scan on uint64 words, where step i is
+    x_{i+1} = (x_i >> 1) ^ c_i with c_i = top[lam_i] ^ mask_i (the top bit
+    of the map, and the flip mask of `_moves`, 0 without a move). Others,
+    and affine walks from a start that is no float, call `steps` on Python ints."""
 
     def generic(raw, lams, move=None, params=()):
-        out, bases = [raw], []
+        out, bases, lams = [raw], [], np.asarray(lams, dtype=np.intp).tolist()
         if move is None:
-            for lam in ints(lams):
+            for lam in lams:
                 out.append(raw := steps[lam](raw))
             return kind.batch(out), None
-        for lam, p in zip(ints(lams), unbatch(params)):
+        for lam, p in zip(lams, unbatch(params)):
             bases.append(base := steps[lam](raw))
             out.append(raw := move(base, p))
         return kind.batch(out), kind.batch(bases)
@@ -326,39 +352,20 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
             return np.concatenate(([x], s)), None if move is None else s ^ masks
 
         return prepend_scan
-    # int or float slopes and offsets keep a*t + b a Python float for a float t
-    if maps[0].form != "affine" or any(not {type(c) for c in m.params} <= {int, float} for m in maps):
+    # int or float parameters below 1e308 are exact in a float table, and a*t + b
+    # on them rounds as on the Python values
+    if maps[0].form != "affine" or not all(type(c) in (int, float) and abs(c) < 1e308
+                                           for m in maps for c in m.params):
         return generic
-    slopes, offsets = [m.params[0] for m in maps], [m.params[1] for m in maps]
+    a, b = (np.array(c, dtype=float) for c in zip(*(m.params for m in maps)))
     lo, hi, canon = kind.lo, kind.hi, kind.canon
-    # lanes need float tables: offsets too large for a float stay with the scalar loop
-    slope = max(map(abs, slopes)) if all(abs(c) < 1e308 for c in offsets) else math.inf
-    a_tab, b_tab = (np.array(c, dtype=float) for c in (slopes, offsets)) if slope < 1 else (None, None)
 
     def affine_walk(t, lams, move=None, shifts=()):
         if type(t) is not float:
             return generic(t, lams, move, shifts)
         n = len(lams) if move is None else min(len(lams), len(shifts))
-        shifts = None if move is None else shifts[:n]
-        head, heads, p = np.array([t]), np.empty(0), 0
-        if shape := lane_shape(slope, n):  # lanes, then the loop from the first step they leave inexact
-            lam = np.asarray(lams[:n], dtype=np.intp)
-            head, heads, p = lane_scan(t, a_tab[lam], b_tab[lam], shape, shifts, lo, hi)
-            t, head, heads = float(head[p]), head[: p + 1], None if move is None else heads[:p]
-        out, bases = [], []
-        if move is None:
-            for lam in ints(lams[p:n]):
-                if not lo <= (t := slopes[lam] * t + offsets[lam]) <= hi:  # nan too
-                    t = canon(t)
-                out.append(t)
-            return np.concatenate((head, out)), None
-        for lam, d in zip(ints(lams[p:n]), shifts[p:].tolist()):
-            if not lo <= (base := slopes[lam] * t + offsets[lam]) <= hi:
-                base = canon(base)
-            t = (lo if (t := base + d) < lo else hi if t > hi else t) if d else base
-            bases.append(base)
-            out.append(t)
-        return np.concatenate((head, out)), np.concatenate((heads, bases))
+        return affine_orbit(t, a, b, None if move is None else shifts[:n], lo, hi, canon,
+                            np.asarray(lams[:n], dtype=np.intp))
 
     return affine_walk
 
@@ -459,10 +466,10 @@ class SelectorSequence:
 
 
 def _check_entries(entries: Sequence[int], nmaps: Optional[int]) -> tuple[int, ...]:
-    out = tuple(int(e) for e in entries)
-    if any(e < 0 for e in out):
+    out = tuple(map(int, entries))
+    if out and min(out) < 0:
         raise DomainError("selector entries must be nonnegative map indices")
-    if nmaps is not None and any(e >= nmaps for e in out):
+    if out and nmaps is not None and max(out) >= nmaps:
         raise DomainError(f"selector entry out of range for {nmaps} maps")
     return out
 
@@ -472,6 +479,8 @@ def selector_explicit(entries: Sequence[int], nmaps: Optional[int] = None) -> Se
 
 
 def selector_periodic(pattern: Sequence[int], length: int, nmaps: Optional[int] = None) -> SelectorSequence:
+    if length < 0:
+        raise DomainError(f"selector length must be >= 0, got {length}")
     pat = _check_entries(pattern, nmaps)
     if not pat:
         raise DomainError("periodic selector needs a nonempty pattern")
@@ -483,8 +492,10 @@ def selector_periodic(pattern: Sequence[int], length: int, nmaps: Optional[int] 
 
 
 def selector_random(seed: int, length: int, nmaps: int) -> SelectorSequence:
+    if length < 0:
+        raise DomainError(f"selector length must be >= 0, got {length}")
     rng = np.random.default_rng(seed)
-    entries = tuple(int(v) for v in rng.integers(0, nmaps, size=length))
+    entries = tuple(rng.integers(0, nmaps, size=length).tolist())
     return SelectorSequence(entries, f"random:{seed}")
 
 

@@ -19,9 +19,8 @@ from .averaging import Series, running_average_curve, series
 from .core import (
     IFSSpec,
     SelectorSequence,
+    affine_orbit,
     estimate_contraction_ratio,
-    lane_scan,
-    lane_shape,
     selector_explicit,
     walk,
 )
@@ -173,13 +172,7 @@ def contracting_shadow(
     if n is None:
         n = rec.steps
     ds = _track(ifs, rec, y0, n, rec.selector)
-    # b_{i+1} = beta*b_i + alpha_i on lanes when n is long (`lane_scan`), the
-    # scalar loop from the first step the lanes leave inexact
-    alphas, bounds, p = rec.errors.values[: n - 1], [float(ds[0])], 0
-    if shape := lane_shape(beta, n - 1):
-        bounds, _, p = lane_scan(bounds[0], np.full(n - 1, float(beta)), alphas, shape)
-    b = float(bounds[p])
-    bounds = np.concatenate((bounds[: p + 1], [b := a + beta * b for a in alphas[p:].tolist()]))
+    bounds, _ = affine_orbit(float(ds[0]), np.broadcast_to(float(beta), n - 1), rec.errors.values[: n - 1])
     over = np.flatnonzero(ds > bounds + 1e-9)
     if len(over):
         i = int(over[0])

@@ -413,24 +413,15 @@ def grid(kind: SpaceKind, resolution: float) -> list[Point]:
 
 def sample_point(kind: SpaceKind, rng: np.random.Generator) -> Point:
     """Draw a uniform random point (uniform bits / indices for the discrete
-    kinds)."""
-    if isinstance(kind, Interval):
-        return point(kind, kind.lo + (kind.hi - kind.lo) * rng.random())
-    if isinstance(kind, Circle):
-        return point(kind, rng.random())
-    if isinstance(kind, SymbolSpace):
-        return point(kind, rng.integers(0, 2, size=kind.depth))
-    if isinstance(kind, FiniteDiscrete):
-        return point(kind, int(rng.integers(0, kind.n)))
-    if isinstance(kind, Product):
-        return point(kind, (sample_point(kind.left, rng), sample_point(kind.right, rng)))
-    raise UnsupportedKindError(f"unknown space kind {kind!r}")
+    kinds): the first point of `sample_batch(kind, rng, 1)`."""
+    return kind.decode(unbatch(sample_batch(kind, rng, 1))[0])
 
 
 def sample_batch(kind: SpaceKind, rng: np.random.Generator, count: int):
-    """The raw coordinates of `count` calls of `sample_point`, as one batch,
-    with the same draws and the same generator state after them. A
-    non-product kind draws them in one `rng` call."""
+    """The raw coordinates of `count` uniform random points, as one batch.
+    A non-product kind draws them in one `rng` call, with the draws and the
+    generator state of `count` one-point calls; a product draws point by
+    point, the left factor first."""
     if isinstance(kind, Interval):
         return kind.canon_batch(kind.lo + (kind.hi - kind.lo) * rng.random(count))
     if isinstance(kind, Circle):
@@ -447,7 +438,10 @@ def sample_batch(kind: SpaceKind, rng: np.random.Generator, count: int):
                            for i in range(0, count * width, width)])
     if isinstance(kind, FiniteDiscrete):
         return kind.canon_batch(rng.integers(0, kind.n, size=count))
-    return kind.batch([kind.encode(sample_point(kind, rng)) for _ in range(count)])
+    if isinstance(kind, Product):  # point by point, the left factor first
+        return kind.batch([tuple(unbatch(sample_batch(side, rng, 1))[0] for side in (kind.left, kind.right))
+                           for _ in range(count)])
+    raise UnsupportedKindError(f"unknown space kind {kind!r}")
 
 
 def leaf_kinds(kind: SpaceKind) -> list[SpaceKind]:

@@ -36,6 +36,14 @@ def test_usage_errors_exit_2(capsys):
     assert "error" in err or "usage" in err
 
 
+@pytest.mark.parametrize("command", ["orbit", "pseudo"])
+@pytest.mark.parametrize("sigma", [[], ["--sigma", "random:4"], ["--sigma", "periodic:01"]])
+def test_negative_step_counts_exit_2_naming_the_length(command, sigma, capsys):
+    assert main([command, "--model", "binary_affine", "--x0", "0.5", "--steps", "-1", *sigma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: selector length must be >= 0, got -1\n"
+
+
 def test_unparseable_values_exit_2(tmp_path, capsys):
     rec_file = tmp_path / "rec.json"
     assert main(["pseudo", "--model", "interval_pair", "--x0", "0.2", "--steps", "10", "--tol", "1",

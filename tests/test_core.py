@@ -95,6 +95,23 @@ def test_selector_exhaustion():
         orbit(b, selector_explicit([0, 1]), point(UNIT, 0.5), 3)
 
 
+def test_selector_lengths_below_zero_raise():
+    for length in (-1, -7):
+        with pytest.raises(DomainError, match=rf"^selector length must be >= 0, got {length}$"):
+            selector_random(3, length, 2)
+        with pytest.raises(DomainError, match=rf"^selector length must be >= 0, got {length}$"):
+            selector_periodic([0, 1], length)
+    assert len(selector_random(3, 0, 2)) == len(selector_periodic([0, 1], 0)) == 0
+
+
+def test_selector_entries_are_checked_against_the_map_count():
+    assert selector_explicit([]).entries == () and selector_explicit([1.0, 0], 2).entries == (1, 0)
+    with pytest.raises(DomainError, match="^selector entries must be nonnegative map indices$"):
+        selector_explicit([0, 1, -1], 5)
+    with pytest.raises(DomainError, match="^selector entry out of range for 2 maps$"):
+        selector_periodic([0, 2, 1], 4, 2)
+
+
 def test_compose_apply():
     b = make_system("binary_affine")
     x = point(UNIT, 0.9)

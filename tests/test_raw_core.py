@@ -11,6 +11,7 @@ Outputs must agree bit for bit, including the state of the generator that
 import dataclasses
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ from ifsdyn import (
     word_index,
 )
 from ifsdyn.core import _twopiece, walk
-from ifsdyn.errors import IFSError
+from ifsdyn.errors import ContractionError, IFSError
 from ifsdyn.spaces import _EDGE_SLACK, batch_leaves, leafwise, sample_batch, unbatch
 
 UNIT = Interval(0.0, 1.0)
@@ -1061,6 +1062,107 @@ def test_lane_rule_reads_the_family_slopes():
     with pytest.raises(OverflowError):
         orbit(huge, selector_explicit([0] * 20_000), point(UNIT, 0.5), 20_000)
     assert scalar.points.raws[-1] == oracle_orbit(fam, scalar.selector, point(UNIT, 0.7), 20_000)[-1].value
+
+
+def _plain_affine_loop(x0, a, b, d, lo, hi, canon):
+    """x_{i+1} = a_i*x_i + b_i one step at a time: an image off [lo, hi] goes
+    through `canon`, and a nonzero shift moves it, clamped by min and max."""
+    t, out, bases = x0, [x0], []
+    for i in range(len(a)):
+        base = a[i] * t + b[i]
+        if not lo <= base <= hi:
+            base = canon(base)
+        bases.append(base)
+        out.append(t := base if d is None or d[i] == 0 else min(max(base + d[i], lo), hi))
+    return np.array(out).tobytes(), None if d is None else np.array(bases, dtype=float).tobytes()
+
+
+@st.composite
+def _affine_orbits(draw):
+    """Per-map tables of slopes in [-0.9, 0.9] (the bound keeps lanes short)
+    and offsets that keep the interval, or signed zeros for both;
+    maybe one slope-0 map landing past an edge by less or more than the slack
+    at one step; shifts drawn from a pool with zeros of both signs and
+    shifts large enough to clamp."""
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (-1.0, 1.0), (0.25, 0.75)]))
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):  # x -> +-0.0*x +- 0.0, a zero whose sign can follow x's
+            a.append(draw(st.sampled_from([0.0, -0.0])))
+            b.append(draw(st.sampled_from([0.0, -0.0])))
+            continue
+        a.append(draw(st.one_of(st.sampled_from([0.5, -0.5, 0.9, -0.9]), st.floats(-0.9, 0.9))))
+        middle = mid + draw(st.floats(-1.0, 1.0)) * (1 - abs(a[-1])) * half  # a*[lo, hi] + b within [lo, hi]
+        b.append(draw(st.one_of(st.just(middle - a[-1] * mid), st.sampled_from([0.0, -0.0]))))
+    lane = core.lane_shape(max(map(abs, a)), math.inf)[1]
+    n = lane * draw(st.integers(0, 3)) + draw(st.integers(1, lane))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))  # long arrays from a drawn seed
+    lams = rng.integers(0, len(a), n)
+    if draw(st.booleans()):
+        lams[draw(st.integers(0, n - 1))] = len(a)
+        past = draw(st.sampled_from([0.5, 2.0])) * _EDGE_SLACK
+        a.append(0.0)
+        b.append(draw(st.sampled_from([hi + past, lo - past])))
+    x0 = draw(st.one_of(st.sampled_from([lo, hi, mid]), st.floats(lo, hi)))
+    shift = st.one_of(st.sampled_from([0.0, -0.0, hi - lo, lo - hi]), st.floats(lo - hi, hi - lo))
+    pool = draw(st.one_of(st.none(), st.lists(shift, min_size=1, max_size=6)))
+    d = None if pool is None else np.array(pool)[rng.integers(0, len(pool), n)]
+    return float(x0), np.array(a), np.array(b), d, lo, hi, np.array(lams, dtype=np.intp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_affine_orbits(), st.booleans())
+def test_affine_orbit_matches_the_plain_loop(case, per_step):
+    """`affine_orbit` on its scalar loop alone, and with the length rule
+    lifted so lanes take every walk, against the plain loop: the bytes of
+    the orbit and of the images, or the same DomainError text for an image
+    beyond the slack; per-map tables indexed by `lams`, or the per-step
+    coefficients they give."""
+    x0, a, b, d, lo, hi, lams = case
+    canon, scans = Interval(lo, hi).canon, []
+    want = _raw_outcome(lambda: _plain_affine_loop(x0, a[lams].tolist(), b[lams].tolist(),
+                                                   None if d is None else d.tolist(), lo, hi, canon))
+    real_shape, real_scan = core.lane_shape, core.lane_scan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "lane_scan", lambda *args: scans.append(len(args[1])) or real_scan(*args))
+        for shape in (lambda slope, n: None, lambda slope, n: real_shape(slope, math.inf)):
+            mp.setattr(core, "lane_shape", shape)
+            assert _raw_outcome(lambda: tuple(None if v is None else v.tobytes() for v in (
+                core.affine_orbit(x0, a[lams], b[lams], d, lo, hi, canon) if per_step
+                else core.affine_orbit(x0, a, b, d, lo, hi, canon, lams)))) == want
+    assert scans == [len(lams)]
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.375])
+def test_contracting_bounds_on_each_side_of_the_lane_rule(beta, monkeypatch):
+    """b_{i+1} = alpha_i + beta*b_i over 40*(W + L) - 1 steps, on the loop,
+    and 40*(W + L) steps, on lanes, against the plain recurrence, byte for
+    byte; then contracting_shadow with beta claimed for halvings (whose walks
+    stay below their own rule here) names the step and the bound of the
+    plain recurrence on either side of the rule."""
+    burn, lane = core.lane_shape(beta, math.inf)
+    reach, scans, real_scan = 40 * (burn + lane), [], core.lane_scan
+    monkeypatch.setattr(core, "lane_scan", lambda *args: scans.append(len(args[1])) or real_scan(*args))
+    rng = np.random.default_rng(reach)
+    for m in (reach - 1, reach):
+        alphas = np.where(rng.random(m) < 0.3, 0.0, rng.random(m) * 1e-3)
+        want = [bd := 0.25] + [bd := alpha + beta * bd for alpha in alphas.tolist()]
+        got, images = core.affine_orbit(0.25, np.full(m, beta), alphas)
+        assert images is None and got.tobytes() == np.array(want).tobytes()
+    assert scans == [reach]
+    fake = IFSSpec(UNIT, make_system("binary_affine").maps, claimed_contraction=beta)
+    for n in (reach, reach + 1):
+        values = np.where(np.arange(n) < n - 300, 0.0, 1e-3)
+        rec = perturbed_orbit(fake, selector_random(n, n, 2), point(UNIT, 0.3), series(values), seed=n)
+        ds = shadowing._track(fake, rec, rec.points[0], n, rec.selector)
+        bounds = [bd := float(ds[0])] + [bd := alpha + beta * bd for alpha in rec.errors.values[: n - 1].tolist()]
+        i = next(i for i in range(n) if ds[i] > bounds[i] + 1e-9)
+        msg = f"step {i}: tracking error {float(ds[i])} exceeds inductive bound {bounds[i]}"
+        scans.clear()
+        with pytest.raises(ContractionError, match=f"^{re.escape(msg)}$"):
+            shadowing.contracting_shadow(fake, rec, validate=False)
+        assert i > n - 300 and scans == ([] if n == reach else [reach])
 
 
 # --- word-sized symbol distances and the batch sampler -------------------------
