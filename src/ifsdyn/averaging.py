@@ -187,15 +187,14 @@ def extract_null_density_set(s: Series) -> DensityDecomposition:
         levels.append(LevelCut(k, theta, start))
         prev_start = start
 
-    # the tail threshold is that of the first level whose segment ends past
-    # the half: walking the levels backwards, that level writes it last
+    # each level marks the values above its theta up to the next level's start; the
+    # tail threshold is that of the first level whose segment ends past the half
     mask = np.zeros(horizon, dtype=bool)
     tail_threshold = bound
-    ends = [cut.start for cut in levels[1:]] + [horizon]
-    for cut, end in zip(reversed(levels), reversed(ends)):
-        mask[cut.start:end] = a[cut.start:end] > cut.theta
-        if end > horizon // 2:
-            tail_threshold = cut.theta
+    if levels:
+        starts, thetas = [cut.start for cut in levels], [cut.theta for cut in levels]
+        mask[starts[0]:] = a[starts[0]:] > np.repeat(thetas, np.diff(starts + [horizon]))
+        tail_threshold = thetas[max(np.searchsorted(starts, horizon // 2, "right") - 1, 0)]
     return DensityDecomposition(
         index_set=IndexSet(tuple(int(i) for i in np.nonzero(mask)[0]), horizon),
         no_decay=False,

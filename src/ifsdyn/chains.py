@@ -2,8 +2,9 @@
 
 The chain graph puts one node per grid point and an edge u -> v whenever some
 map of the family sends u within epsilon of v. Graph paths are genuine
-epsilon-chains (one-sided soundness); completeness holds at the coarser scale
-epsilon/2, which the h <= epsilon/4 guard protects.
+epsilon-chains (one-sided soundness). Completeness at the coarser scale
+epsilon/2 needs (L+1)*h/2 <= epsilon/2 for grid spacing h and maps of
+Lipschitz constant L; the h <= epsilon/4 guard ensures it only for L <= 3.
 
 Nodes are held as the raw grid batch itself (a `RawPoints` view); a `Point`
 is decoded only for witnesses and counterexamples. Strongly connected
@@ -89,6 +90,7 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
     labels equal those of comparing every pair of nodes, at O(edges) cost."""
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
+    # completeness at epsilon/2 needs (L+1)*h/2 <= epsilon/2: this ensures it for L <= 3 only
     if resolution > epsilon / 4 + 1e-15:
         raise GuardError(f"grid resolution {resolution} exceeds epsilon/4 = {epsilon / 4}")
     kind = ifs.space

@@ -53,9 +53,7 @@ from .shadowing import (
     shadow_verify,
 )
 from .spaces import (
-    FiniteDiscrete,
     Product,
-    SymbolSpace,
     csv_lines,
     grid,
     point,
@@ -73,13 +71,9 @@ def _load_ifs(args) -> IFSSpec:
 
 
 def _parse_point(kind, text: str):
-    if isinstance(kind, Product):
-        return point(kind, tuple(json.loads(text)))
-    if isinstance(kind, SymbolSpace):
-        return point(kind, text)
-    if isinstance(kind, FiniteDiscrete):
-        return point(kind, int(text))
-    return point(kind, float(text))
+    """A point flag: JSON for a product (a pair, nested as the space is), the
+    text itself for any other kind, which `point` reads."""
+    return point(kind, json.loads(text) if isinstance(kind, Product) else text)
 
 
 def _map_indices(text: str) -> list[int]:

@@ -31,6 +31,7 @@ from .spaces import (
     RawPoints,
     SpaceKind,
     SymbolSpace,
+    as_int,
     distance,
     json_key,
     leafwise,
@@ -741,10 +742,8 @@ def map_from_json(d: dict) -> MapDef:
     form, raw = json_key(d, "form"), json_key(d, "params")
     if form in ("compose", "product"):
         params = tuple(map_from_json(sub) for sub in raw)
-    elif form == "permutation":
-        params = tuple(int(v) for v in raw)
-    elif form == "prepend":
-        params = (int(raw[0]),)
+    elif form in ("permutation", "prepend"):  # images, or the one bit
+        params = tuple(as_int(v, f"{form} parameter") for v in raw)
     else:
         params = tuple(float(v) for v in raw)
     return MapDef(json_key(d, "name"), form, params)

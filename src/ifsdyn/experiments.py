@@ -43,13 +43,11 @@ from .core import (
     apply,
     conjugate_ifs,
     orbit,
-    pair_index,
     power_ifs,
     product_ifs,
     selector_explicit,
     selector_random,
     subsystem,
-    word_index,
 )
 from .errors import DomainError
 from .models import UNIT, make_system
@@ -66,7 +64,7 @@ from .shadowing import (
     report_to_json,
     shadow_verify,
 )
-from .spaces import Point, csv_lines, distance, point, sample_point
+from .spaces import Point, RawPoints, csv_lines, distance, point, sample_point
 
 
 @dataclass(frozen=True)
@@ -134,11 +132,8 @@ def _exp_power_consistency(p: dict):
         rng = np.random.default_rng(seed + 100 * t)
         x0 = sample_point(base.space, rng)
         sel = selector_random(seed + 100 * t + 1, k * steps, base.nmaps)
-        words = [
-            word_index([sel.entry(i * k + j) for j in range(k)], base.nmaps)
-            for i in range(steps)
-        ]
-        wsel = selector_explicit(words, pspec.nmaps)
+        words = sel.indices.reshape(-1, k) @ base.nmaps ** np.arange(k - 1, -1, -1)
+        wsel = selector_explicit(words.tolist(), pspec.nmaps)
         a = orbit(pspec, wsel, x0, steps).points
         b = orbit(base, sel, x0, k * steps).points[::k]
         dev = max(0.0, *map(distance, a, b))
@@ -198,17 +193,13 @@ def _exp_product(p: dict):
     for t in range(trials):
         lrec = _random_record(binary, harmonic_series(n), seed + 977 * t)
         rrec = _random_record(binary, harmonic_series(n), seed + 977 * t + 13)
-        pts = [point(prod.space, (a, b)) for a, b in zip(lrec.points, rrec.points)]
-        entries = [
-            pair_index(lrec.selector.entry(i), rrec.selector.entry(i), binary.nmaps)
-            for i in range(n)
-        ]
-        psel = selector_explicit(entries, prod.nmaps)
+        pts = RawPoints(prod.space, (lrec.points.raws, rrec.points.raws))
+        entries = lrec.selector.indices + binary.nmaps * rrec.selector.indices  # pair_index
+        psel = selector_explicit(entries.tolist(), prod.nmaps)
         prec = pseudo_orbit_record(prod, pts, psel)
-        u, v = lrec.points[0], rrec.points[0]
-        rp = shadow_verify(prod, prec, point(prod.space, (u, v)), psel, n)
-        rl = shadow_verify(binary, lrec, u, lrec.selector, n)
-        rr = shadow_verify(binary, rrec, v, rrec.selector, n)
+        rp = shadow_verify(prod, prec, pts[0], psel, n)
+        rl = shadow_verify(binary, lrec, lrec.points[0], lrec.selector, n)
+        rr = shadow_verify(binary, rrec, rrec.points[0], rrec.selector, n)
         gaps = [
             rp.final_average - (rl.final_average + rr.final_average),
             rl.final_average - rp.final_average,

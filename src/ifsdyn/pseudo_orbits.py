@@ -35,6 +35,7 @@ from .spaces import (
     SpaceKind,
     SymbolSpace,
     as_batch,
+    as_int,
     csv_lines,
     diameter,
     distance,
@@ -302,7 +303,7 @@ def record_to_json(rec: PseudoOrbitRecord) -> dict:
 def record_from_json(d: dict) -> PseudoOrbitRecord:
     pts = tuple(point_from_json(p) for p in json_key(d, "points"))
     stored, errors = json_key(d, "selector"), json_key(d, "errors")
-    sel = SelectorSequence(tuple(int(e) for e in json_key(stored, "entries")),
+    sel = SelectorSequence(tuple(as_int(e, "selector entry") for e in json_key(stored, "entries")),
                            stored.get("generator", "explicit"))
     if not len(errors) == len(pts) - 1 <= len(sel):
         raise LengthError(f"record lengths disagree: {len(pts)} points, {len(errors)} "

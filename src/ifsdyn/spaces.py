@@ -342,18 +342,26 @@ def _as_bits(value, depth: int) -> tuple[int, ...]:
 
 
 def point(kind: SpaceKind, value) -> Point:
-    """Validate `value` against `kind` and return a canonical Point."""
-    if isinstance(kind, (Interval, Circle, FiniteDiscrete)):
-        return Point(kind, kind.canon(value))
-    if isinstance(kind, SymbolSpace):
-        return Point(kind, _as_bits(value, kind.depth))
-    if isinstance(kind, Product):
-        if not (isinstance(value, tuple) and len(value) == 2):
-            raise DomainError("product payload must be a pair")
-        l, r = value
-        pl = l if isinstance(l, Point) and l.kind == kind.left else point(kind.left, l)
-        pr = r if isinstance(r, Point) and r.kind == kind.right else point(kind.right, r)
-        return Point(kind, (pl, pr))
+    """Validate `value` against `kind` and return a canonical Point. The one
+    reader of Python, JSON and CLI payloads: a number or its text, a bit string
+    or 0/1 sequence for symbols, and for products a tuple or list pair of
+    payloads or factor Points. Any other payload raises DomainError."""
+    try:
+        if isinstance(kind, (Interval, Circle)):
+            return Point(kind, kind.canon(value))
+        if isinstance(kind, Product):
+            if not (isinstance(value, (tuple, list)) and len(value) == 2):
+                raise DomainError("product payload must be a pair")
+            l, r = value
+            pl = l if isinstance(l, Point) and l.kind == kind.left else point(kind.left, l)
+            pr = r if isinstance(r, Point) and r.kind == kind.right else point(kind.right, r)
+            return Point(kind, (pl, pr))
+        if isinstance(kind, FiniteDiscrete):
+            return Point(kind, kind.canon(as_int(value, "finite point")))
+        if isinstance(kind, SymbolSpace):
+            return Point(kind, _as_bits(value, kind.depth))
+    except TypeError:  # a payload of no type the kind reads, such as None or a dict
+        raise DomainError(f"{value!r} is no point payload of {kind}") from None
     raise UnsupportedKindError(f"unknown space kind {kind!r}")
 
 
@@ -461,6 +469,17 @@ def json_key(d: dict, key: str):
     return d[key]
 
 
+def as_int(value, what: str) -> int:
+    """`value` as an int if it equals one (3, 3.0, True, "3"); else DomainError naming `what`."""
+    try:
+        v = int(value)
+        if v == value or isinstance(value, str):
+            return v
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
 def space_to_json(kind: SpaceKind) -> dict:
     if isinstance(kind, Interval):
         return {"type": "interval", "lo": kind.lo, "hi": kind.hi}
@@ -486,9 +505,9 @@ def space_from_json(d: dict) -> SpaceKind:
     if t == "circle":
         return Circle()
     if t == "symbols":
-        return SymbolSpace(int(d.get("depth", 64)))
+        return SymbolSpace(as_int(d.get("depth", 64), "depth"))
     if t == "finite":
-        return FiniteDiscrete(int(json_key(d, "n")))
+        return FiniteDiscrete(as_int(json_key(d, "n"), "n"))
     if t == "product":
         return Product(space_from_json(json_key(d, "left")), space_from_json(json_key(d, "right")))
     raise DomainError(f"unknown space type {t!r}")
@@ -508,15 +527,8 @@ def point_to_json(p: Point) -> dict:
     return {"kind": space_to_json(p.kind), "value": _value_to_json(p)}
 
 
-def _value_from_json(kind: SpaceKind, v):
-    if isinstance(kind, Product):
-        return (_value_from_json(kind.left, v[0]), _value_from_json(kind.right, v[1]))
-    return v
-
-
 def point_from_json(d: dict) -> Point:
-    kind = space_from_json(json_key(d, "kind"))
-    return point(kind, _value_from_json(kind, json_key(d, "value")))
+    return point(space_from_json(json_key(d, "kind")), json_key(d, "value"))
 
 
 def _cell(v) -> str:

@@ -7,13 +7,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsdyn import (
+    Circle,
+    FiniteDiscrete,
+    Interval,
+    Product,
+    SymbolSpace,
     harmonic_series,
     make_system,
     perturbed_orbit,
     point,
+    point_from_json,
+    point_to_json,
     record_from_json,
+    sample_point,
     selector_random,
     shadow_verify,
 )
@@ -447,3 +457,68 @@ def test_closed_stdout_pipe_ends_quietly_with_the_command_code():
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == full.returncode and err == b"" and full.stderr == b""
+
+
+def _nested_product_spec(tmp_path) -> str:
+    """A spec file on ([0,1] x [0,1]) x [0,1] with one map: t/2 on the first
+    factor, the identity on the second, t/2 + 1/2 on the third."""
+    unit = {"type": "interval"}
+    spec = {"name": "nested", "space": {"type": "product", "left": {"type": "product", "left": unit, "right": unit},
+                                        "right": unit},
+            "maps": [{"name": "f", "form": "product", "params": [
+                {"name": "g", "form": "product", "params": [{"name": "a", "form": "affine", "params": [0.5, 0.0]},
+                                                           {"name": "i", "form": "identity", "params": []}]},
+                {"name": "c", "form": "affine", "params": [0.5, 0.5]}]}]}
+    spec_file = tmp_path / "nested.json"
+    spec_file.write_text(json.dumps(spec))
+    return str(spec_file)
+
+
+def test_point_flags_read_nested_products_symbols_and_finite_points(tmp_path, capsys):
+    out = tmp_path / "orbit.json"
+
+    def orbit_values(*args):
+        assert main(["orbit", *args, "--output", str(out)]) == 0
+        return [p["value"] for p in json.loads(out.read_text())["points"]]
+
+    t = [0.3, 0.5 * 0.3 + 0.5]
+    t.append(0.5 * t[1] + 0.5)
+    assert orbit_values("--spec-file", _nested_product_spec(tmp_path), "--x0", "[[0.1,0.2],0.3]",
+                        "--steps", "2", "--sigma", "00") == [[[0.1, 0.2], t[0]], [[0.05, 0.2], t[1]],
+                                                             [[0.025, 0.2], t[2]]]
+    assert orbit_values("--model", "sigma2_prepend", "--x0", "0110", "--steps", "1", "--sigma", "1") == [
+        "0110" + "0" * 60, "10110" + "0" * 59]
+    assert orbit_values("--model", "finite_permutations:3", "--x0", "2", "--steps", "1", "--sigma", "5") == [2, 0]
+    capsys.readouterr()
+    assert main(["orbit", "--model", "finite_permutations:3", "--x0", "2.5", "--steps", "1"]) == 2
+    assert _one_error_line(capsys) == "error: finite point must be an integer, got '2.5'"
+
+
+def test_record_with_a_one_element_product_value_exits_2(tmp_path, capsys):
+    spec, rec_file = _nested_product_spec(tmp_path), tmp_path / "rec.json"
+    assert main(["pseudo", "--spec-file", spec, "--x0", "[[0.1,0.2],0.3]", "--steps", "5",
+                 "--output", str(rec_file)]) in (0, 1)
+    payload = json.loads(rec_file.read_text())
+    payload["record"]["points"][1]["value"] = [[0.1, 0.2]]
+    rec_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["shadow", "--spec-file", spec, "--pseudo-file", str(rec_file), "--mode", "contracting"]) == 2
+    assert _one_error_line(capsys) == "error: product payload must be a pair"
+
+
+_LEAF_KINDS = st.one_of(st.sampled_from([UNIT, Interval(-2.0, 3.0), Circle()]),
+                        st.integers(2, 80).map(SymbolSpace), st.integers(1, 6).map(FiniteDiscrete))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.recursive(_LEAF_KINDS, lambda k: st.builds(Product, k, k), max_leaves=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_points_round_trip_through_json_and_flag_text(kind, seed):
+    """A point comes back from its JSON record, and the CLI reader gives it
+    back from its flag text: JSON for a product, the JSON value as text
+    otherwise."""
+    p = sample_point(kind, np.random.default_rng(seed))
+    value = point_to_json(p)["value"]
+    assert point_from_json(point_to_json(p)) == p
+    text = json.dumps(value) if isinstance(kind, Product) else str(value)
+    assert ifsdyn.cli._parse_point(kind, text) == p

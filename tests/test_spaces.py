@@ -22,6 +22,8 @@ from ifsdyn import (
     space_from_json,
     space_to_json,
 )
+from ifsdyn.core import map_from_json
+from ifsdyn.pseudo_orbits import record_from_json
 from ifsdyn.spaces import csv_lines, value_repr
 
 UNIT = Interval(0.0, 1.0)
@@ -265,6 +267,45 @@ def test_symbol_payload_entries_must_equal_bits():
         p = point(kind, payload)
         bits = [int(b) for b in payload] + [0] * (4 - len(payload))
         assert p.value == tuple(bits) and all(type(b) is int for b in p.value)
+
+
+def test_point_reads_list_pairs_and_refuses_other_payloads():
+    prod = Product(Product(UNIT, Circle()), SymbolSpace(4))
+    assert point(prod, [[0.1, 1.25], "01"]) == point(prod, ((0.1, 0.25), (0, 1)))
+    for bad in ([0.1], [[0.1, 0.2]], [[0.1, 0.2], "01", "1"], "[[0.1, 0.2], '01']", None,
+                [[0.1, None], "01"], [[{}, 0.2], "01"], [[0.1, [0.2]], "01"], [[0.1, 0.2], 5]):
+        with pytest.raises(DomainError):
+            point(prod, bad)
+
+
+def _record_with_entry(e):
+    pts = [point_to_json(point(UNIT, 0.5)), point_to_json(point(UNIT, 0.25))]
+    return record_from_json({"points": pts, "selector": {"entries": [e]}, "errors": [0.0]})
+
+
+# one reader per integer field: (field name in the error, reader, a fraction, an integer)
+_INTEGER_FIELDS = [
+    ("finite point", lambda v: point(FiniteDiscrete(4), v).value, 2.7, 2),
+    ("finite point", lambda v: point_from_json({"kind": {"type": "finite", "n": 4}, "value": v}).value, 2.7, 2),
+    ("n", lambda v: space_from_json({"type": "finite", "n": v}).n, 3.5, 3),
+    ("depth", lambda v: space_from_json({"type": "symbols", "depth": v}).depth, 8.9, 8),
+    ("permutation parameter", lambda v: map_from_json({"name": "p", "form": "permutation", "params": [v, 0]}).params[0],
+     1.5, 1),
+    ("prepend parameter", lambda v: map_from_json({"name": "p", "form": "prepend", "params": [v]}).params[0], 0.7, 1),
+    ("selector entry", lambda v: _record_with_entry(v).selector.entries[0], 0.9, 1),
+]
+
+
+@pytest.mark.parametrize("field, read, fraction, whole", _INTEGER_FIELDS,
+                         ids=["point", "json point", "n", "depth", "permutation", "prepend", "selector"])
+def test_integer_fields_refuse_fractions(field, read, fraction, whole):
+    """A fraction is refused by name, not truncated; an integer, its float
+    and (for 1) True read as that int."""
+    with pytest.raises(DomainError, match=f"^{field} must be an integer, got {fraction}$"):
+        read(fraction)
+    for v in (whole, float(whole), np.float64(whole), *([True] if whole == 1 else [])):
+        got = read(v)
+        assert got == whole and type(got) is int
 
 
 def test_csv_lines():
