@@ -31,6 +31,7 @@ from .spaces import (
     RawPoints,
     SpaceKind,
     SymbolSpace,
+    as_float,
     as_int,
     distance,
     json_key,
@@ -227,42 +228,30 @@ def lane_scan(x0: float, a: np.ndarray, b: np.ndarray, shape: tuple[int, int], d
     on lanes of L steps (`shape` = (W, L)) stepping as numpy rows with the
     float operations of its scalar loop, in its order.
 
-    Each lane starts W steps early from x0, lane 0 at x0 itself; a lane
-    whose start lacks the bits of the previous lane's end walks again from
-    that end, up to three times. Returns the orbit x_0..x_n, the images
-    (None without d) and the count p of leading exact steps: those before
-    the first unsettled lane and before the first image off [lo, hi] (or
-    nan), where the scalar loop must take over."""
+    Each lane starts W steps early from x0, lane 0 at x0 itself, and all
+    walk once. Returns the orbit x_0..x_n, the images (None without d) and
+    the count p of leading exact steps: those before the first lane whose
+    start lacks the bits of the previous lane's end and before the first
+    image off [lo, hi] (or nan), where the scalar loop must take over."""
     (burn, lane), n = shape, len(a)
     at = np.clip(np.arange(-(-n // lane)) * lane + np.arange(-burn, lane)[:, None], 0, n - 1)
-    if d is not None:  # x + -0.0 is x, so a zero shift keeps the image, as `if d` does
+    if d is not None:  # x + -0.0 is x, so a zero shift keeps the image, as `if s` does
         d = np.where(d == 0, -0.0, d)
     a, b, d = (None if v is None else v[at] for v in (a, b, d))
-
-    def rows(cur, cols):
-        ac, bc, dc = (None if v is None else v[cols] for v in (a, b, d))
-        out = np.empty((len(ac), len(cur)))
-        bases, below = out if d is None else np.empty(out.shape), np.empty(len(cur), dtype=bool)
-        for r in range(len(ac)):
-            cur = np.multiply(ac[r], cur, out=bases[r])
-            cur += bc[r]
-            if d is not None:
-                cur = np.add(cur, dc[r], out=out[r])
-                np.copyto(cur, lo, where=np.less(cur, lo, out=below))
-                np.copyto(cur, hi, where=np.greater(cur, hi, out=below))
-        return cur, out, bases
-
-    cur = rows(np.full(len(at[0]), x0), slice(burn))[0]
-    cur[0] = x0
-    starts = cur.copy()
-    _, xs, bs = rows(cur, slice(burn, None))
-    for tries in range(4):
-        todo = np.flatnonzero(starts[1:].view(np.int64) != xs[-1, :-1].view(np.int64)) + 1
-        if not len(todo) or tries == 3:
-            break
-        starts[todo] = xs[-1, todo - 1]
-        _, xs[:, todo], bs[:, todo] = rows(starts[todo], (slice(burn, None), todo))
-    p = min(n, int(todo[0]) * lane) if len(todo) else n
+    xs, below, cur = np.empty((lane, at.shape[1])), np.empty(at.shape[1], dtype=bool), np.full(at.shape[1], x0)
+    bs = xs if d is None else np.empty(xs.shape)
+    for r in range(burn + lane):  # burn-in row r goes to row r - burn, which lane row r + lane overwrites
+        if r == burn:
+            cur[0] = x0
+            starts = cur.copy()
+        cur = np.multiply(a[r], cur, out=bs[r - burn])
+        cur += b[r]
+        if d is not None:
+            cur = np.add(cur, d[r], out=xs[r - burn])
+            np.copyto(cur, lo, where=np.less(cur, lo, out=below))
+            np.copyto(cur, hi, where=np.greater(cur, hi, out=below))
+    miss = np.flatnonzero(starts[1:].view(np.int64) != xs[-1, :-1].view(np.int64))
+    p = min(n, (int(miss[0]) + 1) * lane) if len(miss) else n
     images = bs.T.ravel()[:n]
     off = np.flatnonzero(~((lo <= images[:p]) & (images[:p] <= hi)))  # nan too
     orbit = np.concatenate(([x0], images if d is None else xs.T.ravel()[:n]))
@@ -279,7 +268,7 @@ def affine_orbit(x0: float, a: np.ndarray, b: np.ndarray, d: Optional[np.ndarray
     `lo if v < lo else hi if v > hi else v`. Lanes (`lane_scan`) walk what
     `lane_shape` allows, the scalar loop the rest from the first inexact step."""
     n, p = len(a if lams is None else lams), 0
-    head, heads = np.array([x0]), None if d is None else np.empty(0)
+    head, heads = np.array([x0]), np.empty(0)
     if shape := lane_shape(max(a.max(initial=0.0), -a.min(initial=0.0)), n):  # max|a|, nan if any is
         steps = slice(None) if lams is None else lams  # gathers go in as temporaries lane_scan frees
         head, heads, p = lane_scan(x0, a[steps], b[steps], shape, d, lo, hi)
@@ -288,19 +277,13 @@ def affine_orbit(x0: float, a: np.ndarray, b: np.ndarray, d: Optional[np.ndarray
     a, b, at = (a[p:], b[p:], range(n - p)) if lams is None else (a, b, lams[p:].tolist())
     a, b = a.tolist(), b.tolist()
     t, out, bases = x0, [], []
-    if d is None:
-        for i in at:
-            if not lo <= (t := a[i] * t + b[i]) <= hi:  # nan too
-                t = canon(t)
-            out.append(t)
-        return np.concatenate((head, out)), None
-    for i, s in zip(at, d[p:].tolist()):
-        if not lo <= (base := a[i] * t + b[i]) <= hi:
+    for i, s in zip(at, [0.0] * (n - p) if d is None else d[p:].tolist()):
+        if not lo <= (base := a[i] * t + b[i]) <= hi:  # nan too
             base = canon(base)
         t = (lo if (t := base + s) < lo else hi if t > hi else t) if s else base
         bases.append(base)
         out.append(t)
-    return np.concatenate((head, out)), np.concatenate((heads, bases))
+    return np.concatenate((head, out)), None if d is None else np.concatenate((heads, bases))
 
 
 def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Callable]) -> Callable:
@@ -467,7 +450,10 @@ class SelectorSequence:
 
 
 def _check_entries(entries: Sequence[int], nmaps: Optional[int]) -> tuple[int, ...]:
+    entries = tuple(entries)
     out = tuple(map(int, entries))
+    if out != entries:  # some entry is no int: refuse fractions as `as_int` does, entry by entry
+        out = tuple(as_int(e, "selector entry") for e in entries)
     if out and min(out) < 0:
         raise DomainError("selector entries must be nonnegative map indices")
     if out and nmaps is not None and max(out) >= nmaps:
@@ -745,7 +731,7 @@ def map_from_json(d: dict) -> MapDef:
     elif form in ("permutation", "prepend"):  # images, or the one bit
         params = tuple(as_int(v, f"{form} parameter") for v in raw)
     else:
-        params = tuple(float(v) for v in raw)
+        params = tuple(as_float(v, f"{form} parameter") for v in raw)
     return MapDef(json_key(d, "name"), form, params)
 
 
@@ -760,10 +746,13 @@ def ifs_to_json(ifs: IFSSpec) -> dict:
 
 
 def ifs_from_json(d: dict) -> IFSSpec:
+    claimed, flags = d.get("claimed_contraction"), d.get("surjective", [])
+    if not isinstance(flags, (list, tuple)) or any(type(b) is not bool for b in flags):
+        raise DomainError(f"surjective flags must be a list of true and false, got {flags!r}")
     return IFSSpec(
         space=space_from_json(json_key(d, "space")),
         maps=tuple(map_from_json(m) for m in json_key(d, "maps")),
-        claimed_contraction=d.get("claimed_contraction"),
-        surjective_flags=tuple(bool(b) for b in d.get("surjective", [])),
+        claimed_contraction=None if claimed is None else as_float(claimed, "claimed_contraction"),
+        surjective_flags=tuple(flags),
         name=d.get("name", ""),
     )

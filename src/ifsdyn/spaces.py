@@ -480,6 +480,17 @@ def as_int(value, what: str) -> int:
     raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
+def as_float(value, what: str) -> float:
+    """`value` as a float if it is a number a float holds (3, 0.5; not True,
+    "0.5" or 10**400); else DomainError naming `what`."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:
+        pass
+    raise DomainError(f"{what} must be a number, got {value!r}")
+
+
 def space_to_json(kind: SpaceKind) -> dict:
     if isinstance(kind, Interval):
         return {"type": "interval", "lo": kind.lo, "hi": kind.hi}
@@ -501,7 +512,7 @@ def space_to_json(kind: SpaceKind) -> dict:
 def space_from_json(d: dict) -> SpaceKind:
     t = json_key(d, "type")
     if t == "interval":
-        return Interval(float(d.get("lo", 0.0)), float(d.get("hi", 1.0)))
+        return Interval(as_float(d.get("lo", 0.0), "interval lo"), as_float(d.get("hi", 1.0), "interval hi"))
     if t == "circle":
         return Circle()
     if t == "symbols":

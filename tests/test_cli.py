@@ -16,6 +16,8 @@ from ifsdyn import (
     Interval,
     Product,
     SymbolSpace,
+    build_chain_graph,
+    chain_recurrent_set,
     harmonic_series,
     make_system,
     perturbed_orbit,
@@ -32,6 +34,7 @@ import ifsdyn.cli
 from ifsdyn.cli import main
 from ifsdyn.experiments import powers_of_two_series
 from ifsdyn.models import UNIT
+from ifsdyn.spaces import value_repr
 
 
 def test_usage_errors_exit_2(capsys):
@@ -197,6 +200,17 @@ def test_chain_find_and_transitive(tmp_path):
                  "--epsilon", "0.01", "--grid", "0.0025", "--output", str(out2)])
     assert code == 1
     assert json.loads(out2.read_text())["counterexample"]
+
+
+def test_chain_cr_lists_the_chain_recurrent_set(tmp_path):
+    out = tmp_path / "cr.json"
+    assert main(["chain", "cr", "--model", "circle_pair", "--epsilon", "0.05", "--grid", "0.0125",
+                 "--output", str(out)]) == 0
+    g = build_chain_graph(make_system("circle_pair"), 0.0125, 0.05)
+    nodes = chain_recurrent_set(g)
+    got = json.loads(out.read_text())
+    assert got["count"] == len(nodes) > 0 and got["nodes"] == list(nodes)
+    assert got["coordinates"] == [value_repr(g.nodes[i]) for i in nodes]
 
 
 def test_chain_graph_csv_and_dot(tmp_path):
@@ -385,12 +399,18 @@ def test_missing_json_keys_exit_2(tmp_path, capsys):
     no_params = {**good, "maps": [{"name": "id", "form": "identity"}]}
     no_space = {k: v for k, v in good.items() if k != "space"}
     bare_map = {**good, "maps": [3]}
-    for spec, key in ((no_params, "params"), (no_space, "space"), (bare_map, "form")):
+    list_param = {**good, "maps": [{"name": "a", "form": "affine", "params": [[0.5], 0.0]}]}
+    list_lo = {**good, "space": {"type": "interval", "lo": [0]}}
+    text_ratio = {**good, "claimed_contraction": "0.5"}
+    for spec, text in ((no_params, "'params'"), (no_space, "'space'"), (bare_map, "'form'"),
+                       (list_param, "affine parameter must be a number, got [0.5]"),
+                       (list_lo, "interval lo must be a number, got [0]"),
+                       (text_ratio, "claimed_contraction must be a number, got '0.5'")):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(spec))
         assert main(["chain", "graph", "--spec-file", str(spec_file),
                      "--epsilon", "0.05", "--grid", "0.0125"]) == 2
-        assert repr(key) in _one_error_line(capsys)
+        assert text in _one_error_line(capsys)
     rec_file = tmp_path / "rec.json"
     assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "20",
                  "--tol", "1", "--output", str(rec_file)]) == 0

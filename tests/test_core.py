@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ifsdyn import (
     Circle,
     DomainError,
+    FiniteDiscrete,
     GuardError,
     IFSSpec,
     Interval,
@@ -110,6 +111,10 @@ def test_selector_entries_are_checked_against_the_map_count():
         selector_explicit([0, 1, -1], 5)
     with pytest.raises(DomainError, match="^selector entry out of range for 2 maps$"):
         selector_periodic([0, 2, 1], 4, 2)
+    with pytest.raises(DomainError, match=r"^selector entry must be an integer, got 0\.9$"):
+        selector_explicit([0.9, 1.7], 2)
+    with pytest.raises(DomainError, match=r"^selector entry must be an integer, got 0\.5$"):
+        selector_periodic([0.5], 3, 2)
 
 
 def test_compose_apply():
@@ -425,3 +430,31 @@ def test_compose_and_product_specs_survive_the_json_wire(maps, k, perm_n, seed):
         batch = kind.batch([kind.encode(sample_point(kind, rng)) for _ in range(7)])
         for a, b in zip(batch_leaves(clone.raw_images(batch)), batch_leaves(ifs.raw_images(batch))):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind, m, why", [
+    (Circle(), MapDef("a", "affine", (0.5, 0.0)), "affine maps act on intervals"),
+    (Interval(0, 2), MapDef("q", "twopiece_quadratic", (1.0, 1.0)), "twopiece_quadratic needs the unit interval"),
+    (FiniteDiscrete(3), MapDef("q", "twopiece_quadratic", (1.0, 1.0)),
+     r"twopiece_quadratic acts on \[0,1\] or the circle"),
+    (Interval(0, 1), MapDef("p", "product", (MapDef("i", "identity"),) * 2), "product maps act on product spaces"),
+    (Interval(0, 1), MapDef("u", "bogus"), "unknown map form 'bogus'"),
+])
+def test_forms_off_their_spaces_raise_through_apply(kind, m, why):
+    x = sample_point(kind, np.random.default_rng(0))
+    with pytest.raises(DomainError, match=f"^{why}$"):
+        apply(IFSSpec(kind, (m,)), 0, x)
+
+
+def test_a_conjugate_map_that_leaves_the_space_raises():
+    away = MapDef("away", "conjugate", (), lambda p: point(Circle(), 0.5))
+    with pytest.raises(DomainError, match="^map away leaves the space$"):
+        apply(IFSSpec(Interval(0, 1), (away,)), 0, point(Interval(0, 1), 0.25))
+
+
+def test_spec_surjective_flags_are_json_booleans():
+    spec = ifs_to_json(make_system("binary_affine"))
+    assert ifs_from_json({**spec, "surjective": [True, False]}).surjective_flags == (True, False)
+    for flags in (["false", True], [1, 0], "true"):
+        with pytest.raises(DomainError, match="^surjective flags must be a list of true and false"):
+            ifs_from_json({**spec, "surjective": flags})

@@ -11,9 +11,11 @@ from ifsdyn import (
     BranchError,
     Circle,
     DomainError,
+    FiniteDiscrete,
     GuardError,
     Interval,
     MapDef,
+    Product,
     apply,
     apply_map,
     backward_branch,
@@ -254,6 +256,22 @@ def test_twopiece_branches_keep_their_side(model):
                 assert vals.max() <= 0.5
             else:
                 assert np.all((vals >= 0.5) | (vals == one))
+
+
+def test_invert_compose_and_product():
+    """A composition inverts last map first, a product side by side; a
+    preimage off the interval raises through either, as the part alone does."""
+    half, upper = MapDef("h", "affine", (0.5, 0.0)), MapDef("u", "affine", (0.5, 0.5))
+    both = MapDef("hu", "compose", (half, upper))  # t -> t/4 + 1/2
+    assert invert_map(both, point(UNIT, 0.75)).value == 1.0
+    with pytest.raises(BranchError, match="leaves the interval"):
+        invert_map(both, point(UNIT, 0.25))
+    kind = Product(UNIT, FiniteDiscrete(3))
+    pair = MapDef("ux", "product", (upper, MapDef("r", "permutation", (1, 2, 0))))
+    x = invert_map(pair, point(kind, (0.625, 0)))
+    assert (x.value[0].value, x.value[1].value) == (0.25, 2) and apply_map(pair, x) == point(kind, (0.625, 0))
+    with pytest.raises(BranchError, match="leaves the interval"):
+        invert_map(pair, point(kind, (0.25, 0)))
 
 
 def test_invert_permutation():

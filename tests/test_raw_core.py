@@ -1064,6 +1064,19 @@ def test_lane_rule_reads_the_family_slopes():
     assert scalar.points.raws[-1] == oracle_orbit(fam, scalar.selector, point(UNIT, 0.7), 20_000)[-1].value
 
 
+def test_one_lane_pass_settles_a_contracting_walk():
+    """One pass settles every lane of a random binary_affine walk, with
+    and without shifts, so the scalar loop walks none of it (p = n). Under
+    the all-zero selector t/2^i is exact and lane 1's start misses lane 0's
+    end, so p is the start of lane 1."""
+    shape = core.lane_shape(0.5, math.inf)
+    _, sel, _, values = _lane_case("binary_affine", shape[1])
+    a, b = np.full(len(sel), 0.5), np.array([0.0, 0.5])[sel.indices]
+    for d in (None, values / 100):
+        assert core.lane_scan(0.3, a, b, shape, d, 0.0, 1.0)[2] == len(sel)
+    assert core.lane_scan(0.3, a, np.zeros(len(sel)), shape)[2] == shape[1]
+
+
 def _plain_affine_loop(x0, a, b, d, lo, hi, canon):
     """x_{i+1} = a_i*x_i + b_i one step at a time: an image off [lo, hi] goes
     through `canon`, and a nonzero shift moves it, clamped by min and max."""

@@ -234,6 +234,11 @@ def test_integer_interval_bounds_clamp_to_floats():
     assert kind == UNIT and hash(kind) == hash(UNIT)
 
 
+def test_value_repr_of_a_product_point_joins_its_sides():
+    kind = Product(Interval(0, 1), Product(SymbolSpace(4), FiniteDiscrete(3)))
+    assert value_repr(point(kind, (0.25, ("0110", 2)))) == "0.25;0110;2"
+
+
 def test_grid_deterministic_order():
     assert [p.value for p in grid(UNIT, 0.3)] == [p.value for p in grid(UNIT, 0.3)]
     prod = Product(FiniteDiscrete(2), FiniteDiscrete(2))
