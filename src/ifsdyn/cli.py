@@ -186,7 +186,7 @@ def _cmd_pseudo(args) -> int:
 def _cmd_shadow(args) -> int:
     ifs = _load_ifs(args)
     payload = json.loads(Path(args.pseudo_file).read_text())
-    stored = record_from_json(payload.get("record", payload))
+    stored = record_from_json(payload.get("record", payload) if isinstance(payload, dict) else payload)
     rec = pseudo_orbit_record(ifs, stored.points, stored.selector)
     gaps = np.abs(rec.errors.values - stored.errors.values)
     if len(gaps) and gaps.max() > 1e-12:

@@ -35,6 +35,7 @@ from .spaces import (
     as_int,
     distance,
     json_key,
+    json_list,
     leafwise,
     sample_batch,
     sample_point,
@@ -172,45 +173,6 @@ def _compile_step(m: MapDef, kind: SpaceKind) -> Callable:
     return transported
 
 
-def _compile_images(maps: Sequence[MapDef], kind: SpaceKind) -> Callable:
-    """The array twin of `_compile_step` for a whole family: `images(x, lams)`
-    gives at [..., s] the canonical image of x[s], for a batch x of shape (S,)
-    (see `spaces`), under map lams[..., s] of an index array broadcast against
-    x; one such array per leaf on products. Numeric forms gather their
-    parameters by `lams`, one array evaluation per call; product families
-    recurse into each side; the others call their scalar steps once per
-    broadcast (map, point) pair, map-major, as a map-by-map loop would."""
-    form = maps[0].form
-    if form in ("identity", "compose", "conjugate") or any(
-            m.form != form or len(m.params) != len(maps[0].params) or _unsupported(m, kind) for m in maps):
-        steps = [_compile_step(m, kind) for m in maps]
-
-        def pairwise(x, lams):
-            raws = unbatch(x)
-            lams, at = np.broadcast_arrays(lams, np.arange(len(raws)))
-            out = kind.batch([steps[lam](raws[i]) for lam, i in zip(lams.ravel().tolist(), at.ravel().tolist())])
-            return leafwise(lambda a: a.reshape(lams.shape), out)
-
-        return pairwise
-    if form == "product":
-        left = _compile_images([m.params[0] for m in maps], kind.left)
-        right = _compile_images([m.params[1] for m in maps], kind.right)
-        return lambda x, lams: (left(x[0], lams), right(x[1], lams))
-    if form == "prepend":
-        tops = kind.batch([m.params[0] << (kind.depth - 1) for m in maps])
-        return lambda x, lams: tops[lams] | (x >> 1)
-    if form == "permutation":
-        table = np.array([m.params for m in maps], dtype=np.int64)
-        return lambda i, lams: kind.canon_batch(table[lams, i])
-    # affine (a, b) or twopiece (c_low, c_high): one float array per
-    # parameter, gathered by lams and broadcast against (S,)
-    p, q = (np.array(c, dtype=float) for c in zip(*(m.params for m in maps)))
-    if form == "affine":
-        return lambda t, lams: kind.canon_batch(p[lams] * t + q[lams])
-    return lambda t, lams: kind.canon_batch(np.where(t <= 0.5, t + p[lams] * (0.5 - t) * t,  # twopiece
-                                                     t + q[lams] * (1.0 - t) * (t - 0.5)))
-
-
 def lane_shape(slope: float, n: int) -> Optional[tuple[int, int]]:
     """Burn-in W (steps that shrink a gap by 2^-80) and lane length L of
     `lane_scan` at slopes |a| <= slope, or None when lanes do not pay:
@@ -286,20 +248,28 @@ def affine_orbit(x0: float, a: np.ndarray, b: np.ndarray, d: Optional[np.ndarray
     return np.concatenate((head, out)), None if d is None else np.concatenate((heads, bases))
 
 
-def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Callable]) -> Callable:
-    """The walk of a family: `walk(raw, lams, move=None, params=())` gives
-    the raw orbit of `raw` under the map indices `lams` (an intp array or
-    ints), start included, and the images before displacement (None without
-    `move`), both as batches; `move(base, p)` displaces step i's image by
-    the i-th raw value `p` of the batch `params`.
+def _compile_family(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Callable]) -> tuple[Callable, Callable]:
+    """`(images, walk)`, the array twins of `_compile_step` for a whole
+    family, from one fast-path guard and one parameter table per form.
 
-    All-affine families on an interval walk from a float start on
-    `affine_orbit`, with one float table per parameter and the displacement
-    of `pseudo_orbits._moves`. All-prepend families on a symbol space of
-    depth <= 64 walk as one scan on uint64 words, where step i is
-    x_{i+1} = (x_i >> 1) ^ c_i with c_i = top[lam_i] ^ mask_i (the top bit
-    of the map, and the flip mask of `_moves`, 0 without a move). Others,
-    and affine walks from a start that is no float, call `steps` on Python ints."""
+    `images(x, lams)` gives at [..., s] the canonical image of x[s], for a
+    batch x of shape (S,) (see `spaces`), under map lams[..., s] of an index
+    array broadcast against x; one such array per leaf on products. Numeric
+    forms gather their parameters by `lams`, one array evaluation per call;
+    product families recurse into each side; the others call their scalar
+    steps once per broadcast (map, point) pair, map-major, as a map-by-map
+    loop would.
+
+    `walk(raw, lams, move=None, params=())` gives the raw orbit of `raw`
+    under the map indices `lams` (an intp array or ints), start included, and
+    the images before displacement (None without `move`), both as batches;
+    `move(base, p)` displaces step i's image by the i-th raw value `p` of the
+    batch `params`. Affine families walk a float start on `affine_orbit` with
+    the images' tables and the displacement of `pseudo_orbits._moves`; prepend
+    families of depth <= 64 scan uint64 words, where step i is x_{i+1} =
+    (x_i >> 1) ^ c_i, c_i = top[lam_i] ^ mask_i (the map's top bit and the
+    flip mask of `_moves`, 0 without a move). Others, and affine walks from a
+    start that is no float, call `steps` on Python ints."""
 
     def generic(raw, lams, move=None, params=()):
         out, bases, lams = [raw], [], np.asarray(lams, dtype=np.intp).tolist()
@@ -312,11 +282,22 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
             out.append(raw := move(base, p))
         return kind.batch(out), kind.batch(bases)
 
-    if any(m.form != maps[0].form or _unsupported(m, kind) for m in maps):
-        return generic
-    if maps[0].form == "prepend":
-        if kind.depth > 64:
-            return generic
+    form = maps[0].form
+    if form in ("identity", "compose", "conjugate") or any(
+            m.form != form or len(m.params) != len(maps[0].params) or _unsupported(m, kind) for m in maps):
+
+        def pairwise(x, lams):
+            raws = unbatch(x)
+            lams, at = np.broadcast_arrays(lams, np.arange(len(raws)))
+            out = kind.batch([steps[lam](raws[i]) for lam, i in zip(lams.ravel().tolist(), at.ravel().tolist())])
+            return leafwise(lambda a: a.reshape(lams.shape), out)
+
+        return pairwise, generic
+    if form == "product":
+        sides = zip(zip(*(m.params for m in maps)), (kind.left, kind.right))
+        left, right = (_compile_family(ms, k, [_compile_step(m, k) for m in ms])[0] for ms, k in sides)
+        return (lambda x, lams: (left(x[0], lams), right(x[1], lams))), generic
+    if form == "prepend":
         tops, depth = kind.batch([m.params[0] << (kind.depth - 1) for m in maps]), kind.depth
 
         def prepend_scan(x, lams, move=None, masks=()):
@@ -335,23 +316,29 @@ def _compile_walk(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Calla
             s[:head] ^= x >> np.arange(1, head + 1, dtype=np.uint64)
             return np.concatenate(([x], s)), None if move is None else s ^ masks
 
-        return prepend_scan
-    # int or float parameters below 1e308 are exact in a float table, and a*t + b
-    # on them rounds as on the Python values
-    if maps[0].form != "affine" or not all(type(c) in (int, float) and abs(c) < 1e308
-                                           for m in maps for c in m.params):
-        return generic
-    a, b = (np.array(c, dtype=float) for c in zip(*(m.params for m in maps)))
+        return (lambda x, lams: tops[lams] | (x >> 1)), prepend_scan if depth <= 64 else generic
+    if form == "permutation":
+        table = np.array([m.params for m in maps], dtype=np.int64)
+        return (lambda i, lams: kind.canon_batch(table[lams, i])), generic
+    # affine (a, b) or twopiece (c_low, c_high): one float array per
+    # parameter, gathered by lams and broadcast against (S,)
+    p, q = (np.array(c, dtype=float) for c in zip(*(m.params for m in maps)))
+    if form == "twopiece_quadratic":
+        return (lambda t, lams: kind.canon_batch(np.where(t <= 0.5, t + p[lams] * (0.5 - t) * t,
+                                                          t + q[lams] * (1.0 - t) * (t - 0.5)))), generic
     lo, hi, canon = kind.lo, kind.hi, kind.canon
 
     def affine_walk(t, lams, move=None, shifts=()):
         if type(t) is not float:
             return generic(t, lams, move, shifts)
         n = len(lams) if move is None else min(len(lams), len(shifts))
-        return affine_orbit(t, a, b, None if move is None else shifts[:n], lo, hi, canon,
+        return affine_orbit(t, p, q, None if move is None else shifts[:n], lo, hi, canon,
                             np.asarray(lams[:n], dtype=np.intp))
 
-    return affine_walk
+    # int or float parameters below 1e308 are exact in a float table, and a*t + b
+    # on them rounds as on the Python values
+    exact = all(type(c) in (int, float) and abs(c) < 1e308 for m in maps for c in m.params)
+    return (lambda t, lams: kind.canon_batch(p[lams] * t + q[lams])), affine_walk if exact else generic
 
 
 def apply_map(m: MapDef, x: Point) -> Point:
@@ -389,22 +376,26 @@ class IFSSpec:
         return tuple(_compile_step(m, self.space) for m in self.maps)
 
     @cached_property
+    def _family(self) -> tuple[Callable, Callable]:
+        return _compile_family(self.maps, self.space, self.raw_steps)
+
+    @cached_property
     def raw_images(self) -> Callable:
         """`raw_images(x, lams)`: images of a batch of raw coordinates under
         the maps of `lams`, an index array or one index broadcast against the
-        batch; under every map, shape (M, S) per leaf, without `lams` (`_compile_images`)."""
-        images, every = _compile_images(self.maps, self.space), np.arange(self.nmaps)[:, None]
+        batch; under every map, shape (M, S) per leaf, without `lams`."""
+        images, every = self._family[0], np.arange(self.nmaps)[:, None]
         return lambda x, lams=every: images(x, np.asarray(lams, dtype=np.intp))
 
-    @cached_property
+    @property
     def raw_walk(self) -> Callable:
-        """The selector walk on raw coordinates, with an optional displacement (`_compile_walk`)."""
-        return _compile_walk(self.maps, self.space, self.raw_steps)
+        """The selector walk on raw coordinates, with an optional displacement (`_compile_family`)."""
+        return self._family[1]
 
     def __getstate__(self) -> dict:
         # the compiled steps are closures; an unpickled spec compiles its own
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("raw_steps", "raw_images", "raw_walk")}
+                if k not in ("raw_steps", "_family", "raw_images")}
 
 
 @dataclass(frozen=True)
@@ -590,7 +581,10 @@ def word_digits(mu: int, base: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def word_index(digits: Sequence[int], base: int) -> int:
+def word_index(digits: Sequence, base: int):
+    """The index of the word (lambda_0, ..., lambda_{k-1}), lambda_0 being the
+    most significant base-`base` digit: an int from int digits, or an array of
+    indices from digit columns (equal-length int arrays, lambda_0 first)."""
     mu = 0
     for d in digits:
         mu = mu * base + d
@@ -725,7 +719,7 @@ def map_to_json(m: MapDef) -> dict:
 
 
 def map_from_json(d: dict) -> MapDef:
-    form, raw = json_key(d, "form"), json_key(d, "params")
+    form, raw = json_key(d, "form"), json_list(d, "params")
     if form in ("compose", "product"):
         params = tuple(map_from_json(sub) for sub in raw)
     elif form in ("permutation", "prepend"):  # images, or the one bit
@@ -746,12 +740,13 @@ def ifs_to_json(ifs: IFSSpec) -> dict:
 
 
 def ifs_from_json(d: dict) -> IFSSpec:
+    space, maps = space_from_json(json_key(d, "space")), json_list(d, "maps")
     claimed, flags = d.get("claimed_contraction"), d.get("surjective", [])
     if not isinstance(flags, (list, tuple)) or any(type(b) is not bool for b in flags):
         raise DomainError(f"surjective flags must be a list of true and false, got {flags!r}")
     return IFSSpec(
-        space=space_from_json(json_key(d, "space")),
-        maps=tuple(map_from_json(m) for m in json_key(d, "maps")),
+        space=space,
+        maps=tuple(map_from_json(m) for m in maps),
         claimed_contraction=None if claimed is None else as_float(claimed, "claimed_contraction"),
         surjective_flags=tuple(flags),
         name=d.get("name", ""),

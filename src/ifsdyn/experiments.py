@@ -43,11 +43,13 @@ from .core import (
     apply,
     conjugate_ifs,
     orbit,
+    pair_index,
     power_ifs,
     product_ifs,
     selector_explicit,
     selector_random,
     subsystem,
+    word_index,
 )
 from .errors import DomainError
 from .models import UNIT, make_system
@@ -132,7 +134,7 @@ def _exp_power_consistency(p: dict):
         rng = np.random.default_rng(seed + 100 * t)
         x0 = sample_point(base.space, rng)
         sel = selector_random(seed + 100 * t + 1, k * steps, base.nmaps)
-        words = sel.indices.reshape(-1, k) @ base.nmaps ** np.arange(k - 1, -1, -1)
+        words = word_index(sel.indices.reshape(-1, k).T, base.nmaps)
         wsel = selector_explicit(words.tolist(), pspec.nmaps)
         a = orbit(pspec, wsel, x0, steps).points
         b = orbit(base, sel, x0, k * steps).points[::k]
@@ -194,7 +196,7 @@ def _exp_product(p: dict):
         lrec = _random_record(binary, harmonic_series(n), seed + 977 * t)
         rrec = _random_record(binary, harmonic_series(n), seed + 977 * t + 13)
         pts = RawPoints(prod.space, (lrec.points.raws, rrec.points.raws))
-        entries = lrec.selector.indices + binary.nmaps * rrec.selector.indices  # pair_index
+        entries = pair_index(lrec.selector.indices, rrec.selector.indices, binary.nmaps)
         psel = selector_explicit(entries.tolist(), prod.nmaps)
         prec = pseudo_orbit_record(prod, pts, psel)
         rp = shadow_verify(prod, prec, pts[0], psel, n)

@@ -92,7 +92,9 @@ def _finite_permutations(n: int) -> IFSSpec:
     )
 
 
-def _affine_family(betas, offsets) -> IFSSpec:
+def _affine_family(betas=None, offsets=None) -> IFSSpec:
+    if betas is None or offsets is None:
+        raise DomainError("model 'affine_family' needs betas and offsets: pass them from Python or use --spec-file")
     betas = tuple(float(b) for b in betas)
     offsets = tuple(float(c) for c in offsets)
     if len(betas) != len(offsets) or not betas:

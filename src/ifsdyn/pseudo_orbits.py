@@ -23,6 +23,7 @@ from .core import (
     selector_explicit,
     step_errors,
     usable_entries,
+    word_index,
 )
 from .errors import BranchError, DomainError, LengthError
 from .spaces import (
@@ -40,6 +41,7 @@ from .spaces import (
     diameter,
     distance,
     json_key,
+    json_list,
     leaf_kinds,
     leafwise,
     point_from_json,
@@ -286,7 +288,7 @@ def stride_subsample(ifs: IFSSpec, rec: PseudoOrbitRecord, k: int) -> tuple[IFSS
     lams, error = usable_entries(ifs, rec.selector, n)
     if error is not None:
         raise error
-    words = lams.reshape(-1, k) @ ifs.nmaps ** np.arange(k - 1, -1, -1)
+    words = word_index(lams.reshape(-1, k).T, ifs.nmaps)
     return pspec, pseudo_orbit_record(pspec, rec.points[::k], selector_explicit(words.tolist(), pspec.nmaps))
 
 
@@ -301,9 +303,9 @@ def record_to_json(rec: PseudoOrbitRecord) -> dict:
 
 
 def record_from_json(d: dict) -> PseudoOrbitRecord:
-    pts = tuple(point_from_json(p) for p in json_key(d, "points"))
-    stored, errors = json_key(d, "selector"), json_key(d, "errors")
-    sel = SelectorSequence(tuple(as_int(e, "selector entry") for e in json_key(stored, "entries")),
+    pts = tuple(point_from_json(p) for p in json_list(d, "points"))
+    stored, errors = json_key(d, "selector"), json_list(d, "errors")
+    sel = SelectorSequence(tuple(as_int(e, "selector entry") for e in json_list(stored, "entries")),
                            stored.get("generator", "explicit"))
     if not len(errors) == len(pts) - 1 <= len(sel):
         raise LengthError(f"record lengths disagree: {len(pts)} points, {len(errors)} "

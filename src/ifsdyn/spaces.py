@@ -462,11 +462,20 @@ def leaf_kinds(kind: SpaceKind) -> list[SpaceKind]:
 # --- JSON wire format ------------------------------------------------------
 
 def json_key(d: dict, key: str):
-    """`d[key]` of a JSON input; a missing key (or a `d` that is no object)
+    """`d[key]` of a JSON input; a missing key, or a `d` that is no object,
     raises a DomainError naming it."""
-    if not isinstance(d, dict) or key not in d:
+    if not isinstance(d, dict):
+        raise DomainError(f"JSON input must be an object with key {key!r}, got {type(d).__name__}")
+    if key not in d:
         raise DomainError(f"JSON input lacks key {key!r}")
     return d[key]
+
+
+def json_list(d: dict, key: str) -> list:
+    """`json_key(d, key)`, which must be a JSON array; else a DomainError naming the key."""
+    if not isinstance(value := json_key(d, key), (list, tuple)):
+        raise DomainError(f"JSON key {key!r} must hold an array, got {type(value).__name__}")
+    return value
 
 
 def as_int(value, what: str) -> int:

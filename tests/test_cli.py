@@ -43,10 +43,12 @@ def test_usage_errors_exit_2(capsys):
     assert main(["orbit", "--model", "binary_affine", "--x0", "0",
                  "--steps", "3", "--bogus"]) == 2
     assert main(["orbit", "--model", "no_such_model", "--x0", "0", "--steps", "3"]) == 2
+    assert main(["orbit", "--model", "affine_family", "--x0", "0", "--steps", "2"]) == 2
     assert main(["chain", "find", "--model", "circle_pair",
                  "--epsilon", "0.05", "--grid", "0.0125"]) == 2  # missing endpoints
     err = capsys.readouterr().err
     assert "error" in err or "usage" in err
+    assert "error: model 'affine_family' needs betas and offsets" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["orbit", "pseudo"])
@@ -402,10 +404,15 @@ def test_missing_json_keys_exit_2(tmp_path, capsys):
     list_param = {**good, "maps": [{"name": "a", "form": "affine", "params": [[0.5], 0.0]}]}
     list_lo = {**good, "space": {"type": "interval", "lo": [0]}}
     text_ratio = {**good, "claimed_contraction": "0.5"}
+    int_params = {**good, "maps": [{"name": "a", "form": "affine", "params": 5}]}
+    int_maps = {**good, "maps": 5}
     for spec, text in ((no_params, "'params'"), (no_space, "'space'"), (bare_map, "'form'"),
                        (list_param, "affine parameter must be a number, got [0.5]"),
                        (list_lo, "interval lo must be a number, got [0]"),
-                       (text_ratio, "claimed_contraction must be a number, got '0.5'")):
+                       (text_ratio, "claimed_contraction must be a number, got '0.5'"),
+                       (int_params, "'params' must hold an array, got int"),
+                       (int_maps, "'maps' must hold an array, got int"),
+                       ([1, 2], "must be an object with key 'space', got list")):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(spec))
         assert main(["chain", "graph", "--spec-file", str(spec_file),
@@ -414,12 +421,18 @@ def test_missing_json_keys_exit_2(tmp_path, capsys):
     rec_file = tmp_path / "rec.json"
     assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "20",
                  "--tol", "1", "--output", str(rec_file)]) == 0
-    payload = json.loads(rec_file.read_text())
-    del payload["record"]["errors"]
-    rec_file.write_text(json.dumps(payload))
-    assert main(["shadow", "--model", "binary_affine", "--pseudo-file", str(rec_file),
-                 "--mode", "contracting"]) == 2
-    assert "'errors'" in _one_error_line(capsys)
+    good_rec = json.loads(rec_file.read_text())["record"]
+    no_errors = {k: v for k, v in good_rec.items() if k != "errors"}
+    int_entries = {**good_rec, "selector": {**good_rec["selector"], "entries": 5}}
+    for payload, text in (({"record": no_errors}, "'errors'"),
+                          ({"record": {**good_rec, "points": 5}}, "'points' must hold an array, got int"),
+                          ({"record": int_entries}, "'entries' must hold an array, got int"),
+                          ({"record": {**good_rec, "errors": 5}}, "'errors' must hold an array, got int"),
+                          ([1], "must be an object with key 'points', got list")):
+        rec_file.write_text(json.dumps(payload))
+        assert main(["shadow", "--model", "binary_affine", "--pseudo-file", str(rec_file),
+                     "--mode", "contracting"]) == 2
+        assert text in _one_error_line(capsys)
 
 
 def test_removed_flags_exit_2(capsys):

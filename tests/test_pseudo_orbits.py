@@ -37,14 +37,20 @@ from ifsdyn import (
     validate_delta_pseudo_orbit,
     word_index,
 )
+from test_raw_core import CASES
 
 UNIT = Interval(0.0, 1.0)
 
 
-def test_true_orbit_validates_for_every_delta():
-    b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(0, 40, 2), point(UNIT, 0.7), 40))
-    assert np.all(rec.errors.values == 0.0)
+@pytest.mark.parametrize("name, n", [*((name, 300) for name in sorted(CASES)),
+                                     ("binary_affine", 20_000), ("sigma2_prepend", 20_000)])
+def test_true_orbit_validates_for_every_delta(name, n):
+    """All errors of a true orbit vanish on every family: the walk (lanes and
+    the uint64 scan at 20,000 steps) agrees exactly with `raw_images`."""
+    ifs = CASES[name][0]
+    x0 = sample_point(ifs.space, np.random.default_rng(n))
+    rec = record_from_orbit(ifs, orbit(ifs, selector_random(0, n, ifs.nmaps), x0, n))
+    assert rec.errors.values.max() == 0.0
     for delta in (1e-9, 1e-3, 0.5):
         assert validate_delta_pseudo_orbit(rec, delta).ok
 
