@@ -47,7 +47,7 @@ class ChainGraph:
     epsilon: float
     resolution: float
     out_edges: tuple[np.ndarray, ...]   # per node, ascending target indices
-    out_labels: tuple[np.ndarray, ...]  # matching argmin map index per edge
+    out_labels: tuple[np.ndarray, ...]  # matching argmin map index per edge, in the least uint dtype
 
     @property
     def size(self) -> int:
@@ -130,7 +130,7 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
                 kinds[l].dists(coords, np.repeat(images[lam, rows, l], count))
                 for l, coords in target_coords))
             if lam == 0:
-                best, label = d, np.zeros(len(d), dtype=np.intp)
+                best, label = d, np.zeros(len(d), dtype=np.min_scalar_type(ifs.nmaps - 1))
             else:
                 label[d < best] = lam
                 np.minimum(best, d, out=best)

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .averaging import Series, series
 from .errors import (
     ConjugacyError,
     DomainError,
@@ -31,8 +32,10 @@ from .spaces import (
     RawPoints,
     SpaceKind,
     SymbolSpace,
+    as_batch,
     as_float,
     as_int,
+    diameter,
     distance,
     json_key,
     json_list,
@@ -477,13 +480,23 @@ def selector_random(seed: int, length: int, nmaps: int) -> SelectorSequence:
     return SelectorSequence(entries, f"random:{seed}")
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    """A true trajectory: points[i+1] = f_{selector[i]}(points[i])."""
+@dataclass(frozen=True, eq=False)
+class PseudoOrbitRecord:
+    """Points, the selector that claims to drive them, and the step errors
+    d(f_{sel[i]}(x_i), x_{i+1}), all 0 on a true orbit. `points` is a
+    RawPoints view of one batch unless a caller put others there."""
 
-    initial: Point
+    points: Sequence[Point]
     selector: SelectorSequence
-    points: Sequence[Point]  # a RawPoints view
+    errors: Series
+
+    @property
+    def steps(self) -> int:
+        return len(self.points) - 1
+
+    def raw(self, kind: SpaceKind):
+        """The points as one batch of `kind`: a view's own, or one encoded now."""
+        return as_batch(kind, self.points, "record point")
 
 
 def apply(ifs: IFSSpec, lam: int, x: Point) -> Point:
@@ -521,27 +534,29 @@ def usable_entries(ifs: IFSSpec, selector: SelectorSequence, n: int) -> tuple[np
     return lams, None
 
 
-def walk(ifs: IFSSpec, selector: SelectorSequence, raw, n: int):
-    """Raw coordinates of the n-step orbit of the raw coordinate `raw`, start
-    included, as one batch (`IFSSpec.raw_walk`). Steps run up to the
-    first selector entry that `apply` would reject; its error (a map index
-    out of range, or an exhausted selector) is raised after them, as a
-    step-by-step loop would raise it."""
+def walk(ifs: IFSSpec, selector: SelectorSequence, raw, n: int, move=None, params=()):
+    """The one entry to `IFSSpec.raw_walk`: the n-step orbit of the raw
+    coordinate `raw`, start included, as one batch, and the images before
+    each `move` (None without one). Steps stop at the first selector entry
+    that `apply` would reject; its error (an index out of range, or an
+    exhausted selector) is raised after them, as a step-by-step loop would."""
     lams, error = usable_entries(ifs, selector, n)
-    out, _ = ifs.raw_walk(raw, lams)
+    out = ifs.raw_walk(raw, lams, move, params)
     if error is not None:
         raise error
     return out
 
 
-def orbit(ifs: IFSSpec, selector: SelectorSequence, x0: Point, n: int) -> OrbitRecord:
-    """Iterate n >= 0 steps under the selector, keeping every point."""
+def orbit(ifs: IFSSpec, selector: SelectorSequence, x0: Point, n: int) -> PseudoOrbitRecord:
+    """Iterate n >= 0 steps under the selector, keeping every point: the
+    pseudo-orbit whose n step errors are all 0."""
     kind = ifs.space
     if n < 0:
         raise DomainError(f"step count must be >= 0, got {n}")
     if x0.kind != kind:
         raise DomainError("initial point does not belong to the IFS space")
-    return OrbitRecord(x0, selector, RawPoints(kind, walk(ifs, selector, kind.encode(x0), n)))
+    raw, _ = walk(ifs, selector, kind.encode(x0), n)
+    return PseudoOrbitRecord(RawPoints(kind, raw), selector, series(np.zeros(n), bound=diameter(kind)))
 
 
 def compose_apply(ifs: IFSSpec, selector: SelectorSequence, n: int, x: Point) -> Point:

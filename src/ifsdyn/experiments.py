@@ -290,9 +290,10 @@ def _exp_circle_chain(p: dict):
 
 
 def crossing_record(ifs, delta: float) -> PseudoOrbitRecord:
-    """Rightward delta-pseudo-orbit from 0.01 to 0.99 under map 0: follow
-    the map and add a jump just under delta, clamping the final step to land
-    exactly on 0.99."""
+    """Rightward delta-pseudo-orbit from 0.01 to 0.99 or past it under map 0:
+    follow the map and add a jump just under delta. The final step lands
+    exactly on 0.99 when that costs at most the jump; when the map's image
+    lies further past 0.99, the record ends at that image, with error 0."""
     if not 0 < delta:
         raise DomainError("delta must be positive")
     jump, hi = 0.95 * delta, 0.99
@@ -300,7 +301,7 @@ def crossing_record(ifs, delta: float) -> PseudoOrbitRecord:
     cur = pts[0]
     while cur.value < hi:
         base = apply(ifs, 0, cur)
-        nxt = point(ifs.space, min(base.value + jump, hi))
+        nxt = point(ifs.space, min(base.value + jump, hi)) if base.value - hi <= jump else base
         pts.append(nxt)
         cur = nxt
         if len(pts) > 100000:
@@ -373,6 +374,17 @@ def experiment_names() -> list[str]:
     return list(_DEFAULTS)
 
 
+def _same_json_type(value, default) -> bool:
+    """Whether an override has its default's JSON type: an integer serves
+    where a float is expected, a boolean serves for no number, and a list
+    must be nonempty with items of its default's item type."""
+    if isinstance(default, list):
+        return isinstance(value, list) and bool(value) and all(_same_json_type(v, default[0]) for v in value)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
 def run(name: str, overrides: dict | None = None, output_root="results",
         seed: int = 0) -> ExperimentResult:
     """Execute one cataloged experiment; deterministic given `seed`."""
@@ -381,8 +393,13 @@ def run(name: str, overrides: dict | None = None, output_root="results",
     fn, defaults = _DEFAULTS[name]
     params = dict(defaults)
     params["seed"] = seed
-    if overrides:
-        params.update(overrides)
+    for key, value in (overrides or {}).items():
+        if key not in params:
+            raise DomainError(f"{name} has no parameter {key!r}; choose from {sorted(params)}")
+        if not _same_json_type(value, params[key]):
+            raise DomainError(f"parameter {key!r} of {name} must have the JSON type of its default "
+                              f"{params[key]!r}, got {value!r}")
+        params[key] = value
     stamp = time.strftime("%Y%m%dT%H%M%S") + f"{time.time_ns() % 1_000_000_000:09d}"
     outdir = Path(output_root) / name / stamp
     outdir.mkdir(parents=True, exist_ok=True)

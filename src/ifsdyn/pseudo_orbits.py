@@ -17,12 +17,14 @@ import numpy as np
 from .averaging import Series, running_average_curve, series
 from .core import (
     IFSSpec,
+    PseudoOrbitRecord,
     SelectorSequence,
     orbit,
     power_ifs,
     selector_explicit,
     step_errors,
     usable_entries,
+    walk,
     word_index,
 )
 from .errors import BranchError, DomainError, LengthError
@@ -50,24 +52,6 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PseudoOrbitRecord:
-    """Points, the selector that claims to drive them, and the step errors.
-    `points` is a RawPoints view of one batch unless a caller put others there."""
-
-    points: Sequence[Point]
-    selector: SelectorSequence
-    errors: Series
-
-    @property
-    def steps(self) -> int:
-        return len(self.points) - 1
-
-    def raw(self, kind: SpaceKind):
-        """The points as one batch of `kind`: a view's own, or one encoded now."""
-        return as_batch(kind, self.points, "record point")
-
-
 def pseudo_orbit_record(ifs: IFSSpec, points: Sequence[Point], selector: SelectorSequence) -> PseudoOrbitRecord:
     """Build a record from explicit points, recomputing the error series. A
     RawPoints view of the IFS space is kept as it is, without decoding;
@@ -85,11 +69,6 @@ def pseudo_orbit_record(ifs: IFSSpec, points: Sequence[Point], selector: Selecto
     if error is not None:
         raise error
     return PseudoOrbitRecord(points, selector, series(errs, bound=diameter(kind)))
-
-
-def record_from_orbit(ifs: IFSSpec, orb) -> PseudoOrbitRecord:
-    """A true orbit as a pseudo-orbit (all errors vanish)."""
-    return pseudo_orbit_record(ifs, orb.points, orb.selector)
 
 
 @dataclass(frozen=True)
@@ -200,7 +179,7 @@ def perturbed_orbit(
     diam = diameter(ifs.space)
     if len(noise_schedule.values) and float(noise_schedule.values.max()) > diam:
         raise DomainError("noise schedule exceeds the space diameter")
-    kind, walk = ifs.space, ifs.raw_walk
+    kind = ifs.space
     if x0.kind != kind:
         raise DomainError("point does not belong to the IFS space")
     cur, s, rng = kind.encode(x0), noise_schedule.values, np.random.default_rng(seed)
@@ -210,10 +189,7 @@ def perturbed_orbit(
     if need.any():
         drawn[need] = rng.integers(0, highs[need])
     move, params = _moves(kind, s, iter(drawn.T))
-    lams, error = usable_entries(ifs, selector, len(s))
-    raw, bases = walk(cur, lams, move, params)
-    if error is not None:
-        raise error
+    raw, bases = walk(ifs, selector, cur, len(s), move, params)
     errs = kind.dists(bases, leafwise(lambda a: a[1:], raw))
     return PseudoOrbitRecord(RawPoints(kind, raw), selector, series(errs, bound=diam))
 

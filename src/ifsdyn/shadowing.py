@@ -80,7 +80,7 @@ def _track(ifs: IFSSpec, rec: PseudoOrbitRecord, z: Point, n: int, sigma: Select
     xs = rec.raw(kind)
     if z.kind != kind:
         raise DomainError("start point does not belong to the IFS space")
-    walked = walk(ifs, sigma, kind.encode(z), n - 1)
+    walked, _ = walk(ifs, sigma, kind.encode(z), n - 1)
     return kind.dists(walked, leafwise(lambda a: a[:n], xs))
 
 

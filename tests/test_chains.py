@@ -29,6 +29,7 @@ from ifsdyn import (
     is_chain_transitive,
     make_system,
     point,
+    power_ifs,
     product_ifs,
     sample_point,
     snap_to_node,
@@ -381,6 +382,20 @@ def test_build_matches_all_pairs(catalog_graph):
     for u in range(g.size):
         assert np.array_equal(g.out_edges[u], edges[u])
         assert np.array_equal(g.out_labels[u], labels[u])
+
+
+def test_labels_take_the_smallest_unsigned_dtype(catalog_graph):
+    """A label is a map index < nmaps, so one byte holds it on the catalog systems."""
+    _, g = catalog_graph
+    assert {a.dtype for a in g.out_labels} == {np.dtype(np.uint8)}
+
+
+def test_labels_of_more_than_256_maps_take_two_bytes():
+    fam = power_ifs(make_system("finite_permutations:3"), 4)
+    g = build_chain_graph(fam, 0.25, 1.0)
+    edges, labels = all_pairs_graph(fam, 0.25, 1.0)
+    assert fam.nmaps == 1296 and {a.dtype for a in g.out_labels} == {np.dtype(np.uint16)}
+    assert all(map(np.array_equal, g.out_labels, labels)) and all(map(np.array_equal, g.out_edges, edges))
 
 
 def test_find_chain_matches_bfs_oracle(catalog_graph):

@@ -82,6 +82,22 @@ def test_unparseable_values_exit_2(tmp_path, capsys):
     assert captured.out == "" and len(err) == 9 and all(line.startswith("error: ") for line in err)
 
 
+@pytest.mark.parametrize("name, setting, message", [
+    ("thm-product", "trials=1.5", "parameter 'trials' of thm-product must have the JSON type of its default 20"),
+    ("thm-product", 'n="x"', "parameter 'n' of thm-product must have the JSON type of its default 5000"),
+    ("ex-circle-chain", "epsilon=null", "parameter 'epsilon' of ex-circle-chain must have the JSON type"),
+    ("thm-power-consistency", "ks=[]", "parameter 'ks' of thm-power-consistency must have the JSON type"),
+    ("lemma-density", "nosuch=1", "lemma-density has no parameter 'nosuch'"),
+], ids=["trials=1.5", 'n="x"', "epsilon=null", "ks=[]", "nosuch=1"])
+def test_experiment_overrides_checked_exit_2(name, setting, message, tmp_path, capsys):
+    """An override must name a parameter and have its default's JSON type
+    (a list nonempty), or the run stops before it starts, with one error line."""
+    assert main(["experiment", name, "--set", setting, "--output-root", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_list_models(capsys):
     assert main(["list-models"]) == 0
     out = capsys.readouterr().out

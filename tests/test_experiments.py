@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from ifsdyn import DomainError, run
+from ifsdyn import DomainError, make_system, run, validate_delta_pseudo_orbit
 from ifsdyn.cli import main
-from ifsdyn.experiments import _DEFAULTS, experiment_names
+from ifsdyn.experiments import _DEFAULTS, crossing_record, experiment_names
 
 
 def test_experiment_names():
@@ -73,6 +73,30 @@ def test_interval_no_shadowing_experiment(tmp_path):
               output_root=tmp_path, seed=7)
     _check_result(res, tmp_path)
     assert res.metrics["greedy_floor"] >= 0.2
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.005, 0.002, 1e-3, 1e-4])
+def test_crossing_record_is_a_delta_pseudo_orbit_past_099(delta):
+    """Every step error of the crossing is below delta, the last one too:
+    where the map's image already lies past 0.99 by more than the jump, the
+    record ends at that image instead of clamping onto 0.99."""
+    rec = crossing_record(make_system("interval_pair"), delta)
+    assert rec.errors.values.max() < delta and validate_delta_pseudo_orbit(rec, delta).ok
+    assert rec.points[-1].value >= 0.99 > rec.points[-2].value
+
+
+def test_overrides_keep_their_default_json_type(tmp_path):
+    """An integer serves where a float is expected; a boolean serves for no
+    number, a list item has its default item's type, and nothing is written
+    for a refused override."""
+    res = run("lemma-density", {"horizon": 2000, "tol": 1}, output_root=tmp_path / "ok")
+    assert res.parameters["tol"] == 1 and res.parameters["horizon"] == 2000
+    for name, bad in (("lemma-density", {"horizon": True}), ("lemma-density", {"tol": False}),
+                      ("thm-power-consistency", {"ks": [2, 2.5]}), ("ex-interval-chain-probe", {"epsilons": 0.1}),
+                      ("thm-product", {"seed": "0"})):
+        with pytest.raises(DomainError, match=repr(next(iter(bad)))):
+            run(name, bad, output_root=tmp_path / "refused")
+    assert not (tmp_path / "refused").exists()
 
 
 def test_interval_chain_probe(tmp_path):

@@ -26,7 +26,6 @@ from ifsdyn import (
     point,
     pseudo_orbit_record,
     record_from_json,
-    record_from_orbit,
     record_to_json,
     sample_point,
     selector_explicit,
@@ -45,19 +44,21 @@ UNIT = Interval(0.0, 1.0)
 @pytest.mark.parametrize("name, n", [*((name, 300) for name in sorted(CASES)),
                                      ("binary_affine", 20_000), ("sigma2_prepend", 20_000)])
 def test_true_orbit_validates_for_every_delta(name, n):
-    """All errors of a true orbit vanish on every family: the walk (lanes and
-    the uint64 scan at 20,000 steps) agrees exactly with `raw_images`."""
+    """All errors of a true orbit vanish on every family: re-measured on
+    `raw_images`, the walk (lanes and the uint64 scan at 20,000 steps) gives
+    exactly the zeros that `orbit` records."""
     ifs = CASES[name][0]
     x0 = sample_point(ifs.space, np.random.default_rng(n))
-    rec = record_from_orbit(ifs, orbit(ifs, selector_random(0, n, ifs.nmaps), x0, n))
-    assert rec.errors.values.max() == 0.0
+    rec = orbit(ifs, selector_random(0, n, ifs.nmaps), x0, n)
+    again = pseudo_orbit_record(ifs, rec.points, rec.selector).errors.values
+    assert again.max() == 0.0 and again.tobytes() == rec.errors.values.tobytes()
     for delta in (1e-9, 1e-3, 0.5):
         assert validate_delta_pseudo_orbit(rec, delta).ok
 
 
 def test_delta_must_be_positive():
     b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(0, 5, 2), point(UNIT, 0.7), 5))
+    rec = orbit(b, selector_random(0, 5, 2), point(UNIT, 0.7), 5)
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             validate_delta_pseudo_orbit(rec, bad)
@@ -86,7 +87,7 @@ def test_uniform_noise_below_half_delta():
 
 def test_validate_aapo():
     b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(3, 30, 2), point(UNIT, 0.9), 30))
+    rec = orbit(b, selector_random(3, 30, 2), point(UNIT, 0.9), 30)
     rep = validate_aapo(rec, 30, tol=1e-12)
     assert rep.verdict and rep.final_average == 0.0
 
@@ -228,14 +229,14 @@ def test_one_point_record_has_no_errors():
 
 def test_nan_tolerance_is_rejected():
     b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(3, 30, 2), point(UNIT, 0.9), 30))
+    rec = orbit(b, selector_random(3, 30, 2), point(UNIT, 0.9), 30)
     with pytest.raises(DomainError, match="nan"):
         validate_aapo(rec, 30, tol=math.nan)
 
 
 def test_stride_subsample_true_orbit():
     b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(17, 12, 2), point(UNIT, 0.8), 12))
+    rec = orbit(b, selector_random(17, 12, 2), point(UNIT, 0.8), 12)
     pspec, sub = stride_subsample(b, rec, 3)
     assert np.all(sub.errors.values == 0.0)
     assert len(sub.points) == 5
@@ -245,7 +246,7 @@ def test_stride_subsample_true_orbit():
 def test_stride_word_indices():
     b = make_system("binary_affine")
     sel = selector_explicit([0, 1, 1, 0, 1, 1], 2)
-    rec = record_from_orbit(b, orbit(b, sel, point(UNIT, 0.6), 6))
+    rec = orbit(b, sel, point(UNIT, 0.6), 6)
     pspec, sub = stride_subsample(b, rec, 2)
     assert len(sub.points) == 4
     # words (0,1), (1,0), (1,1) with the first symbol most significant
@@ -261,7 +262,7 @@ def test_stride_words_match_the_entry_loop():
     selector raises the LengthError of its first missing entry, after the
     power guard."""
     b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(24, 12, 2), point(UNIT, 0.4), 12))
+    rec = orbit(b, selector_random(24, 12, 2), point(UNIT, 0.4), 12)
     for entries in (rec.selector.entries, (0, 2, 1, 1, 3, 0, 1, 0, 0, 1, 1, 1), (1, -1) * 6,
                     (0, 1) * 5 + (0, 2)):
         for k in (2, 3, 4):
@@ -278,7 +279,7 @@ def test_stride_words_match_the_entry_loop():
             except DomainError as exc:
                 got = ("DomainError", str(exc))
             assert got == want
-    long = record_from_orbit(b, orbit(b, selector_random(25, 26, 2), point(UNIT, 0.4), 26))
+    long = orbit(b, selector_random(25, 26, 2), point(UNIT, 0.4), 26)
     short = dataclasses.replace(long, selector=SelectorSequence(long.selector.entries[:5]))
     with pytest.raises(LengthError, match=r"^selector exhausted: entry 5 requested, 5 realized$"):
         stride_subsample(b, short, 2)

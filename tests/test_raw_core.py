@@ -621,7 +621,7 @@ def test_walks_views_and_records_hold_batches(name):
     rec = perturbed_orbit(ifs, sel, x0, _schedule(ifs, noise, n), 66)
     walked, bases = ifs.raw_walk(kind.encode(x0), sel.entries, None)
     assert _is_batch(kind, walked, n + 1) and bases is None
-    assert _is_batch(kind, walk(ifs, sel, kind.encode(x0), n), n + 1)
+    assert _is_batch(kind, walk(ifs, sel, kind.encode(x0), n)[0], n + 1)
     encoded = pseudo_orbit_record(ifs, tuple(rec.points), sel)
     for r in (rec, encoded, pseudo_orbit_record(ifs, rec.points, sel)):
         assert isinstance(r.points, RawPoints) and _is_batch(kind, r.points.raws, n + 1)
@@ -825,7 +825,7 @@ def _check_walks(ifs, sel, x0, values, seed, horizons=None):
     for k in range(len(values) + 1) if horizons is None else horizons:
         want = _walk_outcome(lambda: [_stored(x0), *oracle_orbit(ifs, sel, x0, k)[1:]])
         assert _walk_outcome(lambda: orbit(ifs, sel, x0, k).points) == want
-        assert _walk_outcome(lambda: RawPoints(kind, walk(ifs, sel, kind.encode(x0), k))) == want
+        assert _walk_outcome(lambda: RawPoints(kind, walk(ifs, sel, kind.encode(x0), k)[0])) == want
         got, want = _perturbed_outcomes(ifs, sel, x0, np.asarray(values[:k], dtype=float), seed)
         assert got == want
 
@@ -958,7 +958,7 @@ def test_walk_kernels_compile_for_the_orbit_long_families_only():
     for ifs in (numpy_params, MIXED, power_ifs(affine, 2), product_ifs(affine, affine), CASES["conjugate"][0],
                 CASES["symbols100"][0]):
         assert ifs.raw_walk.__name__ == "generic"
-    walked = walk(numpy_params, selector_explicit([0, 0]), 1.0, 2)
+    walked, _ = walk(numpy_params, selector_explicit([0, 0]), 1.0, 2)
     assert walked.dtype == np.float64 and walked.tolist() == [1.0, 0.5, 0.25]
 
 
@@ -983,7 +983,7 @@ def _walk_bytes(ifs, sel, x0, values, seed, k):
         return rec.points.raws.tobytes(), rec.errors.values.tobytes(), made[0].bit_generator.state
 
     return (_raw_outcome(lambda: orbit(ifs, sel, x0, k).points.raws.tobytes()),
-            _raw_outcome(lambda: walk(ifs, sel, kind.encode(x0), k).tobytes()),
+            _raw_outcome(lambda: walk(ifs, sel, kind.encode(x0), k)[0].tobytes()),
             _raw_outcome(perturbed))
 
 

@@ -27,7 +27,6 @@ from ifsdyn import (
     point,
     product_ifs,
     pseudo_orbit_record,
-    record_from_orbit,
     sample_point,
     selector_explicit,
     selector_random,
@@ -48,7 +47,7 @@ def _harmonic_rec(ifs, n, seed, x0=None):
 
 def test_shadow_verify_true_orbit():
     b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(0, 40, 2), point(UNIT, 0.7), 40))
+    rec = orbit(b, selector_random(0, 40, 2), point(UNIT, 0.7), 40)
     rep = shadow_verify(b, rec, rec.points[0], rec.selector, 40, tol_avg=1e-12, tol_sup=1e-12)
     assert rep.sup_error == 0.0 and rep.final_average == 0.0
     assert rep.verdict_avg and rep.verdict_sup
@@ -91,15 +90,14 @@ def test_contracting_shadow_bound_formula():
 
 def test_contracting_shadow_true_orbit():
     b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(33, 50, 2), point(UNIT, 0.4), 50))
+    rec = orbit(b, selector_random(33, 50, 2), point(UNIT, 0.4), 50)
     rep = contracting_shadow(b, rec)
     assert rep.final_average == 0.0 and rep.sup_error == 0.0
 
 
 def test_contracting_shadow_requires_claim():
     cp = make_system("circle_pair")
-    rec = record_from_orbit(cp, orbit(cp, selector_random(34, 10, 2),
-                                      point(cp.space, 0.3), 10))
+    rec = orbit(cp, selector_random(34, 10, 2), point(cp.space, 0.3), 10)
     with pytest.raises(ContractionError):
         contracting_shadow(cp, rec)
 
@@ -109,8 +107,7 @@ def test_contracting_shadow_rejects_false_claim():
 
     fake = IFSSpec(UNIT, (MapDef("wide", "affine", (0.9, 0.05)),),
                    claimed_contraction=0.5)
-    rec = record_from_orbit(fake, orbit(fake, selector_random(35, 5, 1),
-                                        point(UNIT, 0.2), 5))
+    rec = orbit(fake, selector_random(35, 5, 1), point(UNIT, 0.2), 5)
     with pytest.raises(ContractionError):
         contracting_shadow(fake, rec)
 
@@ -120,8 +117,7 @@ def test_contracting_shadow_reports_first_bound_violation():
     # above the bound 0 + 0.5*0.8 of the (false) claimed ratio 0.5
     fake = IFSSpec(UNIT, (MapDef("wide", "affine", (0.9, 0.05)),),
                    claimed_contraction=0.5)
-    rec = record_from_orbit(fake, orbit(fake, selector_random(35, 5, 1),
-                                        point(UNIT, 0.2), 5))
+    rec = orbit(fake, selector_random(35, 5, 1), point(UNIT, 0.2), 5)
     msg = "step 1: tracking error 0.72 exceeds inductive bound 0.4"
     with pytest.raises(ContractionError, match=re.escape(msg)):
         contracting_shadow(fake, rec, y0=point(UNIT, 1.0), validate=False)
@@ -174,7 +170,7 @@ def test_start_point_irrelevance():
 
 def test_greedy_zero_on_true_orbit():
     b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(39, 30, 2), point(UNIT, 0.5), 30))
+    rec = orbit(b, selector_random(39, 30, 2), point(UNIT, 0.5), 30)
     starts = [point(UNIT, 0.1), rec.points[0], point(UNIT, 0.9)]
     rep = greedy_shadow_search(b, rec, starts, 30)
     assert rep.final_average == 0.0
@@ -206,14 +202,14 @@ def test_greedy_monotone_under_grid_refinement():
 
 def test_finite_shadowing_check_true_orbit():
     b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(40, 25, 2), point(UNIT, 0.3), 25))
+    rec = orbit(b, selector_random(40, 25, 2), point(UNIT, 0.3), 25)
     res = finite_shadowing_check(b, rec, 1e-6, [rec.points[0]], 25)
     assert res.found and res.sup_achieved == 0.0
 
 
 def test_finite_shadowing_epsilon_must_be_positive():
     b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(40, 5, 2), point(UNIT, 0.3), 5))
+    rec = orbit(b, selector_random(40, 5, 2), point(UNIT, 0.3), 5)
     for bad in (0.0, -0.1, float("nan")):
         with pytest.raises(DomainError):
             finite_shadowing_check(b, rec, bad, [rec.points[0]], 5)
@@ -243,7 +239,7 @@ def test_finite_shadowing_interval_pair_negative():
 
 def test_horizon_checks():
     b = make_system("binary_affine")
-    rec = record_from_orbit(b, orbit(b, selector_random(43, 10, 2), point(UNIT, 0.3), 10))
+    rec = orbit(b, selector_random(43, 10, 2), point(UNIT, 0.3), 10)
     starts = [rec.points[0]]
     for n in (0, len(rec.points) + 1):
         with pytest.raises(LengthError):
