@@ -6,10 +6,11 @@ epsilon-chains (one-sided soundness). Completeness at the coarser scale
 epsilon/2 needs (L+1)*h/2 <= epsilon/2 for grid spacing h and maps of
 Lipschitz constant L; the h <= epsilon/4 guard ensures it only for L <= 3.
 
-Nodes are held as the raw grid batch itself (a `RawPoints` view); a `Point`
-is decoded only for witnesses and counterexamples. Strongly connected
-components come from Tarjan's algorithm with one numpy gather per visit of
-a node, and `find_chain` stops its breadth-first search at the target.
+Nodes are held as the raw grid batch itself (a `RawPoints` view). A witness
+is a `PseudoOrbitRecord` with step errors <= epsilon whose points view that
+batch along the path, so a `Point` is decoded only for counterexamples.
+Strongly connected components come from Tarjan's algorithm with one numpy
+gather per visit of a node; `find_chain` stops its BFS at the target.
 """
 
 from __future__ import annotations
@@ -21,18 +22,19 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import IFSSpec, SelectorSequence, step_errors, usable_entries
+from .core import IFSSpec, PseudoOrbitRecord, selector_explicit, step_errors, usable_entries
 from .errors import DomainError, GuardError, IFSError
+from .pseudo_orbits import pseudo_orbit_record
 from .spaces import (
     Circle,
     FiniteDiscrete,
     Point,
     RawPoints,
-    as_batch,
     batch_leaves,
     csv_lines,
     grid_batch,
     leaf_kinds,
+    leafwise,
     point_to_json,
 )
 
@@ -151,20 +153,13 @@ def snap_to_node(g: ChainGraph, p: Point) -> tuple[int, float]:
     return i, float(d[i])
 
 
-@dataclass(frozen=True)
-class ChainWitness:
-    """A validated epsilon-chain over grid nodes."""
-
-    points: tuple[Point, ...]
-    labels: tuple[int, ...]
-
-
-def validate_witness(ifs: IFSSpec, w: ChainWitness, epsilon: float) -> bool:
-    if len(w.points) != len(w.labels) + 1 or len(w.labels) < 1:
+def validate_witness(ifs: IFSSpec, w: PseudoOrbitRecord, epsilon: float) -> bool:
+    """Whether the record is an epsilon-chain: >= 1 step, each error recomputed
+    on the raw maps under `w.selector` and within epsilon (+1e-12)."""
+    if w.steps < 1 or len(w.selector) < w.steps:
         return False
-    lams, error = usable_entries(ifs, SelectorSequence(tuple(w.labels)), len(w.labels))
-    errs = step_errors(ifs, as_batch(ifs.space, w.points, "witness point"), lams)
-    ok = bool((errs <= epsilon + _WITNESS_SLACK).all())
+    lams, error = usable_entries(ifs, w.selector, w.steps)
+    ok = bool((step_errors(ifs, w.raw(ifs.space), lams) <= epsilon + _WITNESS_SLACK).all())
     if ok and error is not None:  # a label out of range after good steps raises as `apply` does
         raise error
     return ok
@@ -173,7 +168,7 @@ def validate_witness(ifs: IFSSpec, w: ChainWitness, epsilon: float) -> bool:
 @dataclass(frozen=True, eq=False)
 class ChainSearchResult:
     found: bool
-    witness: Optional[ChainWitness]
+    witness: Optional[PseudoOrbitRecord]
     snap_from: float
     snap_to: float
     reachable: Optional[tuple[int, ...]]  # diagnostic frontier when not found
@@ -216,10 +211,10 @@ def find_chain(g: ChainGraph, x: Point, y: Point) -> ChainSearchResult:
     while path[-1] != src:
         path.append(int(parent[path[-1]]))
     path.reverse()
-    labels = tuple(int(g.out_labels[u][np.searchsorted(g.out_edges[u], v)])
-                   for u, v in zip(path, path[1:]))
-    witness = ChainWitness(tuple(g.nodes[i] for i in path), labels)
-    if not validate_witness(g.ifs, witness, g.epsilon):
+    labels = [int(g.out_labels[u][np.searchsorted(g.out_edges[u], v)]) for u, v in zip(path, path[1:])]
+    nodes = RawPoints(g.ifs.space, leafwise(lambda a: a[path], g.nodes.raws))
+    witness = pseudo_orbit_record(g.ifs, nodes, selector_explicit(labels, g.ifs.nmaps))
+    if witness.errors.values.max() > g.epsilon + _WITNESS_SLACK:
         raise IFSError("graph path failed raw-map re-validation")
     return ChainSearchResult(True, witness, snap_from, snap_to, None)
 
@@ -325,10 +320,10 @@ def edges_csv(g: ChainGraph, comments: Sequence[str] = ()) -> Iterator[str]:
     return csv_lines("u,v,lambda", _edge_rows(g), comments)
 
 
-def witness_to_json(w: ChainWitness) -> dict:
+def witness_to_json(w: PseudoOrbitRecord) -> dict:
     return {
         "points": [point_to_json(p) for p in w.points],
-        "labels": list(w.labels),
+        "labels": list(w.selector.entries[:w.steps]),
     }
 
 

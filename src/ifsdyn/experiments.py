@@ -11,6 +11,7 @@ pass/fail logic lives here.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -29,7 +30,6 @@ from .averaging import (
     verify_null_density_implies_average,
 )
 from .chains import (
-    ChainWitness,
     build_chain_graph,
     chain_recurrent_set,
     edges_csv,
@@ -66,7 +66,7 @@ from .shadowing import (
     report_to_json,
     shadow_verify,
 )
-from .spaces import Point, RawPoints, csv_lines, distance, point, sample_point
+from .spaces import Point, RawPoints, csv_lines, distance, grid, point, sample_point
 
 
 @dataclass(frozen=True)
@@ -261,10 +261,9 @@ def _exp_circle_chain(p: dict):
     witness_ok = False
     witness = None
     if leg1.found and leg2.found:
-        witness = ChainWitness(
-            leg1.witness.points + leg2.witness.points[1:],
-            leg1.witness.labels + leg2.witness.labels,
-        )
+        labels = leg1.witness.selector.entries + leg2.witness.selector.entries
+        witness = pseudo_orbit_record(pair, (*leg1.witness.points, *leg2.witness.points[1:]),
+                                      selector_explicit(labels, pair.nmaps))
         witness_ok = validate_witness(pair, witness, eps)
     f1_only = subsystem(pair, [0])
     g1 = build_chain_graph(f1_only, h, eps)
@@ -319,8 +318,7 @@ def _exp_interval_no_shadowing(p: dict):
                          or ((us >= 0.5) & (vs < 0.5 - slack)).any())
     rec = crossing_record(pair, p["delta"])
     dcheck = validate_delta_pseudo_orbit(rec, p["delta"])
-    step = p["start_grid_step"]
-    starts = [point(pair.space, i * step) for i in range(int(round(1.0 / step)) + 1)]
+    starts = grid(pair.space, p["start_grid_step"])
     result = finite_shadowing_check(pair, rec, p["epsilon"], starts, len(rec.points))
     ok = invariance_ok and dcheck.ok and not result.found and result.sup_achieved >= p["epsilon"]
     files = {"crossing.csv": record_csv(rec),
@@ -399,12 +397,17 @@ def run(name: str, overrides: dict | None = None, output_root="results",
         if not _same_json_type(value, params[key]):
             raise DomainError(f"parameter {key!r} of {name} must have the JSON type of its default "
                               f"{params[key]!r}, got {value!r}")
+        # every number finite; counts (integer defaults) >= 1, amounts (float defaults) >= 0, any seed
+        items, default = (value, params[key][0]) if isinstance(value, list) else ([value], params[key])
+        least = 0 if isinstance(default, float) else 1
+        if key != "seed" and not all(least <= v < math.inf for v in items):
+            raise DomainError(f"parameter {key!r} of {name} must be finite and at least {least}, got {value!r}")
         params[key] = value
+    t0 = time.perf_counter()
+    verdict, metrics, files = fn(params)
     stamp = time.strftime("%Y%m%dT%H%M%S") + f"{time.time_ns() % 1_000_000_000:09d}"
     outdir = Path(output_root) / name / stamp
     outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    verdict, metrics, files = fn(params)
     for fname, chunks in files.items():
         with (outdir / fname).open("w") as fh:
             fh.writelines(chunks)

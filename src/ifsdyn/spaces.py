@@ -96,7 +96,7 @@ class Circle:
     def canon(self, value) -> float:
         """Raw coordinate of `value`, reduced mod 1."""
         v = float(value) % 1.0
-        if v == 1.0:  # guard against -0.0 % 1.0 edge behavior
+        if v == 1.0:  # a tiny negative rounds up: (-1e-20) % 1.0 == 1.0
             v = 0.0
         elif v != v:  # nan, or +-inf before the reduction
             raise DomainError(f"{value} is not a finite circle coordinate")

@@ -44,7 +44,6 @@ from ifsdyn import (
     verify_null_density_implies_average,
     word_index,
 )
-from ifsdyn.chains import ChainWitness
 from ifsdyn.experiments import crossing_record, powers_of_two_series
 from ifsdyn.shadowing import contracting_shadow
 
@@ -268,8 +267,8 @@ def test_criterion_08_circle_chain():
     leg2 = find_chain(g, zero, half)
     ok = trans.transitive and leg1.found and leg2.found
     if ok:
-        loop = ChainWitness(leg1.witness.points + leg2.witness.points[1:],
-                            leg1.witness.labels + leg2.witness.labels)
+        labels = leg1.witness.selector.entries + leg2.witness.selector.entries
+        loop = pseudo_orbit_record(pair, (*leg1.witness.points, *leg2.witness.points[1:]), selector_explicit(labels))
         ok &= validate_witness(pair, loop, eps)
         ok &= loop.points[0] == loop.points[-1] == g.nodes[g.size // 2]
         ok &= zero.value in [p.value for p in loop.points]

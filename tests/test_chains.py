@@ -35,7 +35,8 @@ from ifsdyn import (
     snap_to_node,
     validate_witness,
 )
-from ifsdyn.chains import ChainGraph, ChainWitness, graph_to_dot, strongly_connected_components
+from ifsdyn.chains import ChainGraph, graph_to_dot, strongly_connected_components
+from ifsdyn.core import PseudoOrbitRecord, SelectorSequence
 
 UNIT = Interval(0.0, 1.0)
 
@@ -121,12 +122,18 @@ def test_witness_labels_out_of_range_raise_after_good_steps():
     `apply`, unless an earlier step already fails."""
     half = halving_ifs()
     pts = tuple(point(UNIT, v) for v in (0.8, 0.4, 0.2))
-    assert validate_witness(half, ChainWitness(pts, (0, 0)), 1e-12)
-    assert not validate_witness(half, ChainWitness(pts[::-1], (0, 0)), 0.1)
+
+    def chain(points, labels):  # unchecked, as a caller may build one
+        return PseudoOrbitRecord(points, SelectorSequence(labels), None)
+
+    assert validate_witness(half, chain(pts, (0, 0)), 1e-12)
+    assert not validate_witness(half, chain(pts[::-1], (0, 0)), 0.1)
     for bad in (1, -1):
         with pytest.raises(DomainError, match=f"map index {bad} out of range for 1 maps"):
-            validate_witness(half, ChainWitness(pts, (0, bad)), 0.01)
-        assert not validate_witness(half, ChainWitness(pts[::-1], (0, bad)), 0.01)
+            validate_witness(half, chain(pts, (0, bad)), 0.01)
+        assert not validate_witness(half, chain(pts[::-1], (0, bad)), 0.01)
+    assert validate_witness(half, chain(pts[:1], ()), 1.0) is False  # no step
+    assert validate_witness(half, chain(pts, (0,)), 1.0) is False  # fewer labels than steps
 
 
 def test_dot_export_is_the_joined_edge_lines():
@@ -189,7 +196,7 @@ def test_witness_soundness_random_queries():
         y = point(Circle(), rng.random())
         res = find_chain(g, x, y)
         assert res.found
-        for a, b, lam in zip(res.witness.points, res.witness.points[1:], res.witness.labels):
+        for a, b, lam in zip(res.witness.points, res.witness.points[1:], res.witness.selector.entries):
             assert distance(apply(pair, lam, a), b) <= 0.06 + 1e-12
 
 
@@ -413,7 +420,7 @@ def test_find_chain_matches_bfs_oracle(catalog_graph):
         else:
             assert res.reachable is None
             assert res.witness.points == tuple(g.nodes[k] for k in path)
-            assert res.witness.labels == labels_or_reach
+            assert res.witness.selector.entries == labels_or_reach
 
 
 def test_transitivity_matches_oracle(catalog_graph):
@@ -507,10 +514,11 @@ def test_found_witnesses_validate(query_graphs, name, seed):
         return
     w = res.witness
     assert validate_witness(g.ifs, w, g.epsilon)
+    assert w.errors.values.max() <= g.epsilon + 1e-12
     path = [snap_to_node(g, p)[0] for p in w.points]
     assert w.points[0] == g.nodes[snap_to_node(g, x)[0]]
     assert w.points[-1] == g.nodes[snap_to_node(g, y)[0]]
-    for u, v, lam in zip(path, path[1:], w.labels):
+    for u, v, lam in zip(path, path[1:], w.selector.entries):
         assert v in g.out_edges[u].tolist()
         assert lam == g.out_labels[u][np.searchsorted(g.out_edges[u], v)]
 

@@ -88,10 +88,25 @@ def test_unparseable_values_exit_2(tmp_path, capsys):
     ("ex-circle-chain", "epsilon=null", "parameter 'epsilon' of ex-circle-chain must have the JSON type"),
     ("thm-power-consistency", "ks=[]", "parameter 'ks' of thm-power-consistency must have the JSON type"),
     ("lemma-density", "nosuch=1", "lemma-density has no parameter 'nosuch'"),
-], ids=["trials=1.5", 'n="x"', "epsilon=null", "ks=[]", "nosuch=1"])
+    ("thm-product", "trials=0", "parameter 'trials' of thm-product must be finite and at least 1, got 0"),
+    ("thm-power-consistency", "steps=0", "parameter 'steps' of thm-power-consistency must be finite and at least 1"),
+    ("thm-power-consistency", "ks=[2,0]", "parameter 'ks' of thm-power-consistency must be finite and at least 1"),
+    ("thm-conjugacy", "trials=0", "parameter 'trials' of thm-conjugacy must be finite and at least 1"),
+    ("lemma-density", "tol=NaN", "parameter 'tol' of lemma-density must be finite and at least 0, got nan"),
+    ("ex-circle-chain", "epsilon=-1", "parameter 'epsilon' of ex-circle-chain must be finite and at least 0"),
+    ("ex-interval-chain-probe", "grid_divisor=0", "parameter 'grid_divisor' of ex-interval-chain-probe must be"),
+    ("ex-interval-chain-probe", "epsilons=[0.02,Infinity]", "parameter 'epsilons' of ex-interval-chain-probe must be"),
+    # in range, refused by the experiment itself: nothing is written either
+    ("ex-interval-no-shadowing", "start_grid_step=0", "resolution must be positive"),
+    ("ex-circle-chain", "epsilon=0", "epsilon must be positive"),
+], ids=["trials=1.5", 'n="x"', "epsilon=null", "ks=[]", "nosuch=1", "trials=0", "steps=0", "ks=[2,0]",
+        "conjugacy trials=0", "tol=NaN", "epsilon=-1", "grid_divisor=0", "epsilons=[0.02,Infinity]",
+        "start_grid_step=0", "epsilon=0"])
 def test_experiment_overrides_checked_exit_2(name, setting, message, tmp_path, capsys):
-    """An override must name a parameter and have its default's JSON type
-    (a list nonempty), or the run stops before it starts, with one error line."""
+    """An override must name a parameter, have its default's JSON type (a
+    list nonempty) and be in range: every number finite, counts (integer
+    defaults) >= 1 and amounts (float defaults) >= 0. Otherwise the run
+    stops with one error line, and no result directory is made."""
     assert main(["experiment", name, "--set", setting, "--output-root", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
@@ -153,6 +168,9 @@ def test_shadow_truncated_record_exit_2(tmp_path, capsys):
     assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5",
                  "--steps", "50", "--noise", "harmonic", "--seed", "3",
                  "--tol", "1", "--output", str(rec_file)]) == 0
+    capsys.readouterr()
+    assert main(["shadow", "--model", "binary_affine", "--pseudo-file", str(rec_file), "--mode", "verify"]) == 2
+    assert _one_error_line(capsys) == "error: verify mode requires --z0"
     payload = json.loads(rec_file.read_text())
     payload["record"]["errors"] = payload["record"]["errors"][:-5]
     rec_file.write_text(json.dumps(payload))
@@ -169,6 +187,10 @@ def test_pseudo_false_verdict_exit_1(tmp_path):
                  "--steps", "50", "--noise", "const:0.3", "--seed", "1",
                  "--output", str(rec_file)])
     assert code == 1
+    # with no noise the record is a true orbit: every error 0, verdict true
+    assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "50", "--noise", "zero",
+                 "--output", str(rec_file)]) == 0
+    assert json.loads(rec_file.read_text())["record"]["errors"] == [0.0] * 50
 
 
 def test_shadow_contracting_mode(tmp_path):
@@ -197,6 +219,12 @@ def test_chain_find_and_transitive(tmp_path):
     assert payload["found"]
     assert payload["config"]["epsilon"] == 0.05
     assert len(payload["witness"]["points"]) >= 2
+
+    # leftward passage on interval_pair is blocked: exit 1, the reachable count, no witness
+    assert main(["chain", "find", "--model", "interval_pair", "--from", "0.9", "--to", "0.1",
+                 "--epsilon", "0.01", "--grid", "0.0025", "--output", str(out_file)]) == 1
+    payload = json.loads(out_file.read_text())
+    assert not payload["found"] and payload["reachable_count"] == 28 and "witness" not in payload
 
     code = main(["chain", "transitive", "--model", "circle_pair",
                  "--epsilon", "0.05", "--grid", "0.00195",
@@ -409,6 +437,11 @@ def test_infinite_interval_spec_exits_2(tmp_path, capsys):
     assert main(["chain", "graph", "--spec-file", str(spec_file),
                  "--epsilon", "0.05", "--grid", "0.0125"]) == 2
     assert "finite lo < hi" in _one_error_line(capsys)
+    spec["space"] = {"type": "interval", "lo": 10 ** 400, "hi": 1.0}  # no float holds it
+    spec_file.write_text(json.dumps(spec))
+    assert main(["chain", "graph", "--spec-file", str(spec_file),
+                 "--epsilon", "0.05", "--grid", "0.0125"]) == 2
+    assert _one_error_line(capsys).startswith("error: interval lo must be a number, got 1000")
 
 
 def test_missing_json_keys_exit_2(tmp_path, capsys):

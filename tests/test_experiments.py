@@ -17,6 +17,15 @@ def test_experiment_names():
         run("no-such-experiment")
 
 
+def test_readme_table_names_every_experiment():
+    """The README's experiment table has one row per cataloged experiment, in
+    catalog order, and no other."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Experiments\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert rows == experiment_names()
+
+
 def _check_result(res, tmp_path):
     assert res.verdict
     for art in res.artifacts:

@@ -7,6 +7,7 @@ import pytest
 from ifsdyn import (
     BranchError,
     Circle,
+    DeltaCheck,
     DomainError,
     GuardError,
     IFSError,
@@ -225,6 +226,7 @@ def test_one_point_record_has_no_errors():
     b = make_system("binary_affine")
     rec = pseudo_orbit_record(b, [point(UNIT, 0.3)], selector_explicit([]))
     assert rec.steps == 0 and len(rec.errors.values) == 0
+    assert validate_delta_pseudo_orbit(rec, 0.1) == DeltaCheck(True, 0, 0.0)
 
 
 def test_nan_tolerance_is_rejected():

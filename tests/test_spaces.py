@@ -73,6 +73,9 @@ def test_point_validation():
     assert point(Circle(), 1.25).value == 0.25
     assert point(Circle(), 1.0).value == 0.0
     assert point(Circle(), -0.25).value == 0.75
+    # a tiny negative reduces to 1.0 in floats, which wraps to 0
+    assert point(Circle(), -1e-20).value == 0.0
+    assert Circle().canon_batch([-1e-20]).tolist() == [0.0]
     # bit payloads accept strings and pad to depth
     p = point(SymbolSpace(8), "011")
     assert p.value == (0, 1, 1, 0, 0, 0, 0, 0)
