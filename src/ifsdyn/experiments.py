@@ -1,11 +1,12 @@
 """Named, reproducible experiment procedures.
 
 Each experiment binds library operations to a falsifiable numeric verdict
-with its thresholds declared in the parameter dict. An experiment body is
-pure: it returns its verdict, its metrics and its data files, each file as
-a name and its text chunks. `run` writes those files and result.json under
-results/<name>/<timestamp>/. Library modules only expose raw quantities; the
-pass/fail logic lives here.
+with its thresholds declared in the parameter dict. `_DEFAULTS` holds each
+body and its parameters; a body is a pure function of those parameters and
+the seed, taken by name: it returns its verdict, its metrics and its data
+files, each file as a name and its text chunks. `run` writes those files and
+result.json under results/<name>/<timestamp>/. Library modules only expose
+raw quantities; the pass/fail logic lives here.
 """
 
 from __future__ import annotations
@@ -95,9 +96,7 @@ def _random_record(ifs, noise: Series, seed: int):
 
 # --- experiment bodies -------------------------------------------------------
 
-def _exp_contracting_bound(p: dict):
-    n = p["n"]
-    seed = p["seed"]
+def _exp_contracting_bound(*, n, tol_abs, seed):
     binary, sigma2 = make_system("binary_affine"), make_system("sigma2_prepend")
     rec = perturbed_orbit(binary, selector_random(seed, n, 2), point(UNIT, 1.0),
                           harmonic_series(n), seed + 1)
@@ -112,16 +111,12 @@ def _exp_contracting_bound(p: dict):
         metrics[f"{tag}_bound"] = rep.bound
         metrics[f"{tag}_ratio"] = rep.final_average / rep.bound if rep.bound else 0.0
     ok = (all(rep.final_average <= rep.bound + 1e-12 for rep in reps.values())
-          and reps["binary"].final_average <= p["tol_abs"])
+          and reps["binary"].final_average <= tol_abs)
     curve = _curve_csv(reps["binary"].cesaro_curve.values, max(1, n // 1000))
     return ok, metrics, {"binary_affine_curve.csv": curve}
 
 
-def _exp_power_consistency(p: dict):
-    ks = p["ks"]
-    trials = p["trials"]
-    steps = p["steps"]
-    seed = p["seed"]
+def _exp_power_consistency(*, ks, trials, steps, tol, seed):
     models = [make_system("sigma2_prepend"), make_system("binary_affine")]
     powers = {(mi, k): power_ifs(m, k) for mi, m in enumerate(models) for k in ks}
     max_dev = 0.0
@@ -142,7 +137,7 @@ def _exp_power_consistency(p: dict):
         rows.append((t, k, base.name, dev))
         max_dev = max(max_dev, dev)
     files = {"deviations.csv": csv_lines("trial,k,model,deviation", rows)}
-    return max_dev <= p["tol"], {"max_deviation": max_dev}, files
+    return max_dev <= tol, {"max_deviation": max_dev}, files
 
 
 def _square(pt: Point) -> Point:
@@ -153,18 +148,13 @@ def _sqrt(pt: Point) -> Point:
     return point(pt.kind, pt.value ** 0.5)
 
 
-def _exp_conjugacy(p: dict):
-    trials = p["trials"]
-    n = p["n"]
-    tol_avg = p["tol_avg"]
-    noise = p["noise_level"]
-    seed = p["seed"]
+def _exp_conjugacy(*, trials, n, tol_avg, noise_level, seed):
     binary = make_system("binary_affine")
     conj = conjugate_ifs(binary, _square, _sqrt, UNIT)
     mismatches = 0
     rows = []
     for t in range(trials):
-        schedule = harmonic_series(n) if t < trials // 2 else constant_series(n, noise)
+        schedule = harmonic_series(n) if t < trials // 2 else constant_series(n, noise_level)
         rec = _random_record(binary, schedule, seed + 31 * t)
         tpoints = [_square(q) for q in rec.points]
         trec = pseudo_orbit_record(conj, tpoints, rec.selector)
@@ -183,11 +173,7 @@ def _exp_conjugacy(p: dict):
     return mismatches == 0, metrics, {"trials.csv": csv_lines(header, rows)}
 
 
-def _exp_product(p: dict):
-    trials = p["trials"]
-    n = p["n"]
-    tol = p["tol"]
-    seed = p["seed"]
+def _exp_product(*, trials, n, tol, seed):
     binary = make_system("binary_affine")
     prod = product_ifs(binary, binary)
     worst = 0.0
@@ -223,17 +209,16 @@ def powers_of_two_series(horizon: int):
     return series(vals, bound=1.0)
 
 
-def _exp_lemma_density(p: dict):
-    horizon = p["horizon"]
+def _exp_lemma_density(*, horizon, density_cutoff, tail_cutoff, tol, seed):
     s = powers_of_two_series(horizon)
     decomp = extract_null_density_set(s)
     j = decomp.index_set
-    check = verify_null_density_implies_average(s, j, p["tol"])
+    check = verify_null_density_implies_average(s, j, tol)
     dens = density(j, horizon)
     ok = (
         not decomp.no_decay
-        and dens < p["density_cutoff"]
-        and decomp.tail_max < p["tail_cutoff"]
+        and dens < density_cutoff
+        and decomp.tail_max < tail_cutoff
         and check.verdict
     )
     files = {"index_set.json": [json.dumps(list(j.indices))],
@@ -248,11 +233,9 @@ def _exp_lemma_density(p: dict):
     return bool(ok), metrics, files
 
 
-def _exp_circle_chain(p: dict):
-    eps = p["epsilon"]
-    h = p["resolution"]
+def _exp_circle_chain(*, epsilon, resolution, seed):
     pair = make_system("circle_pair")
-    g = build_chain_graph(pair, h, eps)
+    g = build_chain_graph(pair, resolution, epsilon)
     trans = is_chain_transitive(g)
     half = point(pair.space, 0.5)
     zero = point(pair.space, 0.0)
@@ -264,9 +247,9 @@ def _exp_circle_chain(p: dict):
         labels = leg1.witness.selector.entries + leg2.witness.selector.entries
         witness = pseudo_orbit_record(pair, (*leg1.witness.points, *leg2.witness.points[1:]),
                                       selector_explicit(labels, pair.nmaps))
-        witness_ok = validate_witness(pair, witness, eps)
+        witness_ok = validate_witness(pair, witness, epsilon)
     f1_only = subsystem(pair, [0])
-    g1 = build_chain_graph(f1_only, h, eps)
+    g1 = build_chain_graph(f1_only, resolution, epsilon)
     trans1 = is_chain_transitive(g1)
     cr_pair = chain_recurrent_set(g)
     cr_f1 = chain_recurrent_set(g1)
@@ -309,18 +292,18 @@ def crossing_record(ifs, delta: float) -> PseudoOrbitRecord:
     return pseudo_orbit_record(ifs, pts, sel)
 
 
-def _exp_interval_no_shadowing(p: dict):
+def _exp_interval_no_shadowing(*, delta, epsilon, start_grid_step, invariance_points, seed):
     pair = make_system("interval_pair")
-    us = np.arange(p["invariance_points"] + 1) / p["invariance_points"]
+    us = np.arange(invariance_points + 1) / invariance_points
     vs = pair.raw_images(pair.space.canon_batch(us))  # (maps, points)
     slack = 1e-12
     invariance_ok = not (((us <= 0.5) & (vs > 0.5 + slack)).any()
                          or ((us >= 0.5) & (vs < 0.5 - slack)).any())
-    rec = crossing_record(pair, p["delta"])
-    dcheck = validate_delta_pseudo_orbit(rec, p["delta"])
-    starts = grid(pair.space, p["start_grid_step"])
-    result = finite_shadowing_check(pair, rec, p["epsilon"], starts, len(rec.points))
-    ok = invariance_ok and dcheck.ok and not result.found and result.sup_achieved >= p["epsilon"]
+    rec = crossing_record(pair, delta)
+    dcheck = validate_delta_pseudo_orbit(rec, delta)
+    starts = grid(pair.space, start_grid_step)
+    result = finite_shadowing_check(pair, rec, epsilon, starts, len(rec.points))
+    ok = invariance_ok and dcheck.ok and not result.found and result.sup_achieved >= epsilon
     files = {"crossing.csv": record_csv(rec),
              "search_report.json": [json.dumps(report_to_json(result.report), indent=2)]}
     metrics = {
@@ -332,14 +315,14 @@ def _exp_interval_no_shadowing(p: dict):
     return bool(ok), metrics, files
 
 
-def _exp_interval_chain_probe(p: dict):
+def _exp_interval_chain_probe(*, epsilons, grid_divisor, seed):
     pair = make_system("interval_pair")
     metrics = {}
     verdicts = {}
-    for eps in p["epsilons"]:
+    for eps in epsilons:
         # finer than the eps/4 guard so near-threshold eps is not decided by
         # node spacing
-        h = min(eps / 4, eps / p["grid_divisor"])
+        h = min(eps / 4, eps / grid_divisor)
         g = build_chain_graph(pair, h, eps)
         rep = is_chain_transitive(g)
         key = f"transitive@{eps}"
@@ -397,14 +380,16 @@ def run(name: str, overrides: dict | None = None, output_root="results",
         if not _same_json_type(value, params[key]):
             raise DomainError(f"parameter {key!r} of {name} must have the JSON type of its default "
                               f"{params[key]!r}, got {value!r}")
-        # every number finite; counts (integer defaults) >= 1, amounts (float defaults) >= 0, any seed
+        # every number finite; counts (integer defaults) >= 1, amounts (float defaults) >= 0, seeds below
         items, default = (value, params[key][0]) if isinstance(value, list) else ([value], params[key])
         least = 0 if isinstance(default, float) else 1
         if key != "seed" and not all(least <= v < math.inf for v in items):
             raise DomainError(f"parameter {key!r} of {name} must be finite and at least {least}, got {value!r}")
         params[key] = value
+    if params["seed"] < 0:  # numpy draws from non-negative seeds only
+        raise DomainError(f"parameter 'seed' of {name} must be at least 0, got {params['seed']!r}")
     t0 = time.perf_counter()
-    verdict, metrics, files = fn(params)
+    verdict, metrics, files = fn(**params)
     stamp = time.strftime("%Y%m%dT%H%M%S") + f"{time.time_ns() % 1_000_000_000:09d}"
     outdir = Path(output_root) / name / stamp
     outdir.mkdir(parents=True, exist_ok=True)

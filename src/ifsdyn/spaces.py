@@ -36,6 +36,7 @@ import numpy as np
 from .errors import DomainError, GuardError, UnsupportedKindError
 
 MAX_PRODUCT_DEPTH = 8
+GRID_GUARD = 2**20  # most points grid_batch builds
 
 # Slack for accepting float overshoot at interval endpoints before clamping.
 _EDGE_SLACK = 1e-9
@@ -391,27 +392,38 @@ def diameter(kind: SpaceKind) -> float:
 def grid_batch(kind: SpaceKind, resolution: float):
     """Finite net as one batch of raw coordinates: every point of the space
     lies within `resolution` of a grid point. Ordering is deterministic
-    (ascending coordinates, left component outermost for products)."""
+    (ascending coordinates, left component outermost for products). A grid
+    of more than GRID_GUARD points raises GuardError before it is built."""
     if not resolution > 0:
         raise DomainError("resolution must be positive")
     if isinstance(kind, Interval):
         span = kind.hi - kind.lo
+        _guard_grid(span / resolution + 1, resolution)  # a float, so inf is refused too
         npts = max(2, math.ceil(span / resolution) + 1)
         return kind.canon_batch(kind.lo + np.arange(npts) * (span / (npts - 1)))
     if isinstance(kind, Circle):
+        _guard_grid(1.0 / resolution, resolution)
         m = max(1, math.ceil(1.0 / resolution))
         return np.arange(m) / m
     if isinstance(kind, FiniteDiscrete):
+        _guard_grid(kind.n, resolution)
         return np.arange(kind.n, dtype=np.int64)
     if isinstance(kind, Product):
         lefts = grid_batch(kind.left, resolution)
         rights = grid_batch(kind.right, resolution)
         nl, nr = len(batch_leaves(lefts)[0]), len(batch_leaves(rights)[0])
+        _guard_grid(nl * nr, resolution)
         return (leafwise(lambda a: np.repeat(a, nr), lefts),
                 leafwise(lambda a: np.tile(a, nl), rights))
     if isinstance(kind, SymbolSpace):
         raise UnsupportedKindError("symbol spaces have no coordinate grid")
     raise UnsupportedKindError(f"unknown space kind {kind!r}")
+
+
+def _guard_grid(npts: float, resolution: float) -> None:
+    if npts > GRID_GUARD:
+        raise GuardError(f"a grid at resolution {resolution} needs {npts:.3g} points, "
+                         f"more than GRID_GUARD = {GRID_GUARD}")
 
 
 def grid(kind: SpaceKind, resolution: float) -> list[Point]:

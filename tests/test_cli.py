@@ -37,7 +37,7 @@ from ifsdyn.models import UNIT
 from ifsdyn.spaces import value_repr
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert main([]) == 2
     assert main(["orbit", "--model", "binary_affine", "--x0", "0"]) == 2  # missing steps
     assert main(["orbit", "--model", "binary_affine", "--x0", "0",
@@ -49,6 +49,17 @@ def test_usage_errors_exit_2(capsys):
     err = capsys.readouterr().err
     assert "error" in err or "usage" in err
     assert "error: model 'affine_family' needs betas and offsets" in err and "Traceback" not in err
+    # a negative seed, and grids past GRID_GUARD points (refused before any is built)
+    assert main(["experiment", "lemma-density", "--seed", "-1", "--output-root", str(tmp_path)]) == 2
+    for model, grid_step in [("circle_pair", "1e-9"), ("circle_pair", "5e-324"), ("binary_affine", "5e-324")]:
+        assert main(["chain", "transitive", "--model", model, "--epsilon", "0.05", "--grid", grid_step]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert err == ["error: parameter 'seed' of lemma-density must be at least 0, got -1",
+                   "error: a grid at resolution 1e-09 needs 1e+09 points, more than GRID_GUARD = 1048576",
+                   "error: a grid at resolution 5e-324 needs inf points, more than GRID_GUARD = 1048576",
+                   "error: a grid at resolution 5e-324 needs inf points, more than GRID_GUARD = 1048576"]
 
 
 @pytest.mark.parametrize("command", ["orbit", "pseudo"])
@@ -96,12 +107,14 @@ def test_unparseable_values_exit_2(tmp_path, capsys):
     ("ex-circle-chain", "epsilon=-1", "parameter 'epsilon' of ex-circle-chain must be finite and at least 0"),
     ("ex-interval-chain-probe", "grid_divisor=0", "parameter 'grid_divisor' of ex-interval-chain-probe must be"),
     ("ex-interval-chain-probe", "epsilons=[0.02,Infinity]", "parameter 'epsilons' of ex-interval-chain-probe must be"),
+    ("thm-power-consistency", "seed=-1", "parameter 'seed' of thm-power-consistency must be at least 0, got -1"),
     # in range, refused by the experiment itself: nothing is written either
     ("ex-interval-no-shadowing", "start_grid_step=0", "resolution must be positive"),
     ("ex-circle-chain", "epsilon=0", "epsilon must be positive"),
+    ("ex-circle-chain", "resolution=1e-9", "a grid at resolution 1e-09 needs 1e+09 points, more than GRID_GUARD"),
 ], ids=["trials=1.5", 'n="x"', "epsilon=null", "ks=[]", "nosuch=1", "trials=0", "steps=0", "ks=[2,0]",
         "conjugacy trials=0", "tol=NaN", "epsilon=-1", "grid_divisor=0", "epsilons=[0.02,Infinity]",
-        "start_grid_step=0", "epsilon=0"])
+        "seed=-1", "start_grid_step=0", "epsilon=0", "resolution=1e-9"])
 def test_experiment_overrides_checked_exit_2(name, setting, message, tmp_path, capsys):
     """An override must name a parameter, have its default's JSON type (a
     list nonempty) and be in range: every number finite, counts (integer

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 from pathlib import Path
 
@@ -222,8 +223,16 @@ def test_bodies_return_their_files_and_write_none(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     fn, defaults = _DEFAULTS[name]
     overrides, verdict, metrics, hashes = GOLDEN[name]
-    got_verdict, got_metrics, files = fn({**defaults, "seed": 0, **overrides})
+    got_verdict, got_metrics, files = fn(**{**defaults, "seed": 0, **overrides})
     assert (got_verdict, got_metrics) == (verdict, metrics)
     got = {fname: hashlib.sha256("".join(chunks).encode()).hexdigest() for fname, chunks in files.items()}
     assert got == hashes
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", experiment_names())
+def test_bodies_bind_exactly_their_parameters(name):
+    """run() calls a body with its _DEFAULTS row and the seed as keywords,
+    so the body takes exactly those names: a key it ignored would raise."""
+    fn, defaults = _DEFAULTS[name]
+    assert list(inspect.signature(fn).parameters) == [*defaults, "seed"]

@@ -24,7 +24,7 @@ from ifsdyn import (
 )
 from ifsdyn.core import map_from_json
 from ifsdyn.pseudo_orbits import record_from_json
-from ifsdyn.spaces import csv_lines, value_repr
+from ifsdyn.spaces import GRID_GUARD, csv_lines, grid_batch, value_repr
 
 UNIT = Interval(0.0, 1.0)
 
@@ -168,6 +168,23 @@ def test_grid_examples():
     for bad in (0.0, math.nan):
         with pytest.raises(DomainError):
             grid(UNIT, bad)
+    # more than GRID_GUARD points: refused before numpy or math.ceil sees the count
+    for kind, bad in [(UNIT, 1e-9), (UNIT, 5e-324), (Circle(), 1e-9), (Circle(), 5e-324),
+                      (Product(UNIT, Circle()), 1e-9)]:
+        with pytest.raises(GuardError, match="more than GRID_GUARD"):
+            grid(kind, bad)
+
+
+def test_grid_guard_bounds_the_point_count():
+    """GRID_GUARD points are built; one more is refused, and a product
+    counts the product of its factors' points."""
+    assert len(grid_batch(Circle(), 1.0 / GRID_GUARD)) == GRID_GUARD
+    assert len(grid_batch(UNIT, 1.0 / (GRID_GUARD - 1))) == GRID_GUARD
+    assert len(grid_batch(Product(Circle(), Circle()), 1.0 / 1024)[0]) == GRID_GUARD
+    for kind, h in [(Circle(), 1.0 / (GRID_GUARD + 1)), (UNIT, 1.0 / GRID_GUARD),
+                    (Product(Circle(), Circle()), 1.0 / 1025), (FiniteDiscrete(GRID_GUARD + 1), 1.0)]:
+        with pytest.raises(GuardError, match="more than GRID_GUARD"):
+            grid_batch(kind, h)
 
 
 @pytest.mark.parametrize("kind,h", [
