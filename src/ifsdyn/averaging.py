@@ -68,7 +68,11 @@ def running_average_curve(s: Series) -> Series:
     if s.horizon < 1:
         raise DomainError("empty series has no average curve")
     curve = np.cumsum(s.values) / np.arange(1, s.horizon + 1)
-    return series(curve)
+    # a partial sum that overflows or meets a non-finite value stays non-finite
+    if not np.isfinite(curve[-1]):
+        raise DomainError("series values must be finite")
+    curve.setflags(write=False)
+    return Series(curve)
 
 
 @dataclass(frozen=True)
@@ -134,12 +138,15 @@ class DensityDecomposition:
     tail_threshold: float
 
 
-def _level_start(ind: np.ndarray, theta: float) -> int:
-    """Smallest m such that every prefix average of `ind` of length > m stays
-    strictly below theta (horizon-limited scan)."""
-    run = np.cumsum(ind) / np.arange(1, len(ind) + 1)
-    bad = np.nonzero(run >= theta)[0]
-    return int(bad[-1]) + 1 if len(bad) else 0
+def _level_start(a: np.ndarray, theta: float) -> int:
+    """Smallest m such that in every prefix of `a` longer than m the share of
+    values above theta (a power of two) stays strictly below theta. Between
+    the s-th and the next marked index the count is s, so a prefix there
+    reaches the share when its length is at most s/theta (exact in float64)."""
+    pos = np.flatnonzero(a > theta)
+    ends = np.minimum(np.append(pos[1:], len(a)), np.arange(1, len(pos) + 1) / theta)
+    hit = ends[ends > pos]
+    return int(hit.max()) if len(hit) else 0
 
 
 _DEEPEST_LEVEL = 60  # the last threshold is 2^-60
@@ -181,7 +188,7 @@ def extract_null_density_set(s: Series) -> DensityDecomposition:
     prev_start = 0
     for k in range(1, _DEEPEST_LEVEL + 1):
         theta = 2.0 ** -k
-        start = max(_level_start(a > theta, theta), prev_start)
+        start = max(_level_start(a, theta), prev_start)
         if start >= horizon:
             break
         levels.append(LevelCut(k, theta, start))

@@ -103,7 +103,7 @@ def validate_aapo(rec: PseudoOrbitRecord, horizon: int, tol: float) -> AapoRepor
         raise DomainError("tol must be a number, got nan")
     if not 1 <= horizon <= rec.errors.horizon:
         raise LengthError(f"horizon {horizon} outside [1, {rec.errors.horizon}]")
-    curve = running_average_curve(series(rec.errors.values[:horizon]))
+    curve = running_average_curve(Series(rec.errors.values[:horizon]))
     final = float(curve.values[-1])
     return AapoReport(final, curve, final <= tol)
 

@@ -172,7 +172,7 @@ def contracting_shadow(
     if n is None:
         n = rec.steps
     ds = _track(ifs, rec, y0, n, rec.selector)
-    bounds, _ = affine_orbit(float(ds[0]), np.broadcast_to(float(beta), n - 1), rec.errors.values[: n - 1])
+    bounds, _ = affine_orbit(float(ds[0]), np.full(n - 1, float(beta)), rec.errors.values[: n - 1])
     over = np.flatnonzero(ds > bounds + 1e-9)
     if len(over):
         i = int(over[0])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ifsdyn import (
     DomainError,
+    Interval,
     block_saturation,
     cesaro_average,
     constant_series,
@@ -14,10 +16,16 @@ from ifsdyn import (
     extract_null_density_set,
     harmonic_series,
     index_set,
+    make_system,
+    perturbed_orbit,
+    point,
     running_average_curve,
+    selector_random,
     series,
+    validate_aapo,
     verify_null_density_implies_average,
 )
+from ifsdyn import averaging
 from ifsdyn.experiments import powers_of_two_series
 
 
@@ -67,6 +75,38 @@ def test_running_average_curve():
     assert np.all(running_average_curve(z).values == 0.0)
     h = running_average_curve(harmonic_series(1000)).values
     assert np.all(np.diff(h) <= 1e-15)  # monotone nonincreasing for decreasing input
+
+
+@pytest.mark.parametrize("values", [
+    [0.0],
+    [3.0, 0.0, 0.1, 7.5],
+    np.random.default_rng(5).random(2_001) * 1e3,
+    1.0 / np.arange(1, 10_001),
+])
+def test_running_average_curve_contract(values):
+    """The curve is the plain cumsum/arange quotient, byte for byte, and
+    read-only like every checked series."""
+    v = series(values).values
+    curve = running_average_curve(series(values)).values
+    assert curve.tobytes() == (np.cumsum(v) / np.arange(1, len(v) + 1)).tobytes()
+    assert not curve.flags.writeable
+
+
+def test_running_average_curve_overflow_is_not_finite():
+    # the sum overflows to inf, which numpy also warns about; the curve refuses it
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="series values must be finite"):
+        running_average_curve(series([1e308, 1e308]))
+
+
+def test_validate_aapo_prefix_is_the_prefix_curve():
+    b = make_system("binary_affine")
+    rec = perturbed_orbit(b, selector_random(4, 500, 2), point(Interval(0.0, 1.0), 0.3),
+                          harmonic_series(500), 11)
+    rep = validate_aapo(rec, 123, tol=1e-2)
+    curve = running_average_curve(series(rec.errors.values[:123]))
+    assert rep.curve.values.tobytes() == curve.values.tobytes()
+    assert rep.final_average == float(curve.values[-1])
+    assert not rep.curve.values.flags.writeable
 
 
 def test_series_validation():
@@ -174,6 +214,54 @@ def _oracle_check_levels(values, dec):
         prev_start = cut.start
     # nothing marked outside the level segments
     assert marked <= seen
+
+
+def _prefix_scan_start(a, theta):
+    """Level start by the direct scan: the last prefix whose running share of
+    values above theta reaches theta, over every prefix of the series."""
+    run = np.cumsum(a > theta) / np.arange(1, len(a) + 1)
+    bad = np.nonzero(run >= theta)[0]
+    return int(bad[-1]) + 1 if len(bad) else 0
+
+
+@st.composite
+def _level_series(draw):
+    """Series of 1-3,000 entries: exact powers of two (ties at every
+    threshold) mixed with zeros, decaying uniform draws, constants, and
+    values within a factor 2 of their bound (no decay)."""
+    n = draw(st.integers(1, 3_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["powers", "decaying", "constant", "no_decay"]))
+    if kind == "powers":
+        marked = rng.random(n) < draw(st.floats(0.0, 1.0))
+        values = np.where(marked, 2.0 ** -rng.integers(0, 63, n).astype(float), 0.0)
+    elif kind == "decaying":
+        values = rng.random(n) / np.arange(1, n + 1) ** draw(st.floats(0.0, 1.5))
+    elif kind == "constant":
+        c = draw(st.one_of(st.just(0.0), st.integers(0, 62).map(lambda j: 2.0 ** -j),
+                           st.floats(0.0, 1.0)))
+        values = np.full(n, c)
+    else:
+        values = rng.uniform(0.5, 1.0, n) * 2.0 ** -draw(st.integers(0, 62))
+    bound = draw(st.sampled_from([None, 1.0])) if kind != "no_decay" else float(values.max())
+    return series(values, bound=bound)
+
+
+@given(_level_series())
+@settings(max_examples=200, deadline=None)
+def test_extract_matches_prefix_scan(s):
+    dec = extract_null_density_set(s)
+    with mock.patch.object(averaging, "_level_start", _prefix_scan_start):
+        ref = extract_null_density_set(s)
+    assert dec.levels == ref.levels
+    assert dec.index_set.indices == ref.index_set.indices
+    assert dec.tail_max == ref.tail_max
+    assert dec.tail_threshold == ref.tail_threshold
+    assert dec.no_decay == ref.no_decay
+    if dec.no_decay:
+        assert dec.index_set.indices == tuple(range(s.horizon))
+    else:
+        _oracle_check_levels(s.values, dec)
 
 
 def test_extract_powers_of_two_with_oracle():
