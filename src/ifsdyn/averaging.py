@@ -60,16 +60,21 @@ def cesaro_average(s: Series, n: int) -> float:
     """(1/n) * sum of the first n values."""
     if not 1 <= n <= s.horizon:
         raise DomainError(f"prefix length {n} outside [1, {s.horizon}]")
-    return float(s.values[:n].sum() / n)
+    with np.errstate(over="ignore"):
+        avg = float(s.values[:n].sum() / n)
+    # a sum that overflows, or meets a non-finite value, stays non-finite
+    if not np.isfinite(avg):
+        raise DomainError("series values must be finite")
+    return avg
 
 
 def running_average_curve(s: Series) -> Series:
     """Curve c_n = cesaro_average(s, n) for n = 1..horizon."""
     if s.horizon < 1:
         raise DomainError("empty series has no average curve")
-    curve = np.cumsum(s.values) / np.arange(1, s.horizon + 1)
-    # a partial sum that overflows or meets a non-finite value stays non-finite
-    if not np.isfinite(curve[-1]):
+    with np.errstate(over="ignore"):
+        curve = np.cumsum(s.values) / np.arange(1, s.horizon + 1)
+    if not np.isfinite(curve[-1]):  # as in cesaro_average
         raise DomainError("series values must be finite")
     curve.setflags(write=False)
     return Series(curve)
@@ -174,7 +179,7 @@ def extract_null_density_set(s: Series) -> DensityDecomposition:
     if horizon < 1:
         raise DomainError("cannot decompose an empty series")
     bound = s.effective_bound
-    final_avg = float(a.mean())
+    final_avg = cesaro_average(s, horizon)
     if bound > 0 and final_avg >= bound / 2:
         return DensityDecomposition(
             index_set=IndexSet(tuple(range(horizon)), horizon),

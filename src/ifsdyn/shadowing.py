@@ -203,8 +203,8 @@ def greedy_shadow_search(
     tol_avg: float = 1e-2,
 ) -> ShadowReport:
     """Best greedy candidate over a start grid, ranked by final Cesàro
-    average (first grid point wins ties). Refining the grid can only improve
-    the result."""
+    average (first grid point wins ties). Adding starts can only lower the
+    result; a finer grid need not contain a coarser one's points."""
     return _best_start(ifs, rec, initial_grid, n, np.mean, tol_avg, math.inf)
 
 

@@ -93,9 +93,29 @@ def test_running_average_curve_contract(values):
 
 
 def test_running_average_curve_overflow_is_not_finite():
-    # the sum overflows to inf, which numpy also warns about; the curve refuses it
-    with np.errstate(over="ignore"), pytest.raises(DomainError, match="series values must be finite"):
+    # the sum overflows to inf; the curve refuses it, and numpy's overflow
+    # warning (an error under this suite) stays inside
+    with pytest.raises(DomainError, match="series values must be finite"):
         running_average_curve(series([1e308, 1e308]))
+
+
+@pytest.mark.parametrize("average", [lambda s: cesaro_average(s, s.horizon), extract_null_density_set],
+                         ids=["cesaro", "extract"])
+def test_overflowing_average_is_refused_as_the_curve_refuses_it(average):
+    with pytest.raises(DomainError, match="series values must be finite"):
+        average(series([1e308, 1e308]))
+
+
+def test_extract_takes_its_average_from_cesaro_average():
+    """The decomposition's no-decay test reads cesaro_average, which equals
+    the array mean bit for bit."""
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        s = series(rng.random(int(rng.integers(1, 3000))) ** 3)
+        assert cesaro_average(s, s.horizon) == float(s.values.mean())
+    with mock.patch.object(averaging, "cesaro_average", return_value=1.0) as avg:
+        assert extract_null_density_set(series([0.0, 1.0, 0.0])).no_decay
+    avg.assert_called_once()
 
 
 def test_validate_aapo_prefix_is_the_prefix_curve():

@@ -174,6 +174,16 @@ def test_transitive_identity_vs_halving():
     assert not res.found
 
 
+def test_interval_pair_transitivity_across_the_drift():
+    """The pair blocks leftward chains below its largest drift
+    eps* = 1/16 and opens them above it; a grid of eps/16 keeps node
+    spacing from deciding the answer near the threshold."""
+    pair = make_system("interval_pair")
+    got = {eps: is_chain_transitive(build_chain_graph(pair, eps / 16, eps)).transitive
+           for eps in (0.005, 0.02, 0.08)}
+    assert got == {0.005: False, 0.02: False, 0.08: True}
+
+
 def test_edge_monotonicity_in_epsilon():
     pair = make_system("interval_pair")
     h = 0.005

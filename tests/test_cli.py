@@ -105,15 +105,14 @@ def test_unparseable_values_exit_2(tmp_path, capsys):
     ("thm-conjugacy", "trials=0", "parameter 'trials' of thm-conjugacy must be finite and at least 1"),
     ("lemma-density", "tol=NaN", "parameter 'tol' of lemma-density must be finite and at least 0, got nan"),
     ("ex-circle-chain", "epsilon=-1", "parameter 'epsilon' of ex-circle-chain must be finite and at least 0"),
-    ("ex-interval-chain-probe", "grid_divisor=0", "parameter 'grid_divisor' of ex-interval-chain-probe must be"),
-    ("ex-interval-chain-probe", "epsilons=[0.02,Infinity]", "parameter 'epsilons' of ex-interval-chain-probe must be"),
+    ("thm-power-consistency", "ks=[2,Infinity]", "parameter 'ks' of thm-power-consistency must have the JSON type"),
     ("thm-power-consistency", "seed=-1", "parameter 'seed' of thm-power-consistency must be at least 0, got -1"),
     # in range, refused by the experiment itself: nothing is written either
     ("ex-interval-no-shadowing", "start_grid_step=0", "resolution must be positive"),
     ("ex-circle-chain", "epsilon=0", "epsilon must be positive"),
     ("ex-circle-chain", "resolution=1e-9", "a grid at resolution 1e-09 needs 1e+09 points, more than GRID_GUARD"),
 ], ids=["trials=1.5", 'n="x"', "epsilon=null", "ks=[]", "nosuch=1", "trials=0", "steps=0", "ks=[2,0]",
-        "conjugacy trials=0", "tol=NaN", "epsilon=-1", "grid_divisor=0", "epsilons=[0.02,Infinity]",
+        "conjugacy trials=0", "tol=NaN", "epsilon=-1", "ks=[2,Infinity]",
         "seed=-1", "start_grid_step=0", "epsilon=0", "resolution=1e-9"])
 def test_experiment_overrides_checked_exit_2(name, setting, message, tmp_path, capsys):
     """An override must name a parameter, have its default's JSON type (a
@@ -124,6 +123,12 @@ def test_experiment_overrides_checked_exit_2(name, setting, message, tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_retired_experiment_exits_2(tmp_path, capsys):
+    """ex-interval-chain-probe is gone; its answers come from `chain transitive`."""
+    assert main(["experiment", "ex-interval-chain-probe", "--output-root", str(tmp_path)]) == 2
+    assert "invalid choice" in capsys.readouterr().err and list(tmp_path.iterdir()) == []
 
 
 def test_list_models(capsys):
@@ -371,6 +376,15 @@ def test_cesaro_skips_blank_rows_and_names_short_ones(tmp_path, capsys):
         curve.write_text(text)
         assert main(["cesaro", "--input", str(curve)]) == 2
         assert f"line {line} has 1 field(s)" in _one_error_line(capsys)
+
+
+def test_cesaro_sum_that_overflows_exits_2(tmp_path, capsys):
+    """An average whose sum overflows is refused, not printed as the
+    invalid JSON token Infinity."""
+    src = tmp_path / "series.csv"
+    src.write_text("index,value\n0,1e308\n1,1e308\n")
+    assert main(["cesaro", "--input", str(src)]) == 2
+    assert "series values must be finite" in _one_error_line(capsys)
 
 
 def test_ratio_command(tmp_path):

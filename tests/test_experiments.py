@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import ifsdyn.core
 from ifsdyn import DomainError, make_system, run, validate_delta_pseudo_orbit
 from ifsdyn.cli import main
 from ifsdyn.experiments import _DEFAULTS, crossing_record, experiment_names
@@ -13,7 +14,7 @@ from ifsdyn.experiments import _DEFAULTS, crossing_record, experiment_names
 def test_experiment_names():
     names = experiment_names()
     assert "thm-contracting-bound" in names
-    assert len(names) == 8
+    assert len(names) == 7
     with pytest.raises(DomainError):
         run("no-such-experiment")
 
@@ -102,21 +103,20 @@ def test_overrides_keep_their_default_json_type(tmp_path):
     res = run("lemma-density", {"horizon": 2000, "tol": 1}, output_root=tmp_path / "ok")
     assert res.parameters["tol"] == 1 and res.parameters["horizon"] == 2000
     for name, bad in (("lemma-density", {"horizon": True}), ("lemma-density", {"tol": False}),
-                      ("thm-power-consistency", {"ks": [2, 2.5]}), ("ex-interval-chain-probe", {"epsilons": 0.1}),
+                      ("thm-power-consistency", {"ks": [2, 2.5]}), ("thm-power-consistency", {"ks": 2}),
                       ("thm-product", {"seed": "0"})):
         with pytest.raises(DomainError, match=repr(next(iter(bad)))):
             run(name, bad, output_root=tmp_path / "refused")
     assert not (tmp_path / "refused").exists()
 
 
-def test_interval_chain_probe(tmp_path):
-    res = run("ex-interval-chain-probe", output_root=tmp_path, seed=8)
-    _check_result(res, tmp_path)
-    # the pair blocks leftward chains below the max drift 1/16 and opens
-    # above it; the probe documents that transition
-    assert res.metrics["transitive@0.005"] == 0.0
-    assert res.metrics["transitive@0.02"] == 0.0
-    assert res.metrics["transitive@0.08"] == 1.0
+def test_power_consistency_fails_on_words_in_the_wrong_order(tmp_path, monkeypatch):
+    """Words that compose their letters last-first are not every k-th step
+    of the base orbit: the strided record's steps then miss."""
+    digits = ifsdyn.core.word_digits
+    monkeypatch.setattr(ifsdyn.core, "word_digits", lambda mu, base, k: digits(mu, base, k)[::-1])
+    res = run("thm-power-consistency", {"trials": 6}, output_root=tmp_path, seed=0)
+    assert not res.verdict and res.metrics["max_deviation"] == 2.0
 
 
 def test_reproducibility_same_seed(tmp_path):
@@ -183,11 +183,6 @@ GOLDEN = {
          "invariance_ok": 1.0},
         {"crossing.csv": "8912745048fadb5ed63044ac77f88cfa5caecf081cfec4ba41b95fc6eff1b8be",
          "search_report.json": "f915f0276e07f0a0293394c805c3e1104e20a6c27da537018e9b89a3bdcccebd"},
-    ),
-    "ex-interval-chain-probe": (
-        {"epsilons": [0.02, 0.08], "grid_divisor": 16}, True,
-        {"transitive@0.02": 0.0, "transitive@0.08": 1.0},
-        {"verdicts.json": "4011770d281c1a3a1c2f23eabce26787561b195d3ff0fdbfdc86461887570ac8"},
     ),
 }
 

@@ -200,6 +200,36 @@ def test_greedy_monotone_under_grid_refinement():
         assert r_fine.final_average <= r_coarse.final_average
 
 
+def _pair_record(seed, n, noise):
+    pair = make_system("interval_pair")
+    x0 = sample_point(UNIT, np.random.default_rng(seed))
+    return pair, perturbed_orbit(pair, selector_random(seed, n, 2), x0, constant_series(n, noise), seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), noise=st.floats(0.0, 0.1),
+       s=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_greedy_adding_starts_only_lowers_the_average(seed, noise, s, t):
+    """The search keeps its best start, so more starts, in either order,
+    never report a higher average than the starts they contain."""
+    pair, rec = _pair_record(seed, 30, noise)
+    starts_s, starts_t = [point(UNIT, v) for v in s], [point(UNIT, v) for v in t]
+    avg_s = greedy_shadow_search(pair, rec, starts_s, 30).final_average
+    assert greedy_shadow_search(pair, rec, starts_s + starts_t, 30).final_average <= avg_s
+    assert greedy_shadow_search(pair, rec, starts_t + starts_s, 30).final_average <= avg_s
+
+
+def test_greedy_finer_grid_can_raise_the_average():
+    """A finer grid is not a superset of a coarser one: grid(UNIT, 0.035)
+    lacks points of grid(UNIT, 0.07), and here it does worse."""
+    pair, rec = _pair_record(1, 30, 0.05)
+    coarse, fine = grid(UNIT, 0.07), grid(UNIT, 0.035)
+    assert not set(coarse) <= set(fine)
+    assert (greedy_shadow_search(pair, rec, fine, 31).final_average
+            > greedy_shadow_search(pair, rec, coarse, 31).final_average)
+
+
 def test_finite_shadowing_check_true_orbit():
     b = make_system("binary_affine")
     rec = orbit(b, selector_random(40, 25, 2), point(UNIT, 0.3), 25)
