@@ -6,6 +6,14 @@ epsilon-chains (one-sided soundness). Completeness at the coarser scale
 epsilon/2 needs (L+1)*h/2 <= epsilon/2 for grid spacing h and maps of
 Lipschitz constant L; the h <= epsilon/4 guard ensures it only for L <= 3.
 
+The builder takes each map's targets of a node from exact windows: on each
+leaf, the grid indices within epsilon of the image's coordinate form one
+cyclic index range, whose two ends the metric itself fixes. A map's targets
+are the box of its leaf ranges, and a node's targets the union of its maps'
+boxes. Distances are computed only at the ends of the ranges and at targets
+where boxes overlap, to find the closest map; the edges and labels equal
+those of comparing every pair of nodes.
+
 Nodes are held as the raw grid batch itself (a `RawPoints` view). A witness
 is a `PseudoOrbitRecord` with step errors <= epsilon whose points view that
 batch along the path, so a `Point` is decoded only for counterexamples.
@@ -27,11 +35,11 @@ from .errors import DomainError, GuardError, IFSError
 from .pseudo_orbits import pseudo_orbit_record
 from .spaces import (
     Circle,
-    FiniteDiscrete,
     Point,
     RawPoints,
     batch_leaves,
     csv_lines,
+    diameter,
     grid_batch,
     leaf_kinds,
     leafwise,
@@ -40,6 +48,7 @@ from .spaces import (
 
 _WITNESS_SLACK = 1e-12
 _CHUNK_NODES = 128  # source nodes per block of build_chain_graph; bounds its temporaries
+_CHUNK_ROWS = 2**15  # box rows build_chain_graph cuts at once, unless one block has more
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,30 +75,104 @@ class ChainGraph:
 
 
 def _leaf_windows(kind, axis: np.ndarray, q: np.ndarray, epsilon: float):
-    """Per source node, the indices of one leaf's grid `axis` that may lie
-    within epsilon of that leaf's coordinate q[map, node] of some map image:
-    a cyclic index range given as (start, width, how many indices wrap to 0).
-    The range is padded by one index on each side, so float rounding can add
-    candidates but never drop one."""
+    """Per map and source node, the indices i of one leaf's grid `axis` with
+    kind.dists(axis[i], q) <= epsilon, for that leaf's coordinate q[map, node]
+    of the map image: a cyclic index range (start, width).
+
+    The metric is monotone in the index on each side of q (and of its
+    antipode on a circle), float rounding included, so these indices are one
+    range. `searchsorted` places each end to within a step or so; the metric,
+    evaluated at each end and beyond it, then moves the end one index at a
+    time to its exact place: out while the index beyond it is within
+    epsilon, in while the index at it is not."""
     n = len(axis)
-    # under the 0/1 metric of a finite space, epsilon >= 1 reaches every point
-    reach = np.inf if isinstance(kind, FiniteDiscrete) and epsilon >= 1 else epsilon
-    if isinstance(kind, Circle):
-        axis = np.concatenate([axis - 1.0, axis, axis + 1.0])
-    lo = np.clip(np.searchsorted(axis, q - reach).min(axis=0) - 1, 0, len(axis))
-    hi = np.clip(np.searchsorted(axis, q + reach, side="right").max(axis=0) + 1, 0, len(axis))
-    width = np.minimum(hi - lo, n)
-    start = lo % n
-    return start, width, np.maximum(start + width - n, 0)
+    if epsilon >= diameter(kind):  # every index is within epsilon
+        return np.zeros(q.shape, dtype=np.intp), np.full(q.shape, n)
+    ext = np.concatenate([axis - 1.0, axis, axis + 1.0]) if isinstance(kind, Circle) else axis
+    lo = np.searchsorted(ext, q - epsilon).ravel()
+    hi = np.searchsorted(ext, q + epsilon, side="right").ravel()
+    at = np.arange(len(lo))  # the windows whose ends may still move
+    while len(at):  # move each end by one index where the metric says so
+        a, b = lo[at], hi[at]
+        within = kind.dists(axis[np.stack([a - 1, a, b - 1, b]) % n], q.flat[at]) <= epsilon
+        step_a = (~within[1] & (a < b)).astype(np.intp) - (within[0] & (a > 0) & (b - a < n))
+        a += step_a
+        step_b = (within[3] & (b < len(ext)) & (b - a < n)).astype(np.intp) - (~within[2] & (b > a))
+        lo[at], hi[at] = a, b + step_b
+        at = at[(step_a != 0) | (step_b != 0)]
+    return (lo % n).reshape(q.shape), (hi - lo).reshape(q.shape)
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges first[i], ..., first[i] + count[i] - 1, concatenated."""
+    ends = np.cumsum(count)
+    out = np.repeat(first - ends + count, count)
+    out += np.arange(len(out))
+    return out
+
+
+def _rows(windows: list, count: np.ndarray, sizes: list[int], strides: list[int], nodes: slice):
+    """The boxes of the source nodes `nodes` cut into rows: a row fixes every
+    leaf but the last and holds one range of the last leaf. `count` holds
+    the rows per (map, node) before a range that wraps past the last index
+    splits in two. Returns (key, end, map) per row, sorted by key = u * size
+    + the row's first target, where end is its last target + 1 on that scale."""
+    size = sizes[0] * strides[0]
+    flat = [[a[:, nodes].ravel() for a in w] for w in windows]  # per (map, node), map-major
+    count = count[:, nodes]
+    nmaps, nnodes = count.shape
+    count = count.ravel()
+    k = _ranges(np.zeros_like(count), count)
+    base = np.repeat(np.tile(np.arange(size)[nodes] * size, nmaps), count)
+    for l in reversed(range(len(sizes) - 1)):
+        start, width = (np.repeat(a, count) for a in flat[l])
+        k, kl = np.divmod(k, width)
+        base += (start + kl) % sizes[l] * strides[l]
+    start, width = (np.repeat(a, count) for a in flat[-1])
+    lam = np.repeat(np.arange(nmaps, dtype=np.min_scalar_type(nmaps - 1)).repeat(nnodes), count)
+    wrap = start + width - sizes[-1]  # > 0: the range goes on from index 0 to wrap - 1
+    split = wrap > 0
+    key = np.concatenate([base + start, base[split]])
+    end = np.concatenate([base + np.minimum(start + width, sizes[-1]), base[split] + wrap[split]])
+    order = np.argsort(key, kind="stable")
+    return key[order], end[order], np.concatenate([lam, lam[split]])[order]
+
+
+def _closest_maps(kinds: list, axes: list, strides: list[int], images: np.ndarray,
+                  at: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """For the targets of keys at[i], ..., at[i] + n[i] - 1 (each run within
+    one row), the first map of least distance from the source's image. A row
+    fixes every leaf but the last, so those leaves give one distance per map
+    and row."""
+    u, flat = np.divmod(at, len(axes[0]) * strides[0])
+    inner = axes[-1][_ranges(flat % len(axes[-1]), n)]
+    fixed = [axes[l][flat // strides[l] % len(axes[l])] for l in range(len(axes) - 1)]
+    for m in range(len(images)):
+        dist = kinds[-1].dists(inner, np.repeat(images[m, u, -1], n))
+        for l, coords in enumerate(fixed):
+            np.maximum(dist, np.repeat(kinds[l].dists(coords, images[m, u, l]), n), out=dist)
+        if m == 0:
+            best, label = dist, np.zeros(len(dist), dtype=np.min_scalar_type(len(images) - 1))
+        else:
+            np.putmask(label, dist < best, m)
+            np.minimum(best, dist, out=best)
+    return label
 
 
 def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainGraph:
     """Discretize the space at `resolution` and connect u -> v when some map
-    image of u lies within `epsilon` of v (edge label = the closest map).
+    image of u lies within `epsilon` of v (edge label = the closest map, the
+    first on ties).
 
-    Only nodes inside per-leaf windows around the images of u are candidates,
-    and each candidate is checked with the metric itself, so the edges and
-    labels equal those of comparing every pair of nodes, at O(edges) cost."""
+    The targets of u under one map form a box: the product of that map's
+    exact leaf windows (`_leaf_windows`, which evaluates the metric only at
+    the ends of each window). The targets of u are the union of its maps'
+    boxes, in ascending order. A target inside one box takes that box's map
+    as its label, with no distance computed. Only targets that the next
+    row in key order (see `_rows`) may also hold compare the maps'
+    distances. So the edges and labels equal those of comparing every pair
+    of nodes, at O(edges) cost. Blocks of source nodes bound the
+    temporaries."""
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     # completeness at epsilon/2 needs (L+1)*h/2 <= epsilon/2: this ensures it for L <= 3 only
@@ -101,46 +184,38 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
     images = np.stack(batch_leaves(ifs.raw_images(batch)), axis=-1, dtype=float)  # (map, node, leaf)
     # the grid is the product of the leaf grids, first leaf outermost
     axes = [np.asarray(grid_batch(k, resolution), dtype=float) for k in kinds]
-    strides = [int(np.prod([len(a) for a in axes[l + 1:]])) for l in range(len(axes))]
-    windows = [_leaf_windows(k, a, images[..., l], epsilon)
-               for l, (k, a) in enumerate(zip(kinds, axes))]
-    counts = np.prod([w[1] for w in windows], axis=0)
+    sizes = [len(a) for a in axes]
+    strides = [int(np.prod(sizes[l + 1:])) for l in range(len(sizes))]
+    size = sizes[0] * strides[0]
+    windows = [_leaf_windows(k, a, images[..., l], epsilon) for l, (k, a) in enumerate(zip(kinds, axes))]
+    count = functools.reduce(np.multiply, (w[1] for w in windows[:-1]), np.ones(images.shape[:2], dtype=np.intp))
+    # rows for many blocks at once, up to _CHUNK_ROWS of them (a wrapped range makes two)
+    span = _CHUNK_NODES * max(1, _CHUNK_ROWS // (2 * int(count.sum(axis=0).max()) * _CHUNK_NODES))
     out_edges: list[np.ndarray] = []
     out_labels: list[np.ndarray] = []
-    for c0 in range(0, len(counts), _CHUNK_NODES):
-        rows = slice(c0, c0 + _CHUNK_NODES)
-        count = counts[rows]
-        ends = np.cumsum(count)
-        k = np.arange(ends[-1]) - np.repeat(ends - count, count)  # candidate's place in its window
-        # last leaf varies fastest, so each node's targets come out ascending
-        targets, target_coords = None, []
-        for l in reversed(range(len(kinds))):
-            start, width, wrapped = (w[rows] for w in windows[l])
-            if l:
-                k, kl = np.divmod(k, np.repeat(width, count))
-            else:  # what the inner leaves leave of k indexes the first leaf
-                kl = k
-            idx = kl + np.repeat(start, count)
-            if wrapped.any():
-                wrapped = np.repeat(wrapped, count)
-                idx = np.where(kl < wrapped, kl, idx - wrapped)
-            targets = idx if targets is None else targets + idx * strides[l]
-            target_coords.append((l, axes[l][idx]))
-        # distance to the closest map image, and that map (the first on ties)
-        for lam in range(ifs.nmaps):
-            d = functools.reduce(np.maximum, (
-                kinds[l].dists(coords, np.repeat(images[lam, rows, l], count))
-                for l, coords in target_coords))
-            if lam == 0:
-                best, label = d, np.zeros(len(d), dtype=np.min_scalar_type(ifs.nmaps - 1))
-            else:
-                label[d < best] = lam
-                np.minimum(best, d, out=best)
-        keep = best <= epsilon
-        targets, label = targets[keep], label[keep]
-        cuts = [0, *np.cumsum(keep)[ends - 1].tolist()]  # every window holds >= 1 index
-        out_edges += [targets[a:b] for a, b in zip(cuts, cuts[1:])]
-        out_labels += [label[a:b] for a, b in zip(cuts, cuts[1:])]
+    for s0 in range(0, size, span):
+        key, end, lam = _rows(windows, count, sizes, strides, slice(s0, s0 + span))
+        # each row adds the targets that no earlier row holds; a later row can
+        # hold them too only from its own first target on
+        first = key.copy()
+        np.maximum(key[1:], np.maximum.accumulate(end)[:-1], out=first[1:])
+        added = np.maximum(end - first, 0)
+        shared = np.maximum(first, np.append(key[1:], end[-1]))  # the next row may hold targets from here
+        place = np.append(0, np.cumsum(added))  # where each row's targets start
+        row_of = np.searchsorted(key, np.arange(s0, min(s0 + span, size) + 1) * size)  # node s0 + i starts row_of[i]
+        for c0 in range(0, len(row_of) - 1, _CHUNK_NODES):  # one block of source nodes at a time
+            rows = row_of[c0:c0 + _CHUNK_NODES + 1]
+            r0, r1 = rows[0], rows[-1]
+            targets = _ranges(first[r0:r1] % size, added[r0:r1])
+            labels = np.repeat(lam[r0:r1], added[r0:r1])
+            both = r0 + np.flatnonzero(end[r0:r1] > shared[r0:r1])
+            if len(both):  # targets that may lie in two boxes take the closest map
+                n = end[both] - shared[both]
+                at = _ranges(place[both] - place[r0] + shared[both] - first[both], n)
+                labels[at] = _closest_maps(kinds, axes, strides, images, shared[both], n)
+            cuts = (place[rows] - place[r0]).tolist()
+            out_edges += [targets[a:b] for a, b in zip(cuts, cuts[1:])]
+            out_labels += [labels[a:b] for a, b in zip(cuts, cuts[1:])]
     return ChainGraph(ifs, RawPoints(kind, batch), epsilon, resolution,
                       tuple(out_edges), tuple(out_labels))
 
@@ -186,14 +261,14 @@ def _bfs(out_edges: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
     while len(frontier) and parent[stop] == -1:
         edges = [out_edges[u] for u in frontier]
         targets = np.concatenate(edges)
-        sources = np.repeat(frontier, [len(e) for e in edges])
-        unseen = parent[targets] == -1
-        targets, sources = targets[unseen], sources[unseen]
-        place = np.arange(len(targets))
-        np.minimum.at(first, targets, place)
-        new = first[targets] == place
-        frontier = targets[new]
-        parent[frontier] = sources[new]
+        at = np.flatnonzero(parent[targets] == -1)  # places of targets not yet reached
+        unseen = targets[at]
+        np.minimum.at(first, unseen, at)
+        new = first[unseen] == at
+        # the frontier node whose edges hold place p is the first whose running degree exceeds p
+        sources = frontier[np.searchsorted(np.cumsum([len(e) for e in edges]), at[new], side="right")]
+        frontier = unseen[new]
+        parent[frontier] = sources
     return parent
 
 

@@ -395,10 +395,15 @@ class IFSSpec:
         """The selector walk on raw coordinates, with an optional displacement (`_compile_family`)."""
         return self._family[1]
 
+    @cached_property
+    def _powers(self) -> dict:
+        """k -> power_ifs(self, k), so each power family is built and compiled once."""
+        return {}
+
     def __getstate__(self) -> dict:
         # the compiled steps are closures; an unpickled spec compiles its own
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("raw_steps", "_family", "raw_images")}
+                if k not in ("raw_steps", "_family", "raw_images", "_powers")}
 
 
 @dataclass(frozen=True)
@@ -609,9 +614,13 @@ def word_index(digits: Sequence, base: int):
 def power_ifs(ifs: IFSSpec, k: int) -> IFSSpec:
     """k-fold composition family: one map per length-k word over the index
     set. Word (lambda_0, ..., lambda_{k-1}) composes with lambda_0 applied
-    first and is indexed with lambda_0 as the most significant digit."""
+    first and is indexed with lambda_0 as the most significant digit. Built
+    once per family and k: later calls return the same spec, whose compiled
+    maps are then reused."""
     if k < 2:
         raise DomainError("power needs k >= 2")
+    if k in ifs._powers:
+        return ifs._powers[k]
     count = ifs.nmaps ** k
     if count > POWER_GUARD:
         raise GuardError(f"|maps|^k = {count} exceeds guard {POWER_GUARD}")
@@ -626,13 +635,14 @@ def power_ifs(ifs: IFSSpec, k: int) -> IFSSpec:
     claimed = None
     if ifs.claimed_contraction is not None:
         claimed = ifs.claimed_contraction ** k
-    return IFSSpec(
+    ifs._powers[k] = IFSSpec(
         space=ifs.space,
         maps=tuple(maps),
         claimed_contraction=claimed,
         surjective_flags=tuple(flags),
         name=f"{ifs.name}^{k}" if ifs.name else f"power{k}",
     )
+    return ifs._powers[k]
 
 
 def pair_index(lam: int, gam: int, nleft: int) -> int:

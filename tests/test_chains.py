@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -37,6 +38,7 @@ from ifsdyn import (
 )
 from ifsdyn.chains import ChainGraph, graph_to_dot, strongly_connected_components
 from ifsdyn.core import PseudoOrbitRecord, SelectorSequence
+from ifsdyn.spaces import grid_batch
 
 UNIT = Interval(0.0, 1.0)
 
@@ -405,6 +407,118 @@ def test_labels_take_the_smallest_unsigned_dtype(catalog_graph):
     """A label is a map index < nmaps, so one byte holds it on the catalog systems."""
     _, g = catalog_graph
     assert {a.dtype for a in g.out_labels} == {np.dtype(np.uint8)}
+
+
+@st.composite
+def unit_maps(draw, circle):
+    """One map of [0, 1] or of the circle: affine (intervals only; slopes
+    and offsets often dyadic, so images fall on grid points) or twopiece."""
+    if not circle and draw(st.booleans()):
+        a = draw(st.sampled_from([0.5, -0.5, 0.25, 1.0, -1.0, 0.1, 0.0]) | st.floats(-1, 1))
+        lo, hi = -min(a, 0.0), 1.0 - max(a, 0.0)  # the offsets that keep a*t + b in [0, 1]
+        b = draw(st.integers(math.ceil(lo * 64), math.floor(hi * 64)).map(lambda j: j / 64)
+                 | st.floats(lo, hi))
+        return MapDef("f", "affine", (a, b))
+    c = st.sampled_from([1.0, 1.5, -1.0, 2.0, 0.0]) | st.floats(-1, 2)
+    return MapDef("g", "twopiece_quadratic", (draw(c), draw(c)))
+
+
+@st.composite
+def unit_families(draw, circle, most=3):
+    """1 to `most` maps; the first map is sometimes repeated, so two images
+    coincide at every node, and twopiece maps share fixed points 0, 1/2, 1."""
+    maps = draw(st.lists(unit_maps(circle), min_size=1, max_size=most))
+    if len(maps) < most and draw(st.booleans()):
+        maps.append(maps[0])
+    return IFSSpec(Circle() if circle else UNIT, tuple(maps))
+
+
+@st.composite
+def chain_systems(draw):
+    """(ifs, resolution, epsilon) with resolution <= epsilon/4. Epsilon is an
+    exact multiple of the resolution, a float up to 1.2 (past 1/2, a window
+    of the whole circle; past 1, every index of a finite leaf), or the metric
+    distance from some image to some grid point, so a window ends exactly
+    there, or one ulp either side of it."""
+    shape = draw(st.sampled_from(["interval", "circle", "x finite", "circle^2", "circle^2 subset"]))
+    if shape in ("interval", "circle"):
+        ifs = draw(unit_families(shape == "circle"))
+        h = draw(st.sampled_from([1 / 16, 1 / 32, 1 / 64, 0.013, 0.021]))
+    else:
+        if shape == "x finite":
+            n = draw(st.integers(1, 4))
+            perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+            right = IFSSpec(FiniteDiscrete(n), tuple(MapDef("p", "permutation", tuple(q)) for q in perms))
+            ifs = product_ifs(draw(unit_families(draw(st.booleans()), most=2)), right)
+        else:
+            ifs = product_ifs(draw(unit_families(True, most=2)), draw(unit_families(True, most=2)))
+            if shape == "circle^2 subset":  # not every pair of leaf maps: the boxes' union is no product
+                keep = draw(st.sets(st.integers(0, ifs.nmaps - 1), min_size=1))
+                ifs = IFSSpec(ifs.space, tuple(ifs.maps[i] for i in sorted(keep)))
+        h = draw(st.sampled_from([1 / 8, 1 / 16, 0.07]))
+    rule = draw(st.sampled_from(["multiple", "float", "distance"]))
+    if rule == "multiple":
+        eps = h * draw(st.integers(4, 40))
+    elif rule == "float":
+        eps = draw(st.floats(4 * h, 1.2))
+    else:  # the distance from an image to a grid point, or one ulp either side of it
+        nodes = grid(ifs.space, h)
+        image = apply(ifs, draw(st.integers(0, ifs.nmaps - 1)), draw(st.sampled_from(nodes)))
+        eps = distance(image, draw(st.sampled_from(nodes)))
+        eps = float(np.nextafter(eps, draw(st.sampled_from([-math.inf, eps, math.inf]))))
+        assume(eps >= 4 * h)
+    return ifs, h, eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_systems())
+def test_build_matches_all_pairs_on_random_systems(system):
+    ifs, h, eps = system
+    g = build_chain_graph(ifs, h, eps)
+    edges, labels = all_pairs_graph(ifs, h, eps)
+    assert g.size == len(edges)
+    assert all(e.dtype == np.intp for e in g.out_edges)
+    assert {a.dtype for a in g.out_labels} == {np.min_scalar_type(ifs.nmaps - 1)}
+    for u in range(g.size):
+        assert np.array_equal(g.out_edges[u], edges[u])
+        assert np.array_equal(g.out_labels[u], labels[u])
+
+
+@settings(max_examples=500, deadline=None)
+@given(circle=st.booleans(), h=st.sampled_from([1 / 16, 1 / 64, 0.013, 1 / 1024, 0.0007]),
+       q=st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=8),
+       j=st.integers(0, 2**20), whole=st.sampled_from([False, False, False, True]))
+def test_leaf_windows_are_the_indices_within_epsilon(circle, h, q, j, whole):
+    """Each window is exactly the cyclic index range the metric accepts, at
+    an epsilon on the boundary (the distance from the first image to a grid
+    point, and one ulp either side of it), however the rounding of
+    q +- epsilon falls; `whole` adds 1/2, a window of every index."""
+    kind = Circle() if circle else UNIT
+    axis = np.asarray(grid_batch(kind, h), dtype=float)
+    q = np.array(q)
+    d = float(kind.dists(axis[j % len(axis)], q[0]))
+    for eps in (np.nextafter(d, -math.inf), d, np.nextafter(d, math.inf)):
+        eps = 0.5 + eps if whole else max(float(eps), 4 * h)
+        start, width = ifsdyn.chains._leaf_windows(kind, axis, q[None, :], eps)
+        for i, qi in enumerate(q):
+            want = np.flatnonzero(kind.dists(axis, qi) <= eps)
+            got = (start[0, i] + np.arange(width[0, i])) % len(axis)
+            assert np.array_equal(np.sort(got), want)
+
+
+def test_build_temporaries_stay_small():
+    """Blocks of source nodes bound what the build holds beyond its graph:
+    at most 4 MiB on 12,801 nodes and 3.1 M edges."""
+    ip = make_system("interval_pair")
+    build_chain_graph(ip, 0.005 / 4, 0.005)  # compiles the maps outside the trace
+    tracemalloc.start()
+    try:
+        g = build_chain_graph(ip, 0.005 / 64, 0.005)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 3_128_868
+    assert peak - retained <= 4 * 2**20
 
 
 def test_labels_of_more_than_256_maps_take_two_bytes():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -243,6 +244,19 @@ def test_stride_subsample_true_orbit():
     assert np.all(sub.errors.values == 0.0)
     assert len(sub.points) == 5
     assert sub.points == rec.points[::3]
+
+
+def test_strides_of_one_family_share_one_compiled_power():
+    """Each (family, k) builds and compiles its power family once: strides of
+    two records at one k get the same spec and the same compiled maps."""
+    b = make_system("binary_affine")
+    recs = [orbit(b, selector_random(seed, 12, 2), point(UNIT, x), 12) for seed, x in ((3, 0.2), (4, 0.9))]
+    (p1, s1), (p2, s2) = (stride_subsample(b, rec, 3) for rec in recs)
+    assert p1 is p2 and p1._family is p2._family
+    assert np.all(s1.errors.values == 0.0) and np.all(s2.errors.values == 0.0)
+    assert stride_subsample(b, recs[0], 2)[0] is not p1
+    assert stride_subsample(make_system("binary_affine"), recs[0], 3)[0] is not p1  # per family object
+    assert "_powers" not in vars(pickle.loads(pickle.dumps(b)))
 
 
 def test_stride_word_indices():
