@@ -40,6 +40,8 @@ def series(values, bound: Optional[float] = None) -> Series:
         raise DomainError("series values must be finite")
     if len(arr) and float(arr.min()) < 0:
         raise DomainError("series values must be nonnegative")
+    if bound is not None and not 0 <= bound < np.inf:  # also rejects nan
+        raise DomainError(f"series bound must be finite and nonnegative, got {bound}")
     if bound is not None and len(arr) and float(arr.max()) > bound + 1e-12:
         raise DomainError(f"series exceeds declared bound {bound}")
     arr = arr.copy()
@@ -230,6 +232,8 @@ def verify_null_density_implies_average(s: Series, j: IndexSet, tol: float) -> D
     the Cesàro average is at most density(J)*B + tail + tol and the off-J
     tail (the maximum of the series off J over the second half) is at most
     tol."""
+    if np.isnan(tol):
+        raise DomainError("tol must be a number, got nan")
     horizon = s.horizon
     if j.horizon != horizon:
         raise DomainError("index set horizon does not match the series")

@@ -221,8 +221,11 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
 
 
 def snap_to_node(g: ChainGraph, p: Point) -> tuple[int, float]:
-    """Nearest grid node and its distance."""
+    """Nearest grid node and its distance; a point of another space raises
+    DomainError."""
     kind = g.ifs.space
+    if p.kind is not kind and p.kind != kind:
+        raise DomainError("point does not belong to the IFS space")
     d = kind.dists(g.nodes.raws, kind.encode(p))
     i = int(np.argmin(d))
     return i, float(d[i])

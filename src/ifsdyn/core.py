@@ -269,10 +269,10 @@ def _compile_family(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Cal
     `move(base, p)` displaces step i's image by the i-th raw value `p` of the
     batch `params`. Affine families walk a float start on `affine_orbit` with
     the images' tables and the displacement of `pseudo_orbits._moves`; prepend
-    families of depth <= 64 scan uint64 words, where step i is x_{i+1} =
-    (x_i >> 1) ^ c_i, c_i = top[lam_i] ^ mask_i (the map's top bit and the
-    flip mask of `_moves`, 0 without a move). Others, and affine walks from a
-    start that is no float, call `steps` on Python ints."""
+    families scan uint64 words, where step i is x_{i+1} = (x_i >> 1) ^ c_i,
+    c_i = top[lam_i] ^ mask_i (the map's top bit and the flip mask of
+    `_moves`, 0 without a move). Others, and affine walks from a start that
+    is no float, call `steps` on Python ints."""
 
     def generic(raw, lams, move=None, params=()):
         out, bases, lams = [raw], [], np.asarray(lams, dtype=np.intp).tolist()
@@ -319,7 +319,7 @@ def _compile_family(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Cal
             s[:head] ^= x >> np.arange(1, head + 1, dtype=np.uint64)
             return np.concatenate(([x], s)), None if move is None else s ^ masks
 
-        return (lambda x, lams: tops[lams] | (x >> 1)), prepend_scan if depth <= 64 else generic
+        return (lambda x, lams: tops[lams] | (x >> 1)), prepend_scan
     if form == "permutation":
         table = np.array([m.params for m in maps], dtype=np.int64)
         return (lambda i, lams: kind.canon_batch(table[lams, i])), generic

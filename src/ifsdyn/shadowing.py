@@ -134,8 +134,8 @@ def contracting_shadow_bound(beta: float, m0: float, alphas: Series, n: int) -> 
     (1/n) * (1/(1-beta)) * (m0 + sum of the first n-1 step errors)."""
     if not 0 < beta < 1:
         raise DomainError("beta must lie in (0, 1)")
-    if m0 < 0:
-        raise DomainError("initial gap must be nonnegative")
+    if not 0 <= m0 < math.inf:  # also rejects nan
+        raise DomainError(f"initial gap must be finite and nonnegative, got {m0}")
     if n < 1:
         raise DomainError("horizon must be >= 1")
     return (m0 + float(alphas.values[: max(n - 1, 0)].sum())) / ((1.0 - beta) * n)

@@ -7,21 +7,20 @@ the max metric.
 
 Besides the public `Point`, every kind has one raw coordinate that the
 trajectory loops run on: a float for intervals and circles, an int for finite
-spaces, a Python-int bitmask for symbol spaces (first symbol in the top bit,
-any depth), and a pair of raw coordinates for products. Each kind converts
-with `encode(point) -> raw` and `decode(raw) -> Point`, and measures raw
-values with `dist(a, b)`.
+spaces, a Python-int bitmask for symbol spaces (first symbol in the top bit;
+depths 2 to 64), and a pair of raw coordinates for products. Each kind
+converts with `encode(point) -> raw` and `decode(raw) -> Point`, and measures
+raw values with `dist(a, b)`.
 
 A batch holds many raw coordinates of one kind as arrays: float64 for
-intervals and circles, int64 for finite spaces, uint64 words for symbol
-spaces of depth <= 64 (an object array of bitmasks above), and a pair of
-batches for products. A batch is the one raw form of a point sequence:
-walks return one, and records and chain graphs keep the one they walked or
-encoded. `kind.batch(raws)` and `unbatch(batch)` convert a list of raw
-values to a batch and back, and `dists(a, b) -> ndarray` measures batches
-elementwise, broadcasting (a batch against one raw value, too). `canon_batch`
-is the array twin of `canon`, and `grid_batch` gives a space's finite net as
-one batch.
+intervals and circles, int64 for finite spaces, one uint64 word per point for
+symbol spaces, and a pair of batches for products. A batch is the one raw
+form of a point sequence: walks return one, and records and chain graphs keep
+the one they walked or encoded. `kind.batch(raws)` and `unbatch(batch)`
+convert a list of raw values to a batch and back, and `dists(a, b) ->
+ndarray` measures batches elementwise, broadcasting (a batch against one raw
+value, too). `canon_batch` is the array twin of `canon`, and `grid_batch`
+gives a space's finite net as one batch.
 """
 
 from __future__ import annotations
@@ -127,7 +126,8 @@ class Circle:
 
 @dataclass(frozen=True, slots=True)
 class SymbolSpace:
-    """Binary sequences truncated to `depth` bits.
+    """Binary sequences truncated to `depth` bits, for depths 2 to 64, so
+    that a batch holds each point as one uint64 word.
 
     The metric between distinct points is 1/2^(k-1) where k is the first
     index at which they differ; bits beyond `depth` are treated as equal,
@@ -137,8 +137,8 @@ class SymbolSpace:
     depth: int = 64
 
     def __post_init__(self):
-        if self.depth < 2:
-            raise DomainError(f"symbol space depth must be >= 2, got {self.depth}")
+        if self.depth not in range(2, 65):
+            raise DomainError(f"symbol space depth must lie in 2 to 64, got {self.depth}")
 
     def encode(self, p: "Point") -> int:
         """Bitmask of the bit tuple, first symbol in the top bit."""
@@ -148,24 +148,17 @@ class SymbolSpace:
         return Point(self, tuple(f"{raw:0{self.depth}b}".encode().translate(_DIGITS_TO_BITS)))
 
     def batch(self, raws) -> np.ndarray:
-        if self.depth <= 64:
-            return np.asarray(raws, dtype=np.uint64)
-        return np.fromiter(raws, dtype=object, count=len(raws))
+        return np.asarray(raws, dtype=np.uint64)
 
     def dist(self, a: int, b: int) -> float:
         # the first disagreement k sits at bit depth-1-k of a ^ b
         return 0.0 if a == b else 2.0 ** (1 - (self.depth - (a ^ b).bit_length()))
 
     def dists(self, a, b) -> np.ndarray:
-        if self.depth <= 64:  # on uint64 words: the exact bit length of a ^ b from its 32-bit halves
-            x = np.asarray(a, dtype=np.uint64) ^ np.asarray(b, dtype=np.uint64)
-            high, low = np.frexp(x >> np.uint64(32))[1], np.frexp(x & np.uint64(0xFFFFFFFF))[1]
-            lengths = np.where(high > 0, high + 32, low)
-        else:
-            a, b = np.broadcast_arrays(a, np.asarray(b, dtype=object))
-            # one xor at a time, so no array of new bitmasks is ever held
-            lengths = np.fromiter(((x ^ y).bit_length() for x, y in zip(a.flat, b.flat)),
-                                  dtype=np.int64, count=a.size).reshape(a.shape)
+        # the exact bit length of a ^ b from its 32-bit halves (a whole word rounds as a float)
+        x = np.asarray(a, dtype=np.uint64) ^ np.asarray(b, dtype=np.uint64)
+        high, low = np.frexp(x >> np.uint64(32))[1], np.frexp(x & np.uint64(0xFFFFFFFF))[1]
+        lengths = np.where(high > 0, high + 32, low)
         return np.where(lengths > 0, np.ldexp(1.0, lengths + (1 - self.depth)), 0.0)
 
 
@@ -448,14 +441,9 @@ def sample_batch(kind: SpaceKind, rng: np.random.Generator, count: int):
         return kind.canon_batch(rng.random(count))
     if isinstance(kind, SymbolSpace):  # rows of bits, first symbol in the top bit
         rows = np.packbits(rng.integers(0, 2, size=(count, kind.depth)), axis=1)
-        width, pad = -(-kind.depth // 8), -kind.depth % 8
-        if kind.depth <= 64:  # each row zero-padded in front to one big-endian word
-            words = np.zeros((count, 8), dtype=np.uint8)
-            words[:, 8 - width:] = rows
-            return words.view(">u8").ravel().astype(np.uint64) >> np.uint64(pad)
-        rows = rows.tobytes()
-        return kind.batch([int.from_bytes(rows[i:i + width], "big") >> pad
-                           for i in range(0, count * width, width)])
+        words = np.zeros((count, 8), dtype=np.uint8)  # each row zero-padded in front to one big-endian word
+        words[:, 8 - rows.shape[1]:] = rows
+        return words.view(">u8").ravel().astype(np.uint64) >> np.uint64(-kind.depth % 8)
     if isinstance(kind, FiniteDiscrete):
         return kind.canon_batch(rng.integers(0, kind.n, size=count))
     if isinstance(kind, Product):  # point by point, the left factor first

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from ifsdyn import (
     DomainError,
+    FiniteDiscrete,
+    IFSSpec,
     Interval,
+    MapDef,
     block_saturation,
     cesaro_average,
     constant_series,
@@ -17,6 +20,7 @@ from ifsdyn import (
     harmonic_series,
     index_set,
     make_system,
+    orbit,
     perturbed_orbit,
     point,
     running_average_curve,
@@ -137,6 +141,29 @@ def test_series_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DomainError):
             series([0.1, bad])
+
+
+@pytest.mark.parametrize("bound", [float("nan"), -0.5, float("inf")])
+def test_series_refuses_a_bound_that_is_nan_negative_or_infinite(bound):
+    """The density decomposition weighs its marked set by the bound, so a
+    bound it cannot use is refused where the series is made."""
+    for values in ([0.0, 0.0], []):
+        with pytest.raises(DomainError, match=f"^series bound must be finite and nonnegative, got {bound}$"):
+            series(values, bound=bound)
+
+
+def test_series_takes_a_zero_bound_as_a_one_point_space_gives():
+    one = IFSSpec(FiniteDiscrete(1), (MapDef("id", "identity"),))
+    rec = orbit(one, selector_random(0, 5, 1), point(one.space, 0), 5)
+    assert rec.errors.bound == 0.0 and rec.errors.effective_bound == 0.0
+    chk = verify_null_density_implies_average(rec.errors, index_set([], 5), tol=0.0)
+    assert chk.verdict and chk.density_term == 0.0
+
+
+def test_verify_refuses_a_nan_tol_as_validate_aapo_does():
+    s = constant_series(10, 1.0)
+    with pytest.raises(DomainError, match="^tol must be a number, got nan$"):
+        verify_null_density_implies_average(s, index_set([], 10), tol=float("nan"))
 
 
 def test_density_examples():

@@ -118,6 +118,22 @@ def test_find_chain_interval_pair():
     assert max(gaps) > 0.01
 
 
+def test_snap_and_find_chain_refuse_a_point_of_another_space():
+    """As `apply` does: a point of [0, 2] on a graph of [0, 1] has no nearest
+    node, nor has a circle point on a graph of the circle squared."""
+    unit = build_chain_graph(halving_ifs(), 0.05, 0.2)
+    cp = make_system("circle_pair")
+    square = build_chain_graph(product_ifs(cp, cp), 1 / 16, 0.25)
+    message = "^point does not belong to the IFS space$"
+    for g, p in ((unit, point(Interval(0.0, 2.0), 0.3)), (square, point(Circle(), 0.3))):
+        with pytest.raises(DomainError, match=message):
+            snap_to_node(g, p)
+        with pytest.raises(DomainError, match=message):
+            find_chain(g, g.nodes[0], p)
+    with pytest.raises(DomainError, match=message):
+        find_chain(unit, point(Interval(0.0, 2.0), 1.7), point(UNIT, 0.5))
+
+
 def test_witness_labels_out_of_range_raise_after_good_steps():
     """Steps are checked in one batch call, in the order a step-by-step
     check meets them: a label out of range raises the DomainError of

@@ -471,6 +471,19 @@ def test_infinite_interval_spec_exits_2(tmp_path, capsys):
     assert _one_error_line(capsys).startswith("error: interval lo must be a number, got 1000")
 
 
+@pytest.mark.parametrize("depth", [1, 65, 100])
+def test_symbol_depths_outside_2_to_64_exit_2(depth, tmp_path, capsys):
+    message = f"error: symbol space depth must lie in 2 to 64, got {depth}"
+    assert main(["orbit", "--model", f"sigma2_prepend:{depth}", "--x0", "0", "--steps", "2"]) == 2
+    assert _one_error_line(capsys) == message
+    spec = {"name": "deep", "space": {"type": "symbols", "depth": depth},
+            "maps": [{"name": "p0", "form": "prepend", "params": [0]}]}
+    spec_file = tmp_path / "deep.json"
+    spec_file.write_text(json.dumps(spec))
+    assert main(["orbit", "--spec-file", str(spec_file), "--x0", "0", "--steps", "2"]) == 2
+    assert _one_error_line(capsys) == message
+
+
 def test_missing_json_keys_exit_2(tmp_path, capsys):
     good = {"name": "id", "space": {"type": "interval"},
             "maps": [{"name": "id", "form": "identity", "params": []}]}
@@ -616,7 +629,7 @@ def test_record_with_a_one_element_product_value_exits_2(tmp_path, capsys):
 
 
 _LEAF_KINDS = st.one_of(st.sampled_from([UNIT, Interval(-2.0, 3.0), Circle()]),
-                        st.integers(2, 80).map(SymbolSpace), st.integers(1, 6).map(FiniteDiscrete))
+                        st.integers(2, 64).map(SymbolSpace), st.integers(1, 6).map(FiniteDiscrete))
 
 
 @settings(max_examples=150, deadline=None)

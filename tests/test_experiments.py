@@ -1,12 +1,26 @@
+import dataclasses
 import hashlib
 import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ifsdyn.core
-from ifsdyn import DomainError, make_system, run, validate_delta_pseudo_orbit
+import ifsdyn.experiments
+from ifsdyn import (
+    ContractionError,
+    DomainError,
+    IFSSpec,
+    MapDef,
+    constant_series,
+    make_system,
+    run,
+    series,
+    subsystem,
+    validate_delta_pseudo_orbit,
+)
 from ifsdyn.cli import main
 from ifsdyn.experiments import _DEFAULTS, crossing_record, experiment_names
 
@@ -26,6 +40,15 @@ def test_readme_table_names_every_experiment():
     section = text.split("\n## Experiments\n", 1)[1].split("\n## ", 1)[0]
     rows = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
     assert rows == experiment_names()
+
+
+def test_readme_quick_tour_runs_as_written():
+    """The one python block under "Library quick tour" runs, asserts and all."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Library quick tour\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("\n```", 1)[0], "README.md", "exec"), {})
 
 
 def _check_result(res, tmp_path):
@@ -117,6 +140,76 @@ def test_power_consistency_fails_on_words_in_the_wrong_order(tmp_path, monkeypat
     monkeypatch.setattr(ifsdyn.core, "word_digits", lambda mu, base, k: digits(mu, base, k)[::-1])
     res = run("thm-power-consistency", {"trials": 6}, output_root=tmp_path, seed=0)
     assert not res.verdict and res.metrics["max_deviation"] == 2.0
+
+
+# Each experiment's verdict turns False on a doctored input: the module-level
+# name its body reads is replaced, and the same overrides pass undoctored.
+
+def _flips(name, overrides, tmp_path, monkeypatch, **doctored):
+    assert run(name, overrides, output_root=tmp_path, seed=0).verdict
+    for attr, value in doctored.items():
+        monkeypatch.setattr(ifsdyn.experiments, attr, value)
+    res = run(name, overrides, output_root=tmp_path, seed=0)
+    assert not res.verdict
+    return res.metrics
+
+
+def test_contracting_bound_fails_on_noise_that_does_not_decay(tmp_path, monkeypatch):
+    metrics = _flips("thm-contracting-bound", {"n": 5000, "tol_abs": 0.01}, tmp_path, monkeypatch,
+                     harmonic_series=lambda n: constant_series(n, 0.05))
+    assert 0.01 < metrics["binary_final_average"] <= metrics["binary_bound"]
+
+
+def test_contracting_bound_raises_on_a_claimed_ratio_below_the_true_one(tmp_path, monkeypatch):
+    """A claim under the sampled ratio stops the run before any verdict."""
+    make = ifsdyn.experiments.make_system
+    monkeypatch.setattr(ifsdyn.experiments, "make_system",
+                        lambda name: dataclasses.replace(make(name), claimed_contraction=0.4))
+    with pytest.raises(ContractionError, match="exceeds claimed 0.4$"):
+        run("thm-contracting-bound", {"n": 5000}, output_root=tmp_path, seed=0)
+
+
+def test_conjugacy_fails_on_records_carried_by_the_identity(tmp_path, monkeypatch):
+    """The system stays the true conjugate under t -> t^2, but its records
+    and starts are carried over unsquared."""
+    square, conjugate = ifsdyn.experiments._square, ifsdyn.experiments.conjugate_ifs
+    metrics = _flips("thm-conjugacy", {"trials": 6, "n": 2000}, tmp_path, monkeypatch,
+                     conjugate_ifs=lambda ifs, h, h_inv, space: conjugate(ifs, square, h_inv, space),
+                     _square=lambda p: p)
+    assert metrics["mismatches"] == 3.0
+
+
+def test_product_fails_on_a_selector_with_its_factors_swapped(tmp_path, monkeypatch):
+    pair_index = ifsdyn.experiments.pair_index
+    metrics = _flips("thm-product", {"trials": 3, "n": 1000}, tmp_path, monkeypatch,
+                     pair_index=lambda lam, gam, nleft: pair_index(gam, lam, nleft))
+    assert metrics["max_sandwich_violation"] > 0.3
+
+
+def test_lemma_density_fails_on_a_series_of_positive_density(tmp_path, monkeypatch):
+    metrics = _flips("lemma-density", {"horizon": 50000}, tmp_path, monkeypatch,
+                     powers_of_two_series=lambda h: series((np.arange(h) % 10 == 0).astype(float), bound=1.0))
+    assert metrics["density"] > 0.09 and metrics["cesaro"] == 0.1
+
+
+def test_circle_chain_fails_on_f1_alone(tmp_path, monkeypatch):
+    make = ifsdyn.experiments.make_system
+    metrics = _flips("ex-circle-chain", {"resolution": 1 / 128}, tmp_path, monkeypatch,
+                     make_system=lambda name: subsystem(make(name), [0]))
+    assert metrics["pair_transitive"] == 0.0 and metrics["witness_length"] == 0.0
+
+
+def test_interval_no_shadowing_fails_when_a_map_carries_the_lower_half_up(tmp_path, monkeypatch):
+    """f1 with t -> 0.9 t + 0.1, which sends 0.45 to 0.505."""
+    make = ifsdyn.experiments.make_system
+
+    def doctored(name):
+        pair = make(name)
+        return IFSSpec(pair.space, (pair.maps[0], MapDef("g", "affine", (0.9, 0.1))))
+
+    metrics = _flips("ex-interval-no-shadowing", {"start_grid_step": 0.01, "invariance_points": 1000},
+                     tmp_path, monkeypatch, make_system=doctored)
+    assert metrics["invariance_ok"] == 0.0
 
 
 def test_reproducibility_same_seed(tmp_path):

@@ -216,7 +216,7 @@ def _cases():
         "binary_affine": (binary, "harmonic"),
         "sigma2_prepend": (make_system("sigma2_prepend"), "harmonic"),
         "symbols8": (make_system("sigma2_prepend:8"), "harmonic"),
-        "symbols100": (make_system("sigma2_prepend:100"), "harmonic"),
+        "symbols63": (make_system("sigma2_prepend:63"), "harmonic"),
         "circle_pair": (circle, "harmonic"),
         "interval_pair": (make_system("interval_pair"), "harmonic"),
         "finite_permutations4": (perms, "one"),
@@ -299,7 +299,7 @@ def test_raw_core_matches_point_oracles(name, monkeypatch):
         assert ds[row].tobytes() == ods.tobytes() and lams[row].tolist() == olams
 
 
-@pytest.mark.parametrize("depth", [8, 64, 100])
+@pytest.mark.parametrize("depth", [8, 63, 64])
 def test_symbol_flips_at_powers_of_two(depth, monkeypatch):
     """Noise at and next to every power of two, where a log2 estimate of the
     flipped bit rounds the wrong way."""
@@ -376,8 +376,8 @@ def test_error_types_match_oracles():
                  lambda: oracle_track(leave, pts, high[0], 5))
 
 
-@pytest.mark.parametrize("kind", [UNIT, Circle(), SymbolSpace(8), SymbolSpace(100), FiniteDiscrete(5),
-                                  Product(UNIT, SymbolSpace(70)), Product(Circle(), FiniteDiscrete(3))])
+@pytest.mark.parametrize("kind", [UNIT, Circle(), SymbolSpace(8), SymbolSpace(63), FiniteDiscrete(5),
+                                  Product(UNIT, SymbolSpace(64)), Product(Circle(), FiniteDiscrete(3))])
 def test_encode_decode_and_metrics(kind):
     rng = np.random.default_rng(21)
     pts = [sample_point(kind, rng) for _ in range(60)]
@@ -395,9 +395,9 @@ def test_encode_decode_and_metrics(kind):
 
 
 def test_symbol_bitmask_puts_the_first_symbol_in_the_top_bit():
-    kind = SymbolSpace(100)
-    assert kind.encode(point(kind, "1")) == 1 << 99
-    assert kind.encode(point(kind, "0" * 99 + "1")) == 1
+    kind = SymbolSpace(64)
+    assert kind.encode(point(kind, "1")) == 1 << 63
+    assert kind.encode(point(kind, "0" * 63 + "1")) == 1
     p = point(kind, "01")
     assert kind.dist(kind.encode(p), kind.encode(point(kind, "0"))) == 2.0 ** (1 - 1)
 
@@ -880,7 +880,7 @@ def test_affine_kernel_shifts_onto_signed_zero_edges(lo, hi, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(depth=st.sampled_from([2, 7, 64, 65, 100]), data=st.data(), seed=st.integers(0, 2**31 - 1))
+@given(depth=st.sampled_from([2, 7, 63, 64]), data=st.data(), seed=st.integers(0, 2**31 - 1))
 def test_prepend_kernel_matches_step_oracles(depth, data, seed):
     ifs = make_system(f"sigma2_prepend:{depth}")
     kind = ifs.space
@@ -952,11 +952,12 @@ def test_prepend_scan_matches_the_int_loop_on_long_walks(depth):
 
 
 def test_walk_kernels_compile_for_the_orbit_long_families_only():
-    affine, prepend = make_system("binary_affine"), make_system("sigma2_prepend")
-    assert affine.raw_walk.__name__ == "affine_walk" and prepend.raw_walk.__name__ == "prepend_scan"
+    affine = make_system("binary_affine")
+    assert affine.raw_walk.__name__ == "affine_walk"
+    for depth in (2, 7, 63, 64):  # both ends of the depth range and two between
+        assert make_system(f"sigma2_prepend:{depth}").raw_walk.__name__ == "prepend_scan"
     numpy_params = IFSSpec(UNIT, (MapDef("a", "affine", (np.float64(0.5), 0.0)),))
-    for ifs in (numpy_params, MIXED, power_ifs(affine, 2), product_ifs(affine, affine), CASES["conjugate"][0],
-                CASES["symbols100"][0]):
+    for ifs in (numpy_params, MIXED, power_ifs(affine, 2), product_ifs(affine, affine), CASES["conjugate"][0]):
         assert ifs.raw_walk.__name__ == "generic"
     walked, _ = walk(numpy_params, selector_explicit([0, 0]), 1.0, 2)
     assert walked.dtype == np.float64 and walked.tolist() == [1.0, 0.5, 0.25]
@@ -1180,7 +1181,7 @@ def test_contracting_bounds_on_each_side_of_the_lane_rule(beta, monkeypatch):
 
 # --- word-sized symbol distances and the batch sampler -------------------------
 
-@pytest.mark.parametrize("depth", [2, 8, 63, 64, 65])
+@pytest.mark.parametrize("depth", [2, 8, 63, 64])
 def test_symbol_dists_match_per_pair_dist(depth):
     kind = SymbolSpace(depth)
     rng = np.random.default_rng(depth)
@@ -1216,7 +1217,7 @@ def oracle_sample_point(kind, rng):
 def _sampled_kinds():
     kinds = {make_system(name).space for name in ("binary_affine", "sigma2_prepend", "circle_pair",
                                                   "interval_pair", "finite_permutations:4")}
-    kinds |= {SymbolSpace(2), SymbolSpace(7), SymbolSpace(9), SymbolSpace(63), SymbolSpace(65), SymbolSpace(100),
+    kinds |= {SymbolSpace(2), SymbolSpace(7), SymbolSpace(9), SymbolSpace(63),
               FiniteDiscrete(1), FiniteDiscrete(5), Interval(-3.0, -0.0)}
     return sorted(kinds, key=repr) + [Product(UNIT, SymbolSpace(7)), Product(Circle(), Product(FiniteDiscrete(3), UNIT))]
 

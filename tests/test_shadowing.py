@@ -88,6 +88,13 @@ def test_contracting_shadow_bound_formula():
         contracting_shadow_bound(1.0, 1.0, harm, 10)
 
 
+@pytest.mark.parametrize("m0", [float("nan"), float("inf"), -1.0])
+def test_contracting_shadow_bound_needs_a_finite_nonnegative_gap(m0):
+    with pytest.raises(DomainError, match=f"^initial gap must be finite and nonnegative, got {m0}$"):
+        contracting_shadow_bound(0.5, m0, harmonic_series(10), 10)
+    assert contracting_shadow_bound(0.5, 0.0, series(np.zeros(10)), 10) == 0.0
+
+
 def test_contracting_shadow_true_orbit():
     b = make_system("binary_affine")
     rec = orbit(b, selector_random(33, 50, 2), point(UNIT, 0.4), 50)

@@ -54,6 +54,16 @@ def test_kind_guards():
         Product(deep, UNIT)
 
 
+@pytest.mark.parametrize("depth", [1, 65, 100])
+def test_symbol_depths_outside_2_to_64_are_refused(depth):
+    """A symbol batch holds one uint64 word per point, so no space is deeper than 64."""
+    message = f"^symbol space depth must lie in 2 to 64, got {depth}$"
+    with pytest.raises(DomainError, match=message):
+        SymbolSpace(depth)
+    with pytest.raises(DomainError, match=message):
+        space_from_json({"type": "symbols", "depth": depth})
+
+
 def test_interval_rejects_non_finite_bounds():
     for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (0.0, math.nan)):
         with pytest.raises(DomainError, match="finite lo < hi"):
