@@ -17,6 +17,7 @@ import numpy as np
 
 from .averaging import Series, series
 from .errors import (
+    BranchError,
     ConjugacyError,
     DomainError,
     GuardError,
@@ -84,6 +85,17 @@ def _twopiece(c_low: float, c_high: float, t: float) -> float:
     return t + c_high * (1.0 - t) * (t - 0.5)
 
 
+def _root(c: float, v: float) -> float:
+    """The t in [0, 1/2] with t + c*(1/2 - t)*t = v, for v in [0, 1/2] and
+    |c| <= 2: the stable root 2v / (B + sqrt(D)), B = 1 + c/2, D = B^2 - 4cv.
+    Near c = 2 and v = 1/2, D cancels to rounding, so D <= 0 counts as 0 and
+    t is held at 1/2; at c = -2 and v = 0, B = D = 0 and t = 0."""
+    b = 1.0 + 0.5 * c
+    d = b * b - 4.0 * c * v
+    t = 2.0 * v / (b + math.sqrt(d)) if d > 0 else 2.0 * v / b if v else 0.0
+    return t if t < 0.5 else 0.5
+
+
 def _raising(message: str, error: type = DomainError) -> Callable:
     def step(_):
         raise error(message)
@@ -134,37 +146,65 @@ def _unsupported(m: MapDef, kind: SpaceKind) -> Optional[str]:
     return None
 
 
-def _compile_step(m: MapDef, kind: SpaceKind) -> Callable:
+def _compile_map(m: MapDef, kind: SpaceKind, inverse: bool = False) -> Callable:
     """The raw step of `m` on `kind`: a raw coordinate in, the canonical raw
-    coordinate of its image out (see `spaces`). This is the only place the
-    scalar map formulas are written. A form that cannot act on `kind`
-    compiles to a step that raises the DomainError applying it would raise."""
+    coordinate of its image out (see `spaces`); with `inverse`, the raw
+    inverse: the raw coordinate of the preimage out, or a BranchError where
+    `m` has none. This is the only place the scalar map formulas are
+    written. A form that cannot act on `kind` compiles, either way, to a
+    step that raises the DomainError applying it would raise. The inverses
+    take the constants only they use as default arguments, since each name
+    a nested function captures costs every call here a cell, and
+    `power_ifs` compiles steps by the thousand."""
     form, why = m.form, _unsupported(m, kind)
     if why is not None:
         return _raising(why)
     if form == "identity":
         return _identity
     if form == "affine":
-        a, b = m.params
-        canon = kind.canon
-        return lambda t: canon(a * t + b)
+        (a, b), canon = m.params, kind.canon
+        if not inverse:
+            return lambda t: canon(a * t + b)
+        if a != 0:
+            def affine(v, lo=kind.lo - 1e-12, hi=kind.hi + 1e-12):
+                if not lo <= (t := (v - b) / a) <= hi:
+                    raise BranchError(f"preimage {t} of {v} leaves the interval")
+                return canon(t)
+
+            return affine
     if form == "twopiece_quadratic":
-        c_low, c_high = m.params
-        canon = kind.canon
-        return lambda t: canon(_twopiece(c_low, c_high, t))
+        (c_low, c_high), canon = m.params, kind.canon
+        if not inverse:
+            return lambda t: canon(_twopiece(c_low, c_high, t))
+        if all(abs(c) <= 2 for c in m.params):  # monotone pieces
+            # v < 1/2, not <=: then v = 1/2 goes to 1/2 + root(c_high, 0) = 1/2 on either side
+            return lambda v: canon(_root(c_low, v) if v < 0.5 else 0.5 + _root(c_high, v - 0.5))
     if form == "prepend":
-        top = m.params[0] << (kind.depth - 1)
-        return lambda x: top | (x >> 1)
+        (bit,), last = m.params, kind.depth - 1
+        if not inverse:
+            top = bit << last
+            return lambda x: top | (x >> 1)
+
+        def unprepend(x, bit=bit, last=last, mask=(1 << kind.depth) - 1):
+            if x >> last != bit:
+                raise BranchError(f"{x >> last}... is not in the image of prepend{bit}")
+            return (x << 1) & mask
+
+        return unprepend
     if form == "permutation":
-        image = m.params
-        canon = kind.canon
+        if inverse:
+            return m.params.index
+        image, canon = m.params, kind.canon
         return lambda i: canon(image[i])
     if form == "compose":
-        return _chain([_compile_step(sub, kind) for sub in m.params])
+        parts = reversed(m.params) if inverse else m.params
+        return _chain([_compile_map(sub, kind, inverse) for sub in parts])
     if form == "product":
         ml, mr = m.params
-        left, right = _compile_step(ml, kind.left), _compile_step(mr, kind.right)
+        left, right = _compile_map(ml, kind.left, inverse), _compile_map(mr, kind.right, inverse)
         return lambda x: (left(x[0]), right(x[1]))
+    if inverse:  # zero slopes, twopiece with |c| > 2, conjugates
+        return _raising(f"{form} map {m.name} has no inverse", BranchError)
     fn = m.fn  # conjugate
 
     def transported(x):
@@ -252,7 +292,7 @@ def affine_orbit(x0: float, a: np.ndarray, b: np.ndarray, d: Optional[np.ndarray
 
 
 def _compile_family(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Callable]) -> tuple[Callable, Callable]:
-    """`(images, walk)`, the array twins of `_compile_step` for a whole
+    """`(images, walk)`, the array twins of `_compile_map`'s steps for a whole
     family, from one fast-path guard and one parameter table per form.
 
     `images(x, lams)` gives at [..., s] the canonical image of x[s], for a
@@ -298,7 +338,7 @@ def _compile_family(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Cal
         return pairwise, generic
     if form == "product":
         sides = zip(zip(*(m.params for m in maps)), (kind.left, kind.right))
-        left, right = (_compile_family(ms, k, [_compile_step(m, k) for m in ms])[0] for ms, k in sides)
+        left, right = (_compile_family(ms, k, [_compile_map(m, k) for m in ms])[0] for ms, k in sides)
         return (lambda x, lams: (left(x[0], lams), right(x[1], lams))), generic
     if form == "prepend":
         tops, depth = kind.batch([m.params[0] << (kind.depth - 1) for m in maps]), kind.depth
@@ -346,7 +386,14 @@ def _compile_family(maps: Sequence[MapDef], kind: SpaceKind, steps: Sequence[Cal
 
 def apply_map(m: MapDef, x: Point) -> Point:
     kind = x.kind
-    return kind.decode(_compile_step(m, kind)(kind.encode(x)))
+    return kind.decode(_compile_map(m, kind)(kind.encode(x)))
+
+
+def invert_map(m: MapDef, y: Point) -> Point:
+    """Preimage of y under an invertible catalog map. Raises BranchError when
+    the map is not invertible at y (or not invertible at all)."""
+    kind = y.kind
+    return kind.decode(_compile_map(m, kind, inverse=True)(kind.encode(y)))
 
 
 @dataclass(frozen=True)
@@ -375,8 +422,8 @@ class IFSSpec:
 
     @cached_property
     def raw_steps(self) -> tuple[Callable, ...]:
-        """The raw step of each map on the space (`_compile_step`)."""
-        return tuple(_compile_step(m, self.space) for m in self.maps)
+        """The raw step of each map on the space (`_compile_map`)."""
+        return tuple(_compile_map(m, self.space) for m in self.maps)
 
     @cached_property
     def _family(self) -> tuple[Callable, Callable]:
@@ -520,6 +567,24 @@ def step_errors(ifs: IFSSpec, raws, lams: Sequence[int]) -> np.ndarray:
     n = len(lams)
     images = ifs.raw_images(leafwise(lambda a: a[:n], raws), lams)
     return ifs.space.dists(images, leafwise(lambda a: a[1:n + 1], raws))
+
+
+def backward_branch(ifs: IFSSpec, lam: int, y: Point, length: int) -> RawPoints:
+    """Reverse orbit [y_{-length}, ..., y_{-1}, y] with f_lam(y_{-j}) =
+    y_{-j+1}, walked on raw coordinates into a RawPoints view, every step
+    re-validated forward to 1e-12 in one batch call."""
+    if not 0 <= lam < ifs.nmaps:
+        raise DomainError(f"map index {lam} out of range")
+    if length < 0:
+        raise DomainError("branch length must be nonnegative")
+    kind, inverse = ifs.space, _compile_map(ifs.maps[lam], ifs.space, inverse=True)
+    raws = unbatch(as_batch(kind, [y], "branch point"))  # [the raw of y]
+    for _ in range(length):
+        raws.append(inverse(raws[-1]))
+    raws = kind.batch(raws[::-1])
+    if (step_errors(ifs, raws, [lam] * length) > 1e-12).any():
+        raise BranchError("inverse step fails forward re-validation")
+    return RawPoints(kind, raws)
 
 
 def usable_entries(ifs: IFSSpec, selector: SelectorSequence, n: int) -> tuple[np.ndarray, Optional[IFSError]]:

@@ -14,13 +14,11 @@ affine_family(betas, offsets)   user-chosen contracting affine maps
 
 from __future__ import annotations
 
-import math
 from itertools import permutations
-from typing import Callable
 
-from .core import IFSSpec, MapDef, _chain, _identity, _raising, _unsupported, step_errors, validate_ifs
-from .errors import BranchError, DomainError, GuardError
-from .spaces import Circle, FiniteDiscrete, Interval, Point, RawPoints, SpaceKind, SymbolSpace, as_batch, unbatch
+from .core import IFSSpec, MapDef, backward_branch, invert_map, validate_ifs  # the inverses are re-exported
+from .errors import DomainError, GuardError
+from .spaces import Circle, FiniteDiscrete, Interval, SymbolSpace
 
 UNIT = Interval(0.0, 1.0)
 
@@ -154,82 +152,3 @@ def make_system(model_id: str, **params) -> IFSSpec:
     ifs = _CATALOG[name][0](**kwargs)
     validate_ifs(ifs)
     return ifs
-
-
-# --- map inversion and backward branches -------------------------------------
-
-def _root(c: float, v: float) -> float:
-    """The t in [0, 1/2] with t + c*(1/2 - t)*t = v, for v in [0, 1/2] and
-    |c| <= 2: the stable root 2v / (B + sqrt(D)), B = 1 + c/2, D = B^2 - 4cv.
-    Near c = 2 and v = 1/2, D cancels to rounding, so D <= 0 counts as 0 and
-    t is held at 1/2; at c = -2 and v = 0, B = D = 0 and t = 0."""
-    b = 1.0 + 0.5 * c
-    d = b * b - 4.0 * c * v
-    t = 2.0 * v / (b + math.sqrt(d)) if d > 0 else 2.0 * v / b if v else 0.0
-    return t if t < 0.5 else 0.5
-
-
-def _compile_inverse(m: MapDef, kind: SpaceKind) -> Callable:
-    """The raw inverse of `m` on `kind`, the twin of `core._compile_step`: a
-    raw coordinate in, its preimage's out, or a BranchError where `m` has
-    none (or the DomainError of `apply` where `m` cannot act on `kind`)."""
-    form, why = m.form, _unsupported(m, kind)
-    if why is not None:
-        return _raising(why)
-    if form == "identity":
-        return _identity
-    if form == "affine" and m.params[0] != 0:
-        (a, b), lo, hi = m.params, kind.lo - 1e-12, kind.hi + 1e-12
-
-        def affine(v):
-            if not lo <= (t := (v - b) / a) <= hi:
-                raise BranchError(f"preimage {t} of {v} leaves the interval")
-            return kind.canon(t)
-
-        return affine
-    if form == "twopiece_quadratic" and all(abs(c) <= 2 for c in m.params):  # monotone pieces
-        c_low, c_high = m.params
-        # v < 1/2, not <=: then v = 1/2 goes to 1/2 + root(c_high, 0) = 1/2 on either side
-        return lambda v: kind.canon(_root(c_low, v) if v < 0.5 else 0.5 + _root(c_high, v - 0.5))
-    if form == "permutation":
-        return m.params.index
-    if form == "prepend":
-        (bit,), top, mask = m.params, kind.depth - 1, (1 << kind.depth) - 1
-
-        def unprepend(x):
-            if x >> top != bit:
-                raise BranchError(f"{x >> top}... is not in the image of prepend{bit}")
-            return (x << 1) & mask
-
-        return unprepend
-    if form == "compose":
-        return _chain([_compile_inverse(sub, kind) for sub in reversed(m.params)])
-    if form == "product":
-        left, right = (_compile_inverse(sub, k) for sub, k in zip(m.params, (kind.left, kind.right)))
-        return lambda x: (left(x[0]), right(x[1]))
-    return _raising(f"{form} map {m.name} has no inverse", BranchError)
-
-
-def invert_map(m: MapDef, y: Point) -> Point:
-    """Preimage of y under an invertible catalog map. Raises BranchError when
-    the map is not invertible at y (or not invertible at all)."""
-    kind = y.kind
-    return kind.decode(_compile_inverse(m, kind)(kind.encode(y)))
-
-
-def backward_branch(ifs: IFSSpec, lam: int, y: Point, length: int) -> RawPoints:
-    """Reverse orbit [y_{-length}, ..., y_{-1}, y] with f_lam(y_{-j}) =
-    y_{-j+1}, walked on raw coordinates into a RawPoints view, every step
-    re-validated forward to 1e-12 in one batch call."""
-    if not 0 <= lam < ifs.nmaps:
-        raise DomainError(f"map index {lam} out of range")
-    if length < 0:
-        raise DomainError("branch length must be nonnegative")
-    kind, inverse = ifs.space, _compile_inverse(ifs.maps[lam], ifs.space)
-    raws = unbatch(as_batch(kind, [y], "branch point"))  # [the raw of y]
-    for _ in range(length):
-        raws.append(inverse(raws[-1]))
-    raws = kind.batch(raws[::-1])
-    if (step_errors(ifs, raws, [lam] * length) > 1e-12).any():
-        raise BranchError("inverse step fails forward re-validation")
-    return RawPoints(kind, raws)

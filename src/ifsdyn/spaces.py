@@ -137,6 +137,7 @@ class SymbolSpace:
     depth: int = 64
 
     def __post_init__(self):
+        object.__setattr__(self, "depth", as_int(self.depth, "depth"))
         if self.depth not in range(2, 65):
             raise DomainError(f"symbol space depth must lie in 2 to 64, got {self.depth}")
 
@@ -169,6 +170,7 @@ class FiniteDiscrete:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "n"))
         if self.n < 1:
             raise DomainError(f"finite space needs n >= 1, got {self.n}")
 
@@ -525,9 +527,9 @@ def space_from_json(d: dict) -> SpaceKind:
     if t == "circle":
         return Circle()
     if t == "symbols":
-        return SymbolSpace(as_int(d.get("depth", 64), "depth"))
+        return SymbolSpace(d.get("depth", 64))
     if t == "finite":
-        return FiniteDiscrete(as_int(json_key(d, "n"), "n"))
+        return FiniteDiscrete(json_key(d, "n"))
     if t == "product":
         return Product(space_from_json(json_key(d, "left")), space_from_json(json_key(d, "right")))
     raise DomainError(f"unknown space type {t!r}")

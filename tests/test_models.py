@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ifsdyn.models as models
+import ifsdyn.core as core
 
 from ifsdyn import (
     BranchError,
@@ -16,6 +17,7 @@ from ifsdyn import (
     Interval,
     MapDef,
     Product,
+    SymbolSpace,
     apply,
     apply_map,
     backward_branch,
@@ -201,18 +203,20 @@ def test_backward_branch_of_length_zero_is_the_point():
 
 def test_backward_branch_revalidates_every_step(monkeypatch):
     cp = make_system("circle_pair")
-    real, made = models._compile_inverse, []
+    real, made = core._compile_map, []
 
-    def third_off(m, kind):  # the third preimage is off by 1e-9
-        inverse = real(m, kind)
+    def third_off(m, kind, inverse=False):  # the third preimage is off by 1e-9
+        step = real(m, kind, inverse)
+        if not inverse:
+            return step
 
-        def step(v):
-            made.append(inverse(v))
+        def off(v):
+            made.append(step(v))
             return made[-1] + 1e-9 if len(made) == 3 else made[-1]
 
-        return step
+        return off
 
-    monkeypatch.setattr(models, "_compile_inverse", third_off)
+    monkeypatch.setattr(core, "_compile_map", third_off)
     with pytest.raises(BranchError, match="re-validation"):
         backward_branch(cp, 1, point(Circle(), 0.9), 5)
 
@@ -280,3 +284,134 @@ def test_invert_permutation():
         for v in range(3):
             y = apply(perms, lam, point(perms.space, v))
             assert invert_map(perms.maps[lam], y).value == v
+
+
+# --- both directions of the map-form ladder ----------------------------------
+
+_WIDE = Interval(-2.0, 3.0)
+_IDENTITY = MapDef("id", "identity")
+# an invertible twopiece map has |c| <= 2; below 1.5 its slope stays >= 1/4, so
+# a round trip through four such maps loses at most 4^4 ulps
+_MILD_C = st.floats(-1.5, 1.5)
+_STEEP_C = st.one_of(st.floats(2.0, 4.0, exclude_min=True), st.floats(-4.0, -2.0, exclude_max=True))
+
+
+def _kinds(depth=2):
+    # a round trip through k prepends loses the k last bits; with k <= 4 and
+    # depth >= 48 that is below 2^-43
+    leaf = st.one_of(st.sampled_from([UNIT, _WIDE, Circle()]), st.integers(48, 64).map(SymbolSpace),
+                     st.integers(1, 5).map(FiniteDiscrete))
+    if not depth:
+        return leaf
+    return st.one_of(leaf, st.tuples(_kinds(depth - 1), _kinds(depth - 1)).map(lambda p: Product(*p)))
+
+
+def _raws(kind):
+    if isinstance(kind, Product):
+        return st.tuples(_raws(kind.left), _raws(kind.right))
+    if isinstance(kind, Interval):
+        return st.floats(kind.lo, kind.hi)
+    if isinstance(kind, Circle):
+        return st.floats(0.0, 1.0, exclude_max=True)
+    if isinstance(kind, SymbolSpace):
+        return st.integers(0, 2 ** kind.depth - 1)
+    return st.integers(0, kind.n - 1)
+
+
+@st.composite
+def _map_on(draw, kind, nest=2):
+    """(m, why): a map of any form that acts on `kind`, with compose nested up
+    to `nest` deep and product as deep as `kind`, and the BranchError text
+    of the first part without an inverse that inverting it reaches, or None."""
+    forms = ["identity", "conjugate"] + ["compose"] * (nest > 0)
+    if isinstance(kind, Product):
+        forms.append("product")
+    elif isinstance(kind, Interval):
+        forms += ["affine", "twopiece_quadratic"] if kind == UNIT else ["affine"]
+    elif isinstance(kind, Circle):
+        forms.append("twopiece_quadratic")
+    else:
+        forms.append("prepend" if isinstance(kind, SymbolSpace) else "permutation")
+    form = draw(st.sampled_from(forms))
+    name = f"m{draw(st.integers(0, 9))}"
+    why = f"{form} map {name} has no inverse"
+    if form == "identity":
+        return _IDENTITY, None
+    if form == "conjugate":
+        return MapDef(name, form, fn=lambda p: p), why
+    if form == "compose":  # the inverse runs the last part first
+        parts = draw(st.lists(_map_on(kind, nest - 1), max_size=2))
+        return MapDef(name, form, tuple(m for m, _ in parts)), next((w for _, w in parts[::-1] if w), None)
+    if form == "product":  # the left side first
+        sides = draw(_map_on(kind.left, nest)), draw(_map_on(kind.right, nest))
+        return MapDef(name, form, tuple(m for m, _ in sides)), next((w for _, w in sides if w), None)
+    if form == "affine":  # |a| in [1/4, 1] or a = 0, mapping [lo, hi] into itself
+        a = draw(st.one_of(st.just(0.0), st.floats(0.25, 1.0), st.floats(-1.0, -0.25)))
+        lo = kind.lo + draw(st.floats(0.0, 1.0)) * (1 - abs(a)) * (kind.hi - kind.lo)
+        return MapDef(name, form, (a, lo - a * (kind.lo if a >= 0 else kind.hi))), None if a else why
+    if form == "twopiece_quadratic":  # |c| > 2 only on the circle, where any c keeps the space
+        cs = _MILD_C if kind == UNIT else st.one_of(_MILD_C, _STEEP_C)
+        c = draw(cs), draw(cs)
+        return MapDef(name, form, c), why if max(map(abs, c)) > 2 else None
+    if form == "prepend":
+        return MapDef(name, form, (draw(st.integers(0, 1)),)), None
+    return MapDef(name, form, tuple(draw(st.permutations(range(kind.n))))), None
+
+
+@st.composite
+def _mapped_points(draw):
+    kind = draw(_kinds())
+    m, why = draw(_map_on(kind))
+    return m, kind.decode(draw(_raws(kind))), why
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_mapped_points())
+@example(case=(MapDef("e", "compose", ()), point(UNIT, 0.3), None))  # the empty compose is the identity both ways
+def test_invert_map_undoes_apply_map(case):
+    """For maps of every form, nested compose and product included, the
+    inverse undoes the step to 1e-12 where every part has an inverse, and
+    raises the BranchError of the first part without one otherwise."""
+    m, x, why = case
+    y = apply_map(m, x)
+    if why is None:
+        assert distance(invert_map(m, y), x) <= 1e-12
+    else:
+        with pytest.raises(BranchError, match=f"^{re.escape(why)}$"):
+            invert_map(m, y)
+
+
+def _foreign_maps(kind):
+    """Maps whose form cannot act on `kind`."""
+    foreign = [MapDef("w", "twist"), MapDef("p2", "prepend", (2,))]
+    if not isinstance(kind, Interval):
+        foreign.append(MapDef("a", "affine", (0.5, 0.0)))
+    if kind not in (UNIT, Circle()):
+        foreign.append(MapDef("q", "twopiece_quadratic", (1.0, 1.0)))
+    if not isinstance(kind, SymbolSpace):
+        foreign.append(MapDef("p0", "prepend", (0,)))
+    if kind != FiniteDiscrete(3):
+        foreign.append(MapDef("r", "permutation", (1, 2, 0)))
+    if not isinstance(kind, Product):
+        foreign.append(MapDef("xy", "product", (_IDENTITY, _IDENTITY)))
+    return foreign
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=_kinds(), wrap=st.sampled_from(["none", "compose", "product"]))
+def test_unsupported_forms_raise_the_same_domain_error_both_ways(data, kind, wrap):
+    """A form that cannot act on the space raises one DomainError, with one
+    text, from the step and from the inverse, also as a part of a compose
+    (after the identity) or as the left side of a product."""
+    m = data.draw(st.sampled_from(_foreign_maps(kind)))
+    x = kind.decode(data.draw(_raws(kind)))
+    if wrap == "compose":
+        m = MapDef("c", "compose", (_IDENTITY, m))
+    elif wrap == "product":
+        m, x = MapDef("c", "product", (m, _IDENTITY)), point(Product(kind, UNIT), (x, 0.5))
+    with pytest.raises(DomainError) as step:
+        apply_map(m, x)
+    with pytest.raises(DomainError) as inverse:
+        invert_map(m, x)
+    assert type(step.value) is type(inverse.value) is DomainError
+    assert str(step.value) == str(inverse.value)

@@ -324,6 +324,8 @@ _INTEGER_FIELDS = [
     ("finite point", lambda v: point_from_json({"kind": {"type": "finite", "n": 4}, "value": v}).value, 2.7, 2),
     ("n", lambda v: space_from_json({"type": "finite", "n": v}).n, 3.5, 3),
     ("depth", lambda v: space_from_json({"type": "symbols", "depth": v}).depth, 8.9, 8),
+    ("n", lambda v: FiniteDiscrete(v).n, 2.5, 2),
+    ("depth", lambda v: SymbolSpace(v).depth, 8.5, 8),
     ("permutation parameter", lambda v: map_from_json({"name": "p", "form": "permutation", "params": [v, 0]}).params[0],
      1.5, 1),
     ("prepend parameter", lambda v: map_from_json({"name": "p", "form": "prepend", "params": [v]}).params[0], 0.7, 1),
@@ -332,7 +334,8 @@ _INTEGER_FIELDS = [
 
 
 @pytest.mark.parametrize("field, read, fraction, whole", _INTEGER_FIELDS,
-                         ids=["point", "json point", "n", "depth", "permutation", "prepend", "selector"])
+                         ids=["point", "json point", "n", "depth", "finite size", "symbol depth", "permutation", "prepend",
+                              "selector"])
 def test_integer_fields_refuse_fractions(field, read, fraction, whole):
     """A fraction is refused by name, not truncated; an integer, its float
     and (for 1) True read as that int."""
