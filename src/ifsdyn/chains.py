@@ -14,11 +14,18 @@ boxes. Distances are computed only at the ends of the ranges and at targets
 where boxes overlap, to find the closest map; the edges and labels equal
 those of comparing every pair of nodes.
 
+A continuous map sends a cell to a connected set, so a node's targets are a
+few index ranges (`ChainGraph.runs`: 23,347 hold the 3,128,868 edges of the
+12,801-node `interval_pair` graph), which the builder's rows give.
+`find_chain` searches breadth-first on ranges, keeping the parents and visit
+order of a FIFO queue, and stops at the target; self-loops are the ranges
+that hold their own source.
+
 Nodes are held as the raw grid batch itself (a `RawPoints` view). A witness
 is a `PseudoOrbitRecord` with step errors <= epsilon whose points view that
 batch along the path, so a `Point` is decoded only for counterexamples.
 Strongly connected components come from Tarjan's algorithm with one numpy
-gather per visit of a node; `find_chain` stops its BFS at the target.
+gather per visit of a node.
 """
 
 from __future__ import annotations
@@ -72,6 +79,25 @@ class ChainGraph:
     def components(self) -> list[list[int]]:
         """Strongly connected components, computed once per graph."""
         return strongly_connected_components(self.out_edges)
+
+    @functools.cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ptr, start, stop): node u's targets are the ranges start[k], ...,
+        stop[k] - 1 for k in ptr[u], ..., ptr[u + 1] - 1, disjoint, ascending
+        and maximal. `build_chain_graph` fills this from its rows."""
+        return _runs_of(self.out_edges)
+
+
+def _runs_of(out_edges: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximal ranges of consecutive targets in each ascending out-list."""
+    lengths = np.fromiter(map(len, out_edges), dtype=np.intp, count=len(out_edges))
+    targets = np.concatenate([np.empty(0, dtype=np.intp), *out_edges])
+    firsts = np.cumsum(lengths) - lengths  # where each node's targets start
+    head = np.diff(targets, prepend=-2) != 1
+    head[firsts[lengths > 0]] = True
+    at = np.flatnonzero(head)
+    ptr = np.searchsorted(at, np.append(firsts, len(targets)))
+    return ptr, targets[at], targets[np.append(at, len(targets))[1:] - 1] + 1
 
 
 def _leaf_windows(kind, axis: np.ndarray, q: np.ndarray, epsilon: float):
@@ -172,7 +198,8 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
     row in key order (see `_rows`) may also hold compare the maps'
     distances. So the edges and labels equal those of comparing every pair
     of nodes, at O(edges) cost. Blocks of source nodes bound the
-    temporaries."""
+    temporaries. The rows that add targets, joined where they touch, are
+    the graph's `runs`, stored with it so that it never derives them."""
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     # completeness at epsilon/2 needs (L+1)*h/2 <= epsilon/2: this ensures it for L <= 3 only
@@ -193,20 +220,33 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
     span = _CHUNK_NODES * max(1, _CHUNK_ROWS // (2 * int(count.sum(axis=0).max()) * _CHUNK_NODES))
     out_edges: list[np.ndarray] = []
     out_labels: list[np.ndarray] = []
+    ptr, run_start, run_stop = [np.zeros(1, dtype=np.intp)], [], []  # the graph's ranges, per span
     for s0 in range(0, size, span):
         key, end, lam = _rows(windows, count, sizes, strides, slice(s0, s0 + span))
         # each row adds the targets that no earlier row holds; a later row can
         # hold them too only from its own first target on
+        reach = np.maximum.accumulate(end)
         first = key.copy()
-        np.maximum(key[1:], np.maximum.accumulate(end)[:-1], out=first[1:])
+        np.maximum(key[1:], reach[:-1], out=first[1:])
         added = np.maximum(end - first, 0)
         shared = np.maximum(first, np.append(key[1:], end[-1]))  # the next row may hold targets from here
         place = np.append(0, np.cumsum(added))  # where each row's targets start
         row_of = np.searchsorted(key, np.arange(s0, min(s0 + span, size) + 1) * size)  # node s0 + i starts row_of[i]
+        target = first % size
+        # a row's added targets are one range, which joins the range before
+        # unless a gap parts them or the row is its node's first (each node
+        # has rows, and a row after a gap adds targets)
+        head = np.empty(len(key), dtype=bool)
+        np.greater(key[1:], reach[:-1], out=head[1:])
+        head[row_of[:-1]] = True
+        heads = np.flatnonzero(head)
+        ptr.append(np.searchsorted(heads, row_of[1:]) + ptr[-1][-1])
+        run_start.append(target[heads])
+        run_stop.append(run_start[-1] + np.diff(place[np.append(heads, len(key))]))
         for c0 in range(0, len(row_of) - 1, _CHUNK_NODES):  # one block of source nodes at a time
             rows = row_of[c0:c0 + _CHUNK_NODES + 1]
             r0, r1 = rows[0], rows[-1]
-            targets = _ranges(first[r0:r1] % size, added[r0:r1])
+            targets = _ranges(target[r0:r1], added[r0:r1])
             labels = np.repeat(lam[r0:r1], added[r0:r1])
             both = r0 + np.flatnonzero(end[r0:r1] > shared[r0:r1])
             if len(both):  # targets that may lie in two boxes take the closest map
@@ -216,8 +256,9 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
             cuts = (place[rows] - place[r0]).tolist()
             out_edges += [targets[a:b] for a, b in zip(cuts, cuts[1:])]
             out_labels += [labels[a:b] for a, b in zip(cuts, cuts[1:])]
-    return ChainGraph(ifs, RawPoints(kind, batch), epsilon, resolution,
-                      tuple(out_edges), tuple(out_labels))
+    g = ChainGraph(ifs, RawPoints(kind, batch), epsilon, resolution, tuple(out_edges), tuple(out_labels))
+    vars(g)["runs"] = tuple(map(np.concatenate, (ptr, run_start, run_stop)))
+    return g
 
 
 def snap_to_node(g: ChainGraph, p: Point) -> tuple[int, float]:
@@ -252,26 +293,51 @@ class ChainSearchResult:
     reachable: Optional[tuple[int, ...]]  # diagnostic frontier when not found
 
 
-def _bfs(out_edges: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
+def _first_cover(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
+    """For each v in [0, n), the least r with start[r] <= v < stop[r], or
+    len(start) if none. A sparse table: range r writes r into the two blocks
+    of length 2**k, 2**k <= stop[r] - start[r] < 2**(k + 1), that begin at
+    start[r] and end at stop[r]; each level then folds its blocks into their
+    two halves one level down, to single nodes."""
+    k = np.frexp(stop - start)[1].astype(np.intp) - 1
+    table = np.full((int(k.max()) + 1, n), len(start), dtype=np.intp)
+    r = np.arange(len(start))
+    np.minimum.at(table.ravel(), k * n + start, r)
+    np.minimum.at(table.ravel(), k * n + stop - (1 << k), r)
+    for j in range(len(table) - 1, 0, -1):
+        h = 1 << (j - 1)
+        np.minimum(table[j - 1], table[j], out=table[j - 1])
+        np.minimum(table[j - 1, h:], table[j, :-h], out=table[j - 1, h:])
+    return table[0]
+
+
+def _bfs(runs: tuple[np.ndarray, np.ndarray, np.ndarray], start: int, stop: int) -> np.ndarray:
     """Breadth-first search from `start`, one level per step, until `stop`
     is reached. Returns each node's parent (-1 if unreached); parents and
-    visit order match a FIFO queue that scans edges in stored order. `start`
-    is expanded but not marked, so it gets a parent only if some path of >= 1
-    step returns to it."""
-    parent = np.full(len(out_edges), -1, dtype=np.intp)
-    first = np.full(len(out_edges), np.iinfo(np.intp).max)  # a target's first place in its level
+    visit order match a FIFO queue that scans each node's targets in
+    ascending order. `start` is expanded but not marked, so it gets a parent
+    only if some path of >= 1 step returns to it.
+
+    A level reads its frontier's ranges (`ChainGraph.runs`) in scan order; a
+    node's first cover among them gives its place in the scan, so the new
+    nodes, in order of that place, take the owner of their first cover as
+    parent."""
+    ptr, lo, hi = runs
+    parent = np.full(len(ptr) - 1, -1, dtype=np.intp)
     frontier = np.array([start], dtype=np.intp)
     while len(frontier) and parent[stop] == -1:
-        edges = [out_edges[u] for u in frontier]
-        targets = np.concatenate(edges)
-        at = np.flatnonzero(parent[targets] == -1)  # places of targets not yet reached
-        unseen = targets[at]
-        np.minimum.at(first, unseen, at)
-        new = first[unseen] == at
-        # the frontier node whose edges hold place p is the first whose running degree exceeds p
-        sources = frontier[np.searchsorted(np.cumsum([len(e) for e in edges]), at[new], side="right")]
-        frontier = unseen[new]
-        parent[frontier] = sources
+        count = ptr[frontier + 1] - ptr[frontier]
+        r = _ranges(ptr[frontier], count)  # the frontier's ranges, in scan order
+        if not len(r):
+            break
+        a, b = lo[r], hi[r]
+        base = int(a.min())
+        cover = _first_cover(a - base, b - base, int(b.max()) - base)
+        new = np.flatnonzero(cover < len(r))
+        new = new[parent[base + new] == -1]
+        new = new[np.argsort(cover[new], kind="stable")]
+        parent[base + new] = np.repeat(frontier, count)[cover[new]]
+        frontier = base + new
     return parent
 
 
@@ -281,7 +347,7 @@ def find_chain(g: ChainGraph, x: Point, y: Point) -> ChainSearchResult:
     maps, not the graph."""
     src, snap_from = snap_to_node(g, x)
     dst, snap_to = snap_to_node(g, y)
-    parent = _bfs(g.out_edges, src, dst)
+    parent = _bfs(g.runs, src, dst)
     if parent[dst] == -1:
         reachable = tuple(int(v) for v in np.flatnonzero(parent != -1))
         return ChainSearchResult(False, None, snap_from, snap_to, reachable)
@@ -357,10 +423,9 @@ def chain_recurrent_set(g: ChainGraph) -> tuple[int, ...]:
     """Nodes on some graph cycle: members of a nontrivial strongly connected
     component, or nodes with a self-loop."""
     recurrent = {v for comp in g.components if len(comp) >= 2 for v in comp}
-    for c0 in range(0, g.size, _CHUNK_NODES):  # self-loops, one block of sources at a time
-        edges = g.out_edges[c0:c0 + _CHUNK_NODES]
-        sources = np.repeat(np.arange(c0, c0 + len(edges)), [len(e) for e in edges])
-        recurrent.update(sources[np.concatenate(edges) == sources].tolist())
+    ptr, start, stop = g.runs
+    u = np.repeat(np.arange(g.size), np.diff(ptr))  # each range's source
+    recurrent.update(u[(start <= u) & (u < stop)].tolist())
     return tuple(sorted(recurrent))
 
 

@@ -193,7 +193,12 @@ def _compile_map(m: MapDef, kind: SpaceKind, inverse: bool = False) -> Callable:
         return unprepend
     if form == "permutation":
         if inverse:
-            return m.params.index
+            def unpermute(i, image=m.params):
+                if i not in image:
+                    raise BranchError(f"{i} is not in the image of permutation {m.name}")
+                return image.index(i)
+
+            return unpermute
         image, canon = m.params, kind.canon
         return lambda i: canon(image[i])
     if form == "compose":

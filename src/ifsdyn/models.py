@@ -18,7 +18,7 @@ from itertools import permutations
 
 from .core import IFSSpec, MapDef, backward_branch, invert_map, validate_ifs  # the inverses are re-exported
 from .errors import DomainError, GuardError
-from .spaces import Circle, FiniteDiscrete, Interval, SymbolSpace
+from .spaces import Circle, FiniteDiscrete, Interval, SymbolSpace, as_int
 
 UNIT = Interval(0.0, 1.0)
 
@@ -78,6 +78,7 @@ def _interval_pair() -> IFSSpec:
 
 
 def _finite_permutations(n: int) -> IFSSpec:
+    n = as_int(n, "n")
     if not 1 <= n <= 5:
         raise GuardError(f"finite_permutations supports n <= 5, got {n}")
     perms = sorted(permutations(range(n)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import deque
@@ -605,6 +606,42 @@ def test_scc_and_transitivity_on_random_digraphs(out_edges):
     assert rep.counterexample == (None if pair is None else (g.nodes[pair[0]], g.nodes[pair[1]]))
 
 
+def _digraph_chain_graph(out_edges):
+    """A chain graph on the points of a finite space with the given out-lists."""
+    n = len(out_edges)
+    space = FiniteDiscrete(n)
+    return ChainGraph(IFSSpec(space, (MapDef("id", "identity"),)), RawPoints(space, np.arange(n)),
+                      1.0, 1.0, out_edges, tuple(np.zeros_like(e) for e in out_edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs())
+def test_find_chain_matches_bfs_oracle_on_random_digraphs(out_edges):
+    """Every ordered pair; many frontier ranges overlap, so first covers tie."""
+    g = _digraph_chain_graph(out_edges)
+    for i in range(g.size):
+        for j in range(g.size):
+            res = find_chain(g, g.nodes[i], g.nodes[j])
+            path, labels_or_reach = find_chain_oracle(g, i, j)
+            assert res.found == (path is not None)
+            if path is None:
+                assert res.witness is None and res.reachable == labels_or_reach
+            else:
+                assert res.reachable is None
+                assert res.witness.points == tuple(g.nodes[k] for k in path)
+                assert res.witness.selector.entries == labels_or_reach
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 40)), min_size=1, max_size=12))
+def test_first_cover_is_the_least_covering_range(ranges):
+    start = np.array([a for a, _ in ranges])
+    stop = start + [w for _, w in ranges]
+    n = int(stop.max())
+    want = [next((r for r in range(len(start)) if start[r] <= v < stop[r]), len(start)) for v in range(n)]
+    assert ifsdyn.chains._first_cover(start, stop, n).tolist() == want
+
+
 # catalog systems with Lipschitz constant L <= 3, where chains of the space at
 # epsilon/2 are graph paths: a snap moves a point by at most h/2 <= epsilon/8
 _LIPSCHITZ_3 = {"interval_pair": 0.02, "circle_pair": 0.05, "binary_affine": 0.05}
@@ -677,3 +714,48 @@ def test_scc_computed_once_per_graph(monkeypatch):
     chain_recurrent_set(g)
     is_chain_transitive(g)
     assert len(calls) == 1
+
+
+# --- target ranges -------------------------------------------------------------
+
+def _same_runs(g):
+    return all(map(np.array_equal, g.runs, ifsdyn.chains._runs_of(g.out_edges)))
+
+
+def test_builder_ranges_equal_those_of_the_out_lists(catalog_graph):
+    _, g = catalog_graph
+    ptr, start, stop = g.runs
+    assert len(ptr) == g.size + 1 and (start < stop).all()
+    assert _same_runs(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_systems())
+def test_builder_ranges_equal_those_of_the_out_lists_on_random_systems(system):
+    assert _same_runs(build_chain_graph(*system))
+
+
+def test_replaced_out_lists_derive_their_own_ranges():
+    g = build_chain_graph(halving_ifs(), 0.002, 0.01)
+    edges = list(g.out_edges)
+    edges[0] = np.delete(edges[0], 1)  # split the first range of node 0
+    h = dataclasses.replace(g, out_edges=tuple(edges))
+    assert "runs" not in vars(h)
+    assert _same_runs(h) and len(h.runs[1]) == len(g.runs[1]) + 1
+
+
+def test_built_graphs_never_derive_their_ranges(monkeypatch):
+    calls = []
+    derive = ifsdyn.chains._runs_of
+
+    def counting(out_edges):
+        calls.append(1)
+        return derive(out_edges)
+
+    monkeypatch.setattr(ifsdyn.chains, "_runs_of", counting)
+    g = build_chain_graph(make_system("interval_pair"), 0.005, 0.02)
+    find_chain(g, point(UNIT, 0.1), point(UNIT, 0.9))
+    find_chain(g, point(UNIT, 0.9), point(UNIT, 0.1))
+    chain_recurrent_set(g)
+    is_chain_transitive(g)
+    assert not calls

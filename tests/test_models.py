@@ -14,6 +14,7 @@ from ifsdyn import (
     DomainError,
     FiniteDiscrete,
     GuardError,
+    IFSSpec,
     Interval,
     MapDef,
     Product,
@@ -113,6 +114,13 @@ def test_finite_permutations():
     assert images == {0, 1, 2}
     with pytest.raises(GuardError):
         make_system("finite_permutations:6")
+
+
+def test_finite_permutations_read_n_as_an_integer():
+    with pytest.raises(DomainError, match="^n must be an integer, got 2.5$"):
+        make_system("finite_permutations", n=2.5)
+    perms = make_system("finite_permutations", n=3.0)
+    assert perms.space == FiniteDiscrete(3) and perms.nmaps == 6
 
 
 def test_affine_family_guards():
@@ -284,6 +292,20 @@ def test_invert_permutation():
         for v in range(3):
             y = apply(perms, lam, point(perms.space, v))
             assert invert_map(perms.maps[lam], y).value == v
+
+
+def test_inverse_of_a_permutation_tuple_off_its_image_raises_branch_error():
+    """(0, 0, 0) is no bijection: 2 has no preimage, 0 has the first one."""
+    kind = FiniteDiscrete(3)
+    const = MapDef("c", "permutation", (0, 0, 0))
+    ifs = IFSSpec(kind, (const,))
+    message = "^2 is not in the image of permutation c$"
+    with pytest.raises(BranchError, match=message):
+        invert_map(const, point(kind, 2))
+    with pytest.raises(BranchError, match=message):
+        backward_branch(ifs, 0, point(kind, 2), 3)
+    assert invert_map(const, point(kind, 0)) == point(kind, 0)
+    assert backward_branch(ifs, 0, point(kind, 0), 2).raws.tolist() == [0, 0, 0]
 
 
 # --- both directions of the map-form ladder ----------------------------------
