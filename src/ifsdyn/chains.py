@@ -10,9 +10,9 @@ The builder takes each map's targets of a node from exact windows: on each
 leaf, the grid indices within epsilon of the image's coordinate form one
 cyclic index range, whose two ends the metric itself fixes. A map's targets
 are the box of its leaf ranges, and a node's targets the union of its maps'
-boxes. Distances are computed only at the ends of the ranges and at targets
-where boxes overlap, to find the closest map; the edges and labels equal
-those of comparing every pair of nodes.
+boxes. Distances are computed only at the ends of the ranges, and the edges
+equal those of comparing every pair of nodes. An edge's label, the first map
+of least distance, is computed from the map images when it is read.
 
 A continuous map sends a cell to a connected set, so a node's targets are a
 few index ranges (`ChainGraph.runs`: 23,347 hold the 3,128,868 edges of the
@@ -64,8 +64,8 @@ class ChainGraph:
     nodes: RawPoints
     epsilon: float
     resolution: float
-    out_edges: tuple[np.ndarray, ...]   # per node, ascending target indices
-    out_labels: tuple[np.ndarray, ...]  # matching argmin map index per edge, in the least uint dtype
+    out_edges: tuple[np.ndarray, ...]  # per node, ascending target indices
+    out_labels: Sequence[np.ndarray]   # matching argmin map index per edge, in the least uint dtype
 
     @property
     def size(self) -> int:
@@ -86,6 +86,27 @@ class ChainGraph:
         stop[k] - 1 for k in ptr[u], ..., ptr[u + 1] - 1, disjoint, ascending
         and maximal. `build_chain_graph` fills this from its rows."""
         return _runs_of(self.out_edges)
+
+
+@dataclass(frozen=True, eq=False)
+class _EdgeLabels(Sequence):
+    """`ChainGraph.out_labels` of a built graph, read-only and computed on
+    each read: node u's are, per target, the first map of least distance
+    from u's image."""
+
+    nodes: RawPoints
+    images: object  # `raw_images` of the node batch: per leaf, (map, node)
+    out_edges: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return len(self.out_edges)
+
+    def __getitem__(self, u: int) -> np.ndarray:
+        targets = self.out_edges[u]
+        # a[:, u, None], not a[:, u:u + 1]: for u = -1 that slice is empty
+        dists = self.nodes.kind.dists(leafwise(lambda a: a[:, u, None], self.images),
+                                      leafwise(lambda a: a[targets], self.nodes.raws))
+        return dists.argmin(axis=0).astype(np.min_scalar_type(len(dists) - 1))
 
 
 def _runs_of(out_edges: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,12 +162,12 @@ def _rows(windows: list, count: np.ndarray, sizes: list[int], strides: list[int]
     """The boxes of the source nodes `nodes` cut into rows: a row fixes every
     leaf but the last and holds one range of the last leaf. `count` holds
     the rows per (map, node) before a range that wraps past the last index
-    splits in two. Returns (key, end, map) per row, sorted by key = u * size
-    + the row's first target, where end is its last target + 1 on that scale."""
+    splits in two. Returns (key, end) per row, sorted by key = u * size + the
+    row's first target, where end is its last target + 1 on that scale."""
     size = sizes[0] * strides[0]
     flat = [[a[:, nodes].ravel() for a in w] for w in windows]  # per (map, node), map-major
     count = count[:, nodes]
-    nmaps, nnodes = count.shape
+    nmaps = len(count)
     count = count.ravel()
     k = _ranges(np.zeros_like(count), count)
     base = np.repeat(np.tile(np.arange(size)[nodes] * size, nmaps), count)
@@ -155,51 +176,27 @@ def _rows(windows: list, count: np.ndarray, sizes: list[int], strides: list[int]
         k, kl = np.divmod(k, width)
         base += (start + kl) % sizes[l] * strides[l]
     start, width = (np.repeat(a, count) for a in flat[-1])
-    lam = np.repeat(np.arange(nmaps, dtype=np.min_scalar_type(nmaps - 1)).repeat(nnodes), count)
     wrap = start + width - sizes[-1]  # > 0: the range goes on from index 0 to wrap - 1
     split = wrap > 0
     key = np.concatenate([base + start, base[split]])
     end = np.concatenate([base + np.minimum(start + width, sizes[-1]), base[split] + wrap[split]])
     order = np.argsort(key, kind="stable")
-    return key[order], end[order], np.concatenate([lam, lam[split]])[order]
-
-
-def _closest_maps(kinds: list, axes: list, strides: list[int], images: np.ndarray,
-                  at: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """For the targets of keys at[i], ..., at[i] + n[i] - 1 (each run within
-    one row), the first map of least distance from the source's image. A row
-    fixes every leaf but the last, so those leaves give one distance per map
-    and row."""
-    u, flat = np.divmod(at, len(axes[0]) * strides[0])
-    inner = axes[-1][_ranges(flat % len(axes[-1]), n)]
-    fixed = [axes[l][flat // strides[l] % len(axes[l])] for l in range(len(axes) - 1)]
-    for m in range(len(images)):
-        dist = kinds[-1].dists(inner, np.repeat(images[m, u, -1], n))
-        for l, coords in enumerate(fixed):
-            np.maximum(dist, np.repeat(kinds[l].dists(coords, images[m, u, l]), n), out=dist)
-        if m == 0:
-            best, label = dist, np.zeros(len(dist), dtype=np.min_scalar_type(len(images) - 1))
-        else:
-            np.putmask(label, dist < best, m)
-            np.minimum(best, dist, out=best)
-    return label
+    return key[order], end[order]
 
 
 def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainGraph:
     """Discretize the space at `resolution` and connect u -> v when some map
-    image of u lies within `epsilon` of v (edge label = the closest map, the
-    first on ties).
+    image of u lies within `epsilon` of v. The graph computes an edge's
+    label (the closest map, the first on ties) when it is read.
 
     The targets of u under one map form a box: the product of that map's
     exact leaf windows (`_leaf_windows`, which evaluates the metric only at
     the ends of each window). The targets of u are the union of its maps'
-    boxes, in ascending order. A target inside one box takes that box's map
-    as its label, with no distance computed. Only targets that the next
-    row in key order (see `_rows`) may also hold compare the maps'
-    distances. So the edges and labels equal those of comparing every pair
-    of nodes, at O(edges) cost. Blocks of source nodes bound the
-    temporaries. The rows that add targets, joined where they touch, are
-    the graph's `runs`, stored with it so that it never derives them."""
+    boxes, in ascending order, so the edges equal those of comparing every
+    pair of nodes, at O(edges) cost. Blocks of source nodes bound the
+    temporaries. The rows that add targets (see `_rows`), joined where they
+    touch, are the graph's `runs`, stored with it so that it never derives
+    them."""
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     # completeness at epsilon/2 needs (L+1)*h/2 <= epsilon/2: this ensures it for L <= 3 only
@@ -208,28 +205,26 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
     kind = ifs.space
     batch = grid_batch(kind, resolution)
     kinds = leaf_kinds(kind)
-    images = np.stack(batch_leaves(ifs.raw_images(batch)), axis=-1, dtype=float)  # (map, node, leaf)
+    images = ifs.raw_images(batch)  # per leaf, (map, node)
     # the grid is the product of the leaf grids, first leaf outermost
     axes = [np.asarray(grid_batch(k, resolution), dtype=float) for k in kinds]
     sizes = [len(a) for a in axes]
     strides = [int(np.prod(sizes[l + 1:])) for l in range(len(sizes))]
     size = sizes[0] * strides[0]
-    windows = [_leaf_windows(k, a, images[..., l], epsilon) for l, (k, a) in enumerate(zip(kinds, axes))]
-    count = functools.reduce(np.multiply, (w[1] for w in windows[:-1]), np.ones(images.shape[:2], dtype=np.intp))
+    windows = [_leaf_windows(k, a, np.asarray(q, dtype=float), epsilon)
+               for k, a, q in zip(kinds, axes, batch_leaves(images))]
+    count = functools.reduce(np.multiply, (w[1] for w in windows[:-1]), np.ones_like(windows[-1][1]))
     # rows for many blocks at once, up to _CHUNK_ROWS of them (a wrapped range makes two)
     span = _CHUNK_NODES * max(1, _CHUNK_ROWS // (2 * int(count.sum(axis=0).max()) * _CHUNK_NODES))
     out_edges: list[np.ndarray] = []
-    out_labels: list[np.ndarray] = []
     ptr, run_start, run_stop = [np.zeros(1, dtype=np.intp)], [], []  # the graph's ranges, per span
     for s0 in range(0, size, span):
-        key, end, lam = _rows(windows, count, sizes, strides, slice(s0, s0 + span))
-        # each row adds the targets that no earlier row holds; a later row can
-        # hold them too only from its own first target on
+        key, end = _rows(windows, count, sizes, strides, slice(s0, s0 + span))
+        # each row adds the targets that no earlier row holds
         reach = np.maximum.accumulate(end)
         first = key.copy()
         np.maximum(key[1:], reach[:-1], out=first[1:])
         added = np.maximum(end - first, 0)
-        shared = np.maximum(first, np.append(key[1:], end[-1]))  # the next row may hold targets from here
         place = np.append(0, np.cumsum(added))  # where each row's targets start
         row_of = np.searchsorted(key, np.arange(s0, min(s0 + span, size) + 1) * size)  # node s0 + i starts row_of[i]
         target = first % size
@@ -247,16 +242,10 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
             rows = row_of[c0:c0 + _CHUNK_NODES + 1]
             r0, r1 = rows[0], rows[-1]
             targets = _ranges(target[r0:r1], added[r0:r1])
-            labels = np.repeat(lam[r0:r1], added[r0:r1])
-            both = r0 + np.flatnonzero(end[r0:r1] > shared[r0:r1])
-            if len(both):  # targets that may lie in two boxes take the closest map
-                n = end[both] - shared[both]
-                at = _ranges(place[both] - place[r0] + shared[both] - first[both], n)
-                labels[at] = _closest_maps(kinds, axes, strides, images, shared[both], n)
             cuts = (place[rows] - place[r0]).tolist()
             out_edges += [targets[a:b] for a, b in zip(cuts, cuts[1:])]
-            out_labels += [labels[a:b] for a, b in zip(cuts, cuts[1:])]
-    g = ChainGraph(ifs, RawPoints(kind, batch), epsilon, resolution, tuple(out_edges), tuple(out_labels))
+    nodes, edges = RawPoints(kind, batch), tuple(out_edges)
+    g = ChainGraph(ifs, nodes, epsilon, resolution, edges, _EdgeLabels(nodes, images, edges))
     vars(g)["runs"] = tuple(map(np.concatenate, (ptr, run_start, run_stop)))
     return g
 

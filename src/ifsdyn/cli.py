@@ -381,8 +381,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (IFSError, ValueError, FileNotFoundError) as exc:
-        # ValueError: a flag value that does not parse (`--x0 abc`, `--set k=bad`)
+    except (IFSError, ValueError, OSError) as exc:
+        # ValueError: a flag value that does not parse (`--x0 abc`, `--set k=bad`);
+        # OSError: a file flag naming no file, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,7 @@ from .spaces import (
     distance,
     json_key,
     json_list,
+    json_str,
     leafwise,
     sample_batch,
     sample_point,
@@ -821,7 +822,7 @@ def map_from_json(d: dict) -> MapDef:
         params = tuple(as_int(v, f"{form} parameter") for v in raw)
     else:
         params = tuple(as_float(v, f"{form} parameter") for v in raw)
-    return MapDef(json_key(d, "name"), form, params)
+    return MapDef(json_str(d, "name"), form, params)
 
 
 def ifs_to_json(ifs: IFSSpec) -> dict:
@@ -844,5 +845,5 @@ def ifs_from_json(d: dict) -> IFSSpec:
         maps=tuple(map_from_json(m) for m in maps),
         claimed_contraction=None if claimed is None else as_float(claimed, "claimed_contraction"),
         surjective_flags=tuple(flags),
-        name=d.get("name", ""),
+        name=json_str(d, "name") if "name" in d else "",
     )

@@ -480,6 +480,13 @@ def json_list(d: dict, key: str) -> list:
     return value
 
 
+def json_str(d: dict, key: str) -> str:
+    """`json_key(d, key)`, which must be a JSON string; else a DomainError naming the key."""
+    if not isinstance(value := json_key(d, key), str):
+        raise DomainError(f"JSON key {key!r} must hold a string, got {type(value).__name__}")
+    return value
+
+
 def as_int(value, what: str) -> int:
     """`value` as an int if it equals one (3, 3.0, True, "3"); else DomainError naming `what`."""
     try:

@@ -546,6 +546,37 @@ def test_labels_of_more_than_256_maps_take_two_bytes():
     assert all(map(np.array_equal, g.out_labels, labels)) and all(map(np.array_equal, g.out_edges, edges))
 
 
+@pytest.mark.parametrize("name", ["halving", "circle_pair^2", "(circle_pair x interval_pair) x circle_pair"])
+def test_out_labels_act_like_a_tuple(name):
+    """A built graph computes its labels on read, and indexes, iterates and
+    fails past the end as the tuple of label arrays does."""
+    g = build_chain_graph(*_catalog_systems()[name])
+    _, labels = all_pairs_graph(g.ifs, g.resolution, g.epsilon)
+    assert len(g.out_labels) == g.size
+    assert all(map(np.array_equal, g.out_labels, labels)) and len(list(g.out_labels)) == g.size
+    for u in (-1, -2, 1 - g.size, -g.size):
+        assert np.array_equal(g.out_labels[u], labels[u])
+    for u in (g.size, g.size + 1, -g.size - 1):
+        with pytest.raises(IndexError):
+            g.out_labels[u]
+
+
+def test_labels_are_computed_only_when_read(monkeypatch):
+    """Building, SCC and chain recurrence compute no label; find_chain
+    computes those of its path's steps, one node each."""
+    read = []
+    labels_of = ifsdyn.chains._EdgeLabels.__getitem__
+    monkeypatch.setattr(ifsdyn.chains._EdgeLabels, "__getitem__",
+                        lambda self, u: read.append(u) or labels_of(self, u))
+    g = build_chain_graph(*_catalog_systems()["interval_pair"])
+    is_chain_transitive(g)
+    chain_recurrent_set(g)
+    assert read == []
+    res = find_chain(g, g.nodes[0], g.nodes[g.size // 2])
+    path = [snap_to_node(g, p)[0] for p in res.witness.points]
+    assert res.found and len(path) > 2 and read == path[:-1]
+
+
 def test_find_chain_matches_bfs_oracle(catalog_graph):
     _, g = catalog_graph
     rng = np.random.default_rng(3)

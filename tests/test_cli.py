@@ -456,6 +456,17 @@ def _one_error_line(capsys) -> str:
     return lines[0]
 
 
+def test_file_flags_naming_a_directory_exit_2(tmp_path, capsys):
+    for argv in (["cesaro", "--input", str(tmp_path)],
+                 ["orbit", "--spec-file", str(tmp_path), "--x0", "0", "--steps", "2"],
+                 ["shadow", "--model", "binary_affine", "--pseudo-file", str(tmp_path)],
+                 ["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "20",
+                  "--tol", "1", "--output", str(tmp_path)],
+                 ["cesaro", "--input", str(tmp_path / "absent.csv")]):
+        assert main(argv) == 2
+        assert str(tmp_path) in _one_error_line(capsys)
+
+
 def test_infinite_interval_spec_exits_2(tmp_path, capsys):
     spec = {"name": "wide", "space": {"type": "interval", "lo": 0.0, "hi": float("inf")},
             "maps": [{"name": "id", "form": "identity", "params": []}]}
@@ -495,7 +506,11 @@ def test_missing_json_keys_exit_2(tmp_path, capsys):
     text_ratio = {**good, "claimed_contraction": "0.5"}
     int_params = {**good, "maps": [{"name": "a", "form": "affine", "params": 5}]}
     int_maps = {**good, "maps": 5}
+    int_name = {**good, "name": 5}
+    list_map_name = {**good, "maps": [{"name": ["x"], "form": "identity", "params": []}]}
     for spec, text in ((no_params, "'params'"), (no_space, "'space'"), (bare_map, "'form'"),
+                       (int_name, "'name' must hold a string, got int"),
+                       (list_map_name, "'name' must hold a string, got list"),
                        (list_param, "affine parameter must be a number, got [0.5]"),
                        (list_lo, "interval lo must be a number, got [0]"),
                        (text_ratio, "claimed_contraction must be a number, got '0.5'"),
