@@ -24,8 +24,9 @@ that hold their own source.
 Nodes are held as the raw grid batch itself (a `RawPoints` view). A witness
 is a `PseudoOrbitRecord` with step errors <= epsilon whose points view that
 batch along the path, so a `Point` is decoded only for counterexamples.
-Strongly connected components come from Tarjan's algorithm with one numpy
-gather per visit of a node.
+Strongly connected components come from Tarjan's algorithm on the ranges,
+with no numpy call per visit of a node; transitivity and recurrence read
+each node's component index.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .spaces import (
 )
 
 _WITNESS_SLACK = 1e-12
-_CHUNK_NODES = 128  # source nodes per block of build_chain_graph; bounds its temporaries
+_CHUNK_NODES = 128  # source nodes per block of build_chain_graph and _runs_of; bounds their temporaries
 _CHUNK_ROWS = 2**15  # box rows build_chain_graph cuts at once, unless one block has more
 
 
@@ -78,7 +79,15 @@ class ChainGraph:
     @functools.cached_property
     def components(self) -> list[list[int]]:
         """Strongly connected components, computed once per graph."""
-        return strongly_connected_components(self.out_edges)
+        return _components(self.runs)
+
+    @functools.cached_property
+    def _component_index(self) -> np.ndarray:
+        """Per node, the place of its component in `components`."""
+        comps, index = self.components, np.empty(self.size, dtype=np.intp)
+        index[np.fromiter(itertools.chain.from_iterable(comps), np.intp, self.size)] = np.repeat(
+            np.arange(len(comps)), list(map(len, comps)))
+        return index
 
     @functools.cached_property
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,15 +119,23 @@ class _EdgeLabels(Sequence):
 
 
 def _runs_of(out_edges: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The maximal ranges of consecutive targets in each ascending out-list."""
-    lengths = np.fromiter(map(len, out_edges), dtype=np.intp, count=len(out_edges))
-    targets = np.concatenate([np.empty(0, dtype=np.intp), *out_edges])
-    firsts = np.cumsum(lengths) - lengths  # where each node's targets start
-    head = np.diff(targets, prepend=-2) != 1
-    head[firsts[lengths > 0]] = True
-    at = np.flatnonzero(head)
-    ptr = np.searchsorted(at, np.append(firsts, len(targets)))
-    return ptr, targets[at], targets[np.append(at, len(targets))[1:] - 1] + 1
+    """The maximal ranges of consecutive targets in each out-list, in stored
+    order; a block of out-lists at a time bounds the temporaries."""
+    none = np.empty(0, dtype=np.intp)
+    ptr, start, stop = [np.zeros(1, dtype=np.intp)], [none], [none]
+    for c0 in range(0, len(out_edges), _CHUNK_NODES):
+        block = out_edges[c0:c0 + _CHUNK_NODES]
+        lengths = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
+        targets = np.concatenate([none, *block])
+        ends = np.cumsum(lengths)
+        firsts = ends - lengths  # where each node's targets start
+        head = np.diff(targets, prepend=-2) != 1
+        head[firsts[lengths > 0]] = True
+        at = np.flatnonzero(head)
+        ptr.append(np.searchsorted(at, ends) + ptr[-1][-1])
+        start.append(targets[at])
+        stop.append(targets[np.append(at, len(targets))[1:] - 1] + 1)
+    return tuple(map(np.concatenate, (ptr, start, stop)))
 
 
 def _leaf_windows(kind, axis: np.ndarray, q: np.ndarray, epsilon: float):
@@ -300,6 +317,20 @@ def _first_cover(start: np.ndarray, stop: np.ndarray, n: int) -> np.ndarray:
     return table[0]
 
 
+def _range_min(values: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """For each r, values[start[r]:stop[r]].min() (a nonempty range): the
+    least of the two blocks of 2**j values that begin and end it, where
+    2**j <= stop[r] - start[r] < 2**(j + 1). One level of blocks at a time."""
+    level = np.frexp(stop - start)[1]  # j + 1
+    out = np.empty(len(start), dtype=values.dtype)
+    row = values  # at level j, row[i] = values[i:i + 2**j].min()
+    for j in range(int(level.max(initial=0))):
+        at = np.flatnonzero(level == j + 1)
+        out[at] = np.minimum(row[start[at]], row[stop[at] - (1 << j)])
+        row = np.minimum(row[:-(1 << j)], row[1 << j:])
+    return out
+
+
 def _bfs(runs: tuple[np.ndarray, np.ndarray, np.ndarray], start: int, stop: int) -> np.ndarray:
     """Breadth-first search from `start`, one level per step, until `stop`
     is reached. Returns each node's parent (-1 if unreached); parents and
@@ -353,69 +384,105 @@ def find_chain(g: ChainGraph, x: Point, y: Point) -> ChainSearchResult:
 
 
 def strongly_connected_components(out_edges: Sequence[np.ndarray]) -> list[list[int]]:
-    """Iterative Tarjan over nodes in ascending order, scanning each node's
+    """Tarjan's algorithm with roots in ascending order, scanning each node's
     edges in stored order (deterministic); components come out in the order
-    Tarjan completes them, each sorted.
+    Tarjan completes them, each sorted."""
+    return _components(_runs_of(out_edges))
 
-    Each visit of a node gathers `rank` over its edges not yet scanned, where
-    rank is -1 for unvisited nodes, the DFS index while a node is on the
-    stack and n once its component is emitted. The first -1 is the next tree
-    edge, since every earlier target is visited; the minimum over the targets
-    before it is the low-link update, as emitted nodes rank above every
-    index."""
-    n = len(out_edges)
-    rank = np.full(n, -1, dtype=np.intp)
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if rank[root] != -1:
+
+def _components(runs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[list[int]]:
+    """`strongly_connected_components` on ranges: node u's targets are the
+    ranges k = ptr[u], ..., ptr[u + 1] - 1 of `runs`, scanned in that order.
+
+    Pass 1 is Tarjan's DFS, where a "least unvisited id >= i" skip list gives
+    a range's next tree edge. A sparse table gives P[x], the least pre-order
+    number among x's targets. Pass 2 takes the nodes in finish order. The
+    low-link is the least of pre[x], the lows of x's non-root children and
+    the pre-order numbers of x's targets in no component yet: P[x] if the
+    target giving it is in none; else a skip list over placed ids lists them,
+    so pass 2 reads each edge at most once. It differs from Tarjan's
+    scan-time value only by descendants, which number above pre[x] and never
+    decide a root. A root takes the pending nodes of its subtree, those above
+    it."""
+    ptr, lo, hi = runs
+    n = len(ptr) - 1
+    ids = np.arange(max(n, len(lo)) + 2).astype(object)  # one int object per value, for every list
+    # node n is virtual: its one range 0, ..., n - 1 makes the roots its
+    # children, in ascending order; lo_ reads one past each node's last range
+    ptr_ = ids[np.append(ptr, len(lo) + 1)].tolist()
+    lo_, hi_ = ids[np.append(lo, [0, 0])].tolist(), ids[np.append(hi, n)].tolist()
+    unseen = ids[:n + 1].tolist()  # unseen[i] == i: i unvisited; else [i, unseen[i]) all visited
+    parent, order, post, path = [0] * n, [], [], []  # path: per ancestor, its range and where it resumes
+    v, k, end, i = n, len(lo), len(lo) + 1, 0
+    while True:
+        while k < end:
+            while unseen[i] != i:  # path halving
+                unseen[i] = i = unseen[unseen[i]]
+            if i < hi_[k]:
+                break
+            k += 1
+            i = lo_[k]
+        else:  # v finishes
+            if v == n:
+                break
+            post.append(v)
+            i, k, v = path.pop(), path.pop(), parent[v]
+            end = ptr_[v + 1]
             continue
-        rank[root] = counter
-        work = [[root, counter, 0, counter, 0]]  # node, index, next edge, low, stack position
-        stack.append(root)
-        counter += 1
-        while work:
-            frame = work[-1]
-            v, index, pi, low, base = frame
-            edges = out_edges[v]
-            r = rank[edges[pi:]]
-            if len(r):
-                j = int(r.argmin())
-                if r[j] == -1:  # descend along the tree edge v -> w
-                    if j:
-                        low = min(low, int(r[:j].min()))
-                    frame[2], frame[3] = pi + j + 1, low
-                    w = int(edges[pi + j])
-                    rank[w] = counter
-                    work.append([w, counter, 0, counter, len(stack)])
-                    stack.append(w)
-                    counter += 1
-                    continue
-                low = min(low, int(r[j]))
-            work.pop()
-            if low == index:  # v roots a component: pop it off the stack
-                if base == len(stack) - 1:  # one node, the common case: scalar writes
-                    comps.append([stack.pop()])
-                    rank[v] = n
-                else:
-                    comp = stack[base:]
-                    del stack[base:]
-                    rank[comp] = n
-                    comps.append(sorted(comp))
-            else:
-                work[-1][3] = min(work[-1][3], low)
+        path += k, i + 1  # descend along the tree edge v -> i
+        unseen[i] = unseen[i + 1]
+        order.append(i)
+        parent[i] = v
+        v, k, end = i, ptr_[i], ptr_[i + 1]
+        i = lo_[k]
+    del unseen, path  # before pass 2 makes its lists
+    pre_a = np.empty(n, dtype=np.intp)
+    pre_a[order] = np.arange(n)
+    least = np.full(n, n, dtype=np.intp)
+    has = ptr[:-1] < ptr[1:]
+    least[has] = np.minimum.reduceat(_range_min(pre_a, lo, hi), ptr[:-1][has])
+    pre, least = ids[pre_a].tolist(), ids[least].tolist()
+    low = pre[:]
+    placed = ids[:n + 1].tolist()  # as `unseen`, for the nodes in a component
+    pending, comps = [], []
+    for x in post:
+        l, p = low[x], least[x]
+        if p < l:
+            w = order[p]
+            if placed[w] == w:
+                l = p
+            else:  # list x's unplaced targets
+                for r in range(ptr_[x], ptr_[x + 1]):
+                    i = lo_[r]
+                    while True:
+                        while placed[i] != i:
+                            placed[i] = i = placed[placed[i]]
+                        if i >= hi_[r]:
+                            break
+                        l, i = min(l, pre[i]), i + 1
+        if l < pre[x]:
+            low[parent[x]] = min(low[parent[x]], l)
+            pending.append(x)
+        else:
+            comp = [x]
+            while pending and pre[pending[-1]] > pre[x]:
+                comp.append(pending.pop())
+            for v in comp:
+                placed[v] = placed[v + 1]
+            comp.sort()
+            comps.append(comp)
     return comps
 
 
 def chain_recurrent_set(g: ChainGraph) -> tuple[int, ...]:
     """Nodes on some graph cycle: members of a nontrivial strongly connected
     component, or nodes with a self-loop."""
-    recurrent = {v for comp in g.components if len(comp) >= 2 for v in comp}
+    index = g._component_index
+    recurrent = np.bincount(index)[index] >= 2
     ptr, start, stop = g.runs
     u = np.repeat(np.arange(g.size), np.diff(ptr))  # each range's source
-    recurrent.update(u[(start <= u) & (u < stop)].tolist())
-    return tuple(sorted(recurrent))
+    recurrent[u[(start <= u) & (u < stop)]] = True
+    return tuple(np.flatnonzero(recurrent).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,18 +494,17 @@ class TransitivityReport:
 def is_chain_transitive(g: ChainGraph) -> TransitivityReport:
     """True iff the chain graph is strongly connected; otherwise returns a
     concrete ordered pair with no connecting chain."""
-    comps = g.components
+    index = g._component_index
+    k = index[0]
+    if len(g.components[k]) == g.size:
+        return TransitivityReport(True, None)
     # node 0 is Tarjan's first root, so the components completed up to and
     # including its own are exactly the nodes it reaches
-    k = next(i for i, c in enumerate(comps) if c[0] == 0)  # components are sorted
-    if len(comps[k]) == g.size:
-        return TransitivityReport(True, None)
-    reached = {v for c in comps[:k + 1] for v in c}
-    if len(reached) < g.size:
-        return TransitivityReport(False, (g.nodes[0], g.nodes[min(set(range(g.size)) - reached)]))
+    missed = np.flatnonzero(index > k)
+    if len(missed):
+        return TransitivityReport(False, (g.nodes[0], g.nodes[int(missed[0])]))
     # node 0 reaches every node, so exactly its own component reaches it back
-    w = min(set(range(g.size)) - set(comps[k]))
-    return TransitivityReport(False, (g.nodes[w], g.nodes[0]))
+    return TransitivityReport(False, (g.nodes[int(np.argmax(index != k))], g.nodes[0]))
 
 
 # --- exports ----------------------------------------------------------------

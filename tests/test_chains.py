@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 from collections import deque
 
@@ -637,6 +638,73 @@ def test_scc_and_transitivity_on_random_digraphs(out_edges):
     assert rep.counterexample == (None if pair is None else (g.nodes[pair[0]], g.nodes[pair[1]]))
 
 
+@st.composite
+def range_digraphs(draw):
+    """Out-lists of up to a few hundred nodes, each a union of a few index
+    ranges: ascending, or in any order with repeated targets."""
+    n, width = draw(st.integers(1, 300)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    out_edges = []
+    for _ in range(n):
+        starts = rng.integers(0, n, rng.integers(0, 4))
+        targets = np.unique(np.concatenate(
+            [np.arange(a, min(a + rng.integers(1, width + 1), n)) for a in starts] + [np.empty(0, np.intp)]))
+        if rng.random() < 0.5:
+            targets = rng.permutation(np.append(targets, targets[:2]))
+        out_edges.append(targets.astype(np.intp))
+    return tuple(out_edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(range_digraphs())
+def test_scc_on_range_digraphs_matches_tarjan_oracle(out_edges):
+    assert strongly_connected_components(out_edges) == tarjan_oracle(out_edges)
+
+
+def test_scc_of_no_nodes_is_empty():
+    assert strongly_connected_components(()) == []
+    assert strongly_connected_components((np.empty(0, dtype=np.intp),)) == [[0]]
+
+
+_N = 100_000
+_IDS = np.arange(_N)
+
+
+@pytest.mark.parametrize("out_edges, count, largest", [
+    pytest.param(lambda: [_IDS[i + 1:i + 2] for i in range(_N)], _N, 1, id="path"),
+    pytest.param(lambda: [_IDS[i + 1:i + 2] for i in range(_N - 1)] + [_IDS[:1]], 1, _N, id="cycle"),
+    # 0 -> every node, i -> i - 1: Tarjan returns to node 0 after each of
+    # its children, so a per-visit read of its edges would be quadratic
+    pytest.param(lambda: [_IDS] + [_IDS[i - 1:i] for i in range(1, _N)], 1, _N, id="broom"),
+    # 0 -> 1, 2; 1 is a sink; i -> 1, 2, i + 1; the last node -> 1, ..., _N - 1:
+    # every node i >= 2 finds its least target 1 placed and lists the others
+    pytest.param(lambda: [_IDS[1:3], _IDS[:0]] + [np.append(_IDS[1:3], i + 1) for i in range(2, _N - 1)]
+                 + [_IDS[1:]], 3, _N - 2, id="comb"),
+])
+def test_scc_of_large_graphs_takes_linear_time(out_edges, count, largest):
+    out_edges = out_edges()
+    start = time.perf_counter()
+    comps = strongly_connected_components(out_edges)
+    assert time.perf_counter() - start < 2.0
+    assert len(comps) == count and max(map(len, comps)) == largest
+
+
+def test_ranges_of_many_out_lists_equal_those_of_one_block(monkeypatch):
+    c = ifsdyn.chains._CHUNK_NODES
+    rng = np.random.default_rng(3)
+    out_edges = [rng.integers(0, 60, rng.integers(0, 8)) for _ in range(3 * c + 5)]  # any order, repeats
+    out_edges += [np.sort(np.unique(e)) for e in out_edges]
+    for u in (0, c - 1, c, 2 * c - 1, 2 * c, 3 * c, len(out_edges) - 1):  # empty at block borders
+        out_edges[u] = np.empty(0, dtype=np.intp)
+    blocks = ifsdyn.chains._runs_of(out_edges)
+    monkeypatch.setattr(ifsdyn.chains, "_CHUNK_NODES", len(out_edges))
+    assert all(map(np.array_equal, blocks, ifsdyn.chains._runs_of(out_edges)))
+    ptr, start, stop = blocks
+    for u, e in enumerate(out_edges):  # the ranges hold the out-list, in its order
+        k = slice(ptr[u], ptr[u + 1])
+        assert np.array_equal(np.concatenate([e[:0], *map(np.arange, start[k], stop[k])]), e)
+
+
 def _digraph_chain_graph(out_edges):
     """A chain graph on the points of a finite space with the given out-lists."""
     n = len(out_edges)
@@ -733,13 +801,13 @@ def test_found_witnesses_validate(query_graphs, name, seed):
 
 def test_scc_computed_once_per_graph(monkeypatch):
     calls = []
-    tarjan = ifsdyn.chains.strongly_connected_components
+    tarjan = ifsdyn.chains._components
 
-    def counting(out_edges):
+    def counting(runs):
         calls.append(1)
-        return tarjan(out_edges)
+        return tarjan(runs)
 
-    monkeypatch.setattr(ifsdyn.chains, "strongly_connected_components", counting)
+    monkeypatch.setattr(ifsdyn.chains, "_components", counting)
     g = build_chain_graph(halving_ifs(), 0.002, 0.01)
     is_chain_transitive(g)
     chain_recurrent_set(g)
