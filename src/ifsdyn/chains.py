@@ -11,15 +11,16 @@ leaf, the grid indices within epsilon of the image's coordinate form one
 cyclic index range, whose two ends the metric itself fixes. A map's targets
 are the box of its leaf ranges, and a node's targets the union of its maps'
 boxes. Distances are computed only at the ends of the ranges, and the edges
-equal those of comparing every pair of nodes. An edge's label, the first map
-of least distance, is computed from the map images when it is read.
+equal those of comparing every pair of nodes.
 
 A continuous map sends a cell to a connected set, so a node's targets are a
 few index ranges (`ChainGraph.runs`: 23,347 hold the 3,128,868 edges of the
-12,801-node `interval_pair` graph), which the builder's rows give.
-`find_chain` searches breadth-first on ranges, keeping the parents and visit
-order of a FIFO queue, and stops at the target; self-loops are the ranges
-that hold their own source.
+12,801-node `interval_pair` graph), which the builder's rows give. A built
+graph stores its edges as these ranges alone; a node's out-list, and its
+labels (per edge, the first map of least distance from the map images), are
+computed when read. `find_chain` searches breadth-first on ranges, keeping
+the parents and visit order of a FIFO queue, and stops at the target;
+self-loops are the ranges that hold their own source.
 
 Nodes are held as the raw grid batch itself (a `RawPoints` view). A witness
 is a `PseudoOrbitRecord` with step errors <= epsilon whose points view that
@@ -55,17 +56,21 @@ from .spaces import (
 )
 
 _WITNESS_SLACK = 1e-12
-_CHUNK_NODES = 128  # source nodes per block of build_chain_graph and _runs_of; bounds their temporaries
-_CHUNK_ROWS = 2**15  # box rows build_chain_graph cuts at once, unless one block has more
+_CHUNK_NODES = 128  # out-lists per block of _runs_of; bounds its temporaries
+_CHUNK_ROWS = 2**15  # box rows build_chain_graph cuts at once, unless one node has more
+_NO_NODES = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
 class ChainGraph:
+    """An epsilon-chain graph on a grid. A built graph keeps its edges as
+    `runs` alone and computes `out_edges[u]` and `out_labels[u]` when read."""
+
     ifs: IFSSpec
     nodes: RawPoints
     epsilon: float
     resolution: float
-    out_edges: tuple[np.ndarray, ...]  # per node, ascending target indices
+    out_edges: Sequence[np.ndarray]    # per node, ascending target indices, in intp
     out_labels: Sequence[np.ndarray]   # matching argmin map index per edge, in the least uint dtype
 
     @property
@@ -74,7 +79,7 @@ class ChainGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(e) for e in self.out_edges)
+        return int((self.runs[2] - self.runs[1]).sum())
 
     @functools.cached_property
     def components(self) -> list[list[int]]:
@@ -98,35 +103,44 @@ class ChainGraph:
 
 
 @dataclass(frozen=True, eq=False)
-class _EdgeLabels(Sequence):
-    """`ChainGraph.out_labels` of a built graph, read-only and computed on
-    each read: node u's are, per target, the first map of least distance
-    from u's image."""
+class _OnRead(Sequence):
+    """`out_edges` or `out_labels` of a built graph: read-only, indexed and
+    sliced as a tuple of `size` arrays, node u's computed as `read(u)`."""
 
-    nodes: RawPoints
-    images: object  # `raw_images` of the node batch: per leaf, (map, node)
-    out_edges: tuple[np.ndarray, ...]
+    size: int
+    read: functools.partial  # not a closure, so that the graph pickles
 
     def __len__(self) -> int:
-        return len(self.out_edges)
+        return self.size
 
-    def __getitem__(self, u: int) -> np.ndarray:
-        targets = self.out_edges[u]
-        # a[:, u, None], not a[:, u:u + 1]: for u = -1 that slice is empty
-        dists = self.nodes.kind.dists(leafwise(lambda a: a[:, u, None], self.images),
-                                      leafwise(lambda a: a[targets], self.nodes.raws))
-        return dists.argmin(axis=0).astype(np.min_scalar_type(len(dists) - 1))
+    def __getitem__(self, u):
+        u = range(self.size)[u]
+        return tuple(map(self.read, u)) if isinstance(u, range) else self.read(u)
+
+
+def _out_list(runs: tuple[np.ndarray, np.ndarray, np.ndarray], u: int) -> np.ndarray:
+    """Node u's targets, ascending: its ranges of `runs`, expanded."""
+    ptr, start, stop = runs
+    k = slice(ptr[u], ptr[u + 1])
+    return np.concatenate([_NO_NODES, *map(np.arange, start[k].tolist(), stop[k].tolist())])
+
+
+def _labels(nodes: RawPoints, images, runs: tuple[np.ndarray, np.ndarray, np.ndarray], u: int) -> np.ndarray:
+    """Per target of node u, the first map of least distance from u's image."""
+    targets = _out_list(runs, u)
+    dists = nodes.kind.dists(leafwise(lambda a: a[:, u, None], images),
+                             leafwise(lambda a: a[targets], nodes.raws))
+    return dists.argmin(axis=0).astype(np.min_scalar_type(len(dists) - 1))
 
 
 def _runs_of(out_edges: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The maximal ranges of consecutive targets in each out-list, in stored
     order; a block of out-lists at a time bounds the temporaries."""
-    none = np.empty(0, dtype=np.intp)
-    ptr, start, stop = [np.zeros(1, dtype=np.intp)], [none], [none]
+    ptr, start, stop = [np.zeros(1, dtype=np.intp)], [_NO_NODES], [_NO_NODES]
     for c0 in range(0, len(out_edges), _CHUNK_NODES):
         block = out_edges[c0:c0 + _CHUNK_NODES]
         lengths = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
-        targets = np.concatenate([none, *block])
+        targets = np.concatenate([_NO_NODES, *block])
         ends = np.cumsum(lengths)
         firsts = ends - lengths  # where each node's targets start
         head = np.diff(targets, prepend=-2) != 1
@@ -203,17 +217,16 @@ def _rows(windows: list, count: np.ndarray, sizes: list[int], strides: list[int]
 
 def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainGraph:
     """Discretize the space at `resolution` and connect u -> v when some map
-    image of u lies within `epsilon` of v. The graph computes an edge's
-    label (the closest map, the first on ties) when it is read.
+    image of u lies within `epsilon` of v. The graph computes a node's
+    out-list and labels (the closest map, the first on ties) when read.
 
     The targets of u under one map form a box: the product of that map's
     exact leaf windows (`_leaf_windows`, which evaluates the metric only at
     the ends of each window). The targets of u are the union of its maps'
     boxes, in ascending order, so the edges equal those of comparing every
     pair of nodes, at O(edges) cost. Blocks of source nodes bound the
-    temporaries. The rows that add targets (see `_rows`), joined where they
-    touch, are the graph's `runs`, stored with it so that it never derives
-    them."""
+    temporaries. The rows (see `_rows`), joined where they overlap or touch,
+    are the graph's `runs`, the one form in which it keeps its edges."""
     if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     # completeness at epsilon/2 needs (L+1)*h/2 <= epsilon/2: this ensures it for L <= 3 only
@@ -231,39 +244,24 @@ def build_chain_graph(ifs: IFSSpec, resolution: float, epsilon: float) -> ChainG
     windows = [_leaf_windows(k, a, np.asarray(q, dtype=float), epsilon)
                for k, a, q in zip(kinds, axes, batch_leaves(images))]
     count = functools.reduce(np.multiply, (w[1] for w in windows[:-1]), np.ones_like(windows[-1][1]))
-    # rows for many blocks at once, up to _CHUNK_ROWS of them (a wrapped range makes two)
-    span = _CHUNK_NODES * max(1, _CHUNK_ROWS // (2 * int(count.sum(axis=0).max()) * _CHUNK_NODES))
-    out_edges: list[np.ndarray] = []
+    # rows for many nodes at once, up to _CHUNK_ROWS of them (a wrapped range makes two)
+    span = max(1, _CHUNK_ROWS // (2 * int(count.sum(axis=0).max())))
     ptr, run_start, run_stop = [np.zeros(1, dtype=np.intp)], [], []  # the graph's ranges, per span
     for s0 in range(0, size, span):
         key, end = _rows(windows, count, sizes, strides, slice(s0, s0 + span))
-        # each row adds the targets that no earlier row holds
         reach = np.maximum.accumulate(end)
-        first = key.copy()
-        np.maximum(key[1:], reach[:-1], out=first[1:])
-        added = np.maximum(end - first, 0)
-        place = np.append(0, np.cumsum(added))  # where each row's targets start
         row_of = np.searchsorted(key, np.arange(s0, min(s0 + span, size) + 1) * size)  # node s0 + i starts row_of[i]
-        target = first % size
-        # a row's added targets are one range, which joins the range before
-        # unless a gap parts them or the row is its node's first (each node
-        # has rows, and a row after a gap adds targets)
-        head = np.empty(len(key), dtype=bool)
-        np.greater(key[1:], reach[:-1], out=head[1:])
+        # a range starts at a gap or a node's first row and ends at its last row's reach
+        head = np.append(True, key[1:] > reach[:-1])
         head[row_of[:-1]] = True
         heads = np.flatnonzero(head)
         ptr.append(np.searchsorted(heads, row_of[1:]) + ptr[-1][-1])
-        run_start.append(target[heads])
-        run_stop.append(run_start[-1] + np.diff(place[np.append(heads, len(key))]))
-        for c0 in range(0, len(row_of) - 1, _CHUNK_NODES):  # one block of source nodes at a time
-            rows = row_of[c0:c0 + _CHUNK_NODES + 1]
-            r0, r1 = rows[0], rows[-1]
-            targets = _ranges(target[r0:r1], added[r0:r1])
-            cuts = (place[rows] - place[r0]).tolist()
-            out_edges += [targets[a:b] for a, b in zip(cuts, cuts[1:])]
-    nodes, edges = RawPoints(kind, batch), tuple(out_edges)
-    g = ChainGraph(ifs, nodes, epsilon, resolution, edges, _EdgeLabels(nodes, images, edges))
-    vars(g)["runs"] = tuple(map(np.concatenate, (ptr, run_start, run_stop)))
+        run_start.append(key[heads] % size)
+        run_stop.append(run_start[-1] + reach[np.append(heads[1:], len(key)) - 1] - key[heads])
+    nodes, runs = RawPoints(kind, batch), tuple(map(np.concatenate, (ptr, run_start, run_stop)))
+    g = ChainGraph(ifs, nodes, epsilon, resolution, _OnRead(size, functools.partial(_out_list, runs)),
+                   _OnRead(size, functools.partial(_labels, nodes, images, runs)))
+    vars(g)["runs"] = runs
     return g
 
 
@@ -495,9 +493,9 @@ def is_chain_transitive(g: ChainGraph) -> TransitivityReport:
     """True iff the chain graph is strongly connected; otherwise returns a
     concrete ordered pair with no connecting chain."""
     index = g._component_index
-    k = index[0]
-    if len(g.components[k]) == g.size:
+    if len(g.components) <= 1:  # one component, or no node
         return TransitivityReport(True, None)
+    k = index[0]
     # node 0 is Tarjan's first root, so the components completed up to and
     # including its own are exactly the nodes it reaches
     missed = np.flatnonzero(index > k)

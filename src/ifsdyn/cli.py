@@ -217,6 +217,8 @@ def _cmd_shadow(args) -> int:
 def _cmd_chain(args) -> int:
     if args.action != "graph" and (args.dot or args.format == "csv"):
         raise IFSError(f"--dot and --format csv apply to chain graph, not chain {args.action}")
+    if args.dot and args.format == "csv":
+        raise IFSError("--dot and --format csv each choose the output of chain graph; give one")
     if args.action == "find" and (getattr(args, "from") is None or args.to is None):
         raise IFSError("chain find requires --from and --to")
     ifs = _load_ifs(args)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import time
 import tracemalloc
 from collections import deque
@@ -550,32 +551,65 @@ def test_labels_of_more_than_256_maps_take_two_bytes():
 @pytest.mark.parametrize("name", ["halving", "circle_pair^2", "(circle_pair x interval_pair) x circle_pair"])
 def test_out_labels_act_like_a_tuple(name):
     """A built graph computes its labels on read, and indexes, iterates and
-    fails past the end as the tuple of label arrays does."""
+    fails past the end as the tuple of label arrays does; so do its
+    out-lists, and tuples of both make a graph with the same ranges."""
     g = build_chain_graph(*_catalog_systems()[name])
-    _, labels = all_pairs_graph(g.ifs, g.resolution, g.epsilon)
-    assert len(g.out_labels) == g.size
-    assert all(map(np.array_equal, g.out_labels, labels)) and len(list(g.out_labels)) == g.size
-    for u in (-1, -2, 1 - g.size, -g.size):
-        assert np.array_equal(g.out_labels[u], labels[u])
-    for u in (g.size, g.size + 1, -g.size - 1):
-        with pytest.raises(IndexError):
-            g.out_labels[u]
+    edges, labels = all_pairs_graph(g.ifs, g.resolution, g.epsilon)
+    for view, arrays in ((g.out_labels, labels), (g.out_edges, edges)):
+        assert len(view) == g.size
+        assert all(map(np.array_equal, view, arrays)) and len(list(view)) == g.size
+        for u in (-1, -2, 1 - g.size, -g.size):
+            assert np.array_equal(view[u], arrays[u])
+        for u in (g.size, g.size + 1, -g.size - 1):
+            with pytest.raises(IndexError):
+                view[u]
+        for cut in (slice(1, 4), slice(None, None, -3), slice(-2, None), slice(g.size, None)):
+            part = view[cut]
+            assert type(part) is tuple and len(part) == len(arrays[cut])
+            assert all(map(np.array_equal, part, arrays[cut]))
+    h = dataclasses.replace(g, out_edges=tuple(g.out_edges), out_labels=tuple(g.out_labels))
+    assert "runs" not in vars(h) and _same_runs(g) and all(map(np.array_equal, h.runs, g.runs))
+    assert h.components == g.components and h.edge_count == g.edge_count
 
 
 def test_labels_are_computed_only_when_read(monkeypatch):
-    """Building, SCC and chain recurrence compute no label; find_chain
-    computes those of its path's steps, one node each."""
-    read = []
-    labels_of = ifsdyn.chains._EdgeLabels.__getitem__
-    monkeypatch.setattr(ifsdyn.chains._EdgeLabels, "__getitem__",
-                        lambda self, u: read.append(u) or labels_of(self, u))
+    """Building, SCC, chain recurrence, transitivity and the edge count
+    compute no label and expand no out-list; find_chain computes the labels
+    of its path's steps, one node each, and expands only its path's nodes."""
+    read, expanded = [], []
+    labels_of, out_list = ifsdyn.chains._labels, ifsdyn.chains._out_list
+    monkeypatch.setattr(ifsdyn.chains, "_labels",
+                        lambda nodes, images, runs, u: read.append(u) or labels_of(nodes, images, runs, u))
+    monkeypatch.setattr(ifsdyn.chains, "_out_list", lambda runs, u: expanded.append(u) or out_list(runs, u))
     g = build_chain_graph(*_catalog_systems()["interval_pair"])
+    assert len(g.components) > 1 and g.edge_count > 0
     is_chain_transitive(g)
     chain_recurrent_set(g)
-    assert read == []
+    assert read == [] and expanded == []
     res = find_chain(g, g.nodes[0], g.nodes[g.size // 2])
     path = [snap_to_node(g, p)[0] for p in res.witness.points]
     assert res.found and len(path) > 2 and read == path[:-1]
+    assert set(expanded) == set(path[:-1])
+
+
+@pytest.mark.parametrize("name", ["halving", "circle_pair^2", "interval_pair x permutations"])
+def test_built_graph_pickles(name):
+    """A built graph's on-read views survive a pickle round trip."""
+    g = build_chain_graph(*_catalog_systems()[name])
+    h = pickle.loads(pickle.dumps(g))
+    for got, want in ((h.out_edges, g.out_edges), (h.out_labels, g.out_labels)):
+        assert len(got) == len(want) == g.size
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+    assert h.components == g.components and h.edge_count == g.edge_count
+
+
+def test_transitivity_of_a_graph_with_no_nodes():
+    """Vacuously transitive, as its empty list of components says."""
+    g = ChainGraph(identity_ifs(), RawPoints(UNIT, np.empty(0)), 1.0, 1.0, (), ())
+    assert strongly_connected_components(()) == g.components == []
+    rep = is_chain_transitive(g)
+    assert rep.transitive and rep.counterexample is None
+    assert chain_recurrent_set(g) == () and g.edge_count == 0
 
 
 def test_find_chain_matches_bfs_oracle(catalog_graph):

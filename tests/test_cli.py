@@ -580,6 +580,18 @@ def test_chain_flags_apply_to_their_action(monkeypatch, capsys):
     assert built == [] and captured.out == "" and len(err) == 5 and all(line.startswith("error: ") for line in err)
 
 
+def test_chain_graph_refuses_dot_with_csv(monkeypatch, capsys):
+    """--dot and --format csv each choose the output, so asking for both is
+    refused with one error line before a graph is built."""
+    built = []
+    monkeypatch.setattr(ifsdyn.cli, "build_chain_graph", lambda *args: built.append(args))
+    assert main(["chain", "graph", "--dot", "--format", "csv", "--model", "interval_pair",
+                 "--epsilon", "0.05", "--grid", "0.0125"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert built == [] and captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_closed_stdout_pipe_ends_quietly_with_the_command_code():
     """A reader that stops after one line leaves no traceback, and the
     command exits with the code of a run whose output is read to the end."""
