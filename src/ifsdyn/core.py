@@ -71,7 +71,7 @@ class MapDef:
       permutation             params (image tuple) on a finite space
       compose                 params: MapDefs applied first-to-last
       product                 params (left MapDef, right MapDef)
-      conjugate               fn-backed, produced by conjugate_ifs
+      conjugate               fn-backed, from conjugate_ifs: params (base MapDef, base space)
     """
 
     name: str
@@ -220,6 +220,26 @@ def _compile_map(m: MapDef, kind: SpaceKind, inverse: bool = False) -> Callable:
         return kind.encode(y)
 
     return transported
+
+
+def _onto(m: MapDef, kind: SpaceKind) -> bool:
+    """Whether `m` maps `kind` onto itself, read from its form. Identity and
+    twopiece maps fix both ends of [0, 1] (on the circle they have degree one);
+    the compose rule is exact on finite and symbol spaces, sufficient elsewhere."""
+    form, params = m.form, m.params
+    if form == "prepend" or _unsupported(m, kind) is not None:
+        return False
+    if form == "permutation":  # a bijection
+        return set(params) == set(range(kind.n))
+    if form == "affine":  # the canonical endpoint images are the ends
+        return {_compile_map(m, kind)(t) for t in (kind.lo, kind.hi)} == {kind.lo, kind.hi}
+    if form == "compose":
+        return all(_onto(sub, kind) for sub in params)
+    if form == "product":
+        return _onto(params[0], kind.left) and _onto(params[1], kind.right)
+    if form == "conjugate":  # as its base map on its base space
+        return len(params) == 2 and _onto(*params)
+    return True  # identity, twopiece_quadratic
 
 
 def lane_shape(slope: float, n: int) -> Optional[tuple[int, int]]:
@@ -404,12 +424,12 @@ def invert_map(m: MapDef, y: Point) -> Point:
 
 @dataclass(frozen=True)
 class IFSSpec:
-    """A finite indexed family of continuous self-maps of one space."""
+    """A finite indexed family of continuous self-maps of one space; whether
+    each map is onto is read from its form (`surjective_flags`)."""
 
     space: SpaceKind
     maps: tuple[MapDef, ...]
     claimed_contraction: Optional[float] = None
-    surjective_flags: tuple[bool, ...] = ()
     name: str = ""
 
     def __post_init__(self):
@@ -417,14 +437,15 @@ class IFSSpec:
             raise DomainError("an IFS needs at least one map")
         if self.claimed_contraction is not None and not 0 < self.claimed_contraction < 1:
             raise DomainError("claimed contraction ratio must lie in (0,1)")
-        if not self.surjective_flags:
-            object.__setattr__(self, "surjective_flags", (False,) * len(self.maps))
-        if len(self.surjective_flags) != len(self.maps):
-            raise DomainError("one surjectivity flag per map is required")
 
     @property
     def nmaps(self) -> int:
         return len(self.maps)
+
+    @property
+    def surjective_flags(self) -> tuple[bool, ...]:
+        """Whether each map is onto the space, computed from its form (`_onto`)."""
+        return tuple(_onto(m, self.space) for m in self.maps)
 
     @cached_property
     def raw_steps(self) -> tuple[Callable, ...]:
@@ -696,13 +717,10 @@ def power_ifs(ifs: IFSSpec, k: int) -> IFSSpec:
     if count > POWER_GUARD:
         raise GuardError(f"|maps|^k = {count} exceeds guard {POWER_GUARD}")
     maps = []
-    flags = []
     for mu in range(count):
-        digits = word_digits(mu, ifs.nmaps, k)
-        chain = tuple(ifs.maps[d] for d in digits)
+        chain = tuple(ifs.maps[d] for d in word_digits(mu, ifs.nmaps, k))
         name = " o ".join(m.name for m in reversed(chain))
         maps.append(MapDef(name, "compose", chain))
-        flags.append(all(ifs.surjective_flags[d] for d in digits))
     claimed = None
     if ifs.claimed_contraction is not None:
         claimed = ifs.claimed_contraction ** k
@@ -710,7 +728,6 @@ def power_ifs(ifs: IFSSpec, k: int) -> IFSSpec:
         space=ifs.space,
         maps=tuple(maps),
         claimed_contraction=claimed,
-        surjective_flags=tuple(flags),
         name=f"{ifs.name}^{k}" if ifs.name else f"power{k}",
     )
     return ifs._powers[k]
@@ -732,12 +749,10 @@ def product_ifs(left: IFSSpec, right: IFSSpec) -> IFSSpec:
         raise GuardError(f"|maps| = {count} exceeds guard {POWER_GUARD}")
     space = Product(left.space, right.space)
     maps = []
-    flags = []
     for idx in range(count):
         lam, gam = pair_split(idx, left.nmaps)
         ml, mr = left.maps[lam], right.maps[gam]
         maps.append(MapDef(f"{ml.name}x{mr.name}", "product", (ml, mr)))
-        flags.append(left.surjective_flags[lam] and right.surjective_flags[gam])
     claimed = None
     if left.claimed_contraction is not None and right.claimed_contraction is not None:
         claimed = max(left.claimed_contraction, right.claimed_contraction)
@@ -745,7 +760,6 @@ def product_ifs(left: IFSSpec, right: IFSSpec) -> IFSSpec:
         space=space,
         maps=tuple(maps),
         claimed_contraction=claimed,
-        surjective_flags=tuple(flags),
         name=f"{left.name}x{right.name}",
     )
 
@@ -753,8 +767,9 @@ def product_ifs(left: IFSSpec, right: IFSSpec) -> IFSSpec:
 def conjugate_ifs(ifs: IFSSpec, h: Callable[[Point], Point], h_inv: Callable[[Point], Point],
                   target_space: SpaceKind) -> IFSSpec:
     """Transport the family through a homeomorphism h: each map f becomes
-    h o f o h_inv on the target space. h/h_inv round trips are validated to
-    1e-9 on 32 random samples of both spaces before any map is built."""
+    h o f o h_inv on the target space, with params (f, base space), so it is
+    onto when f is. h/h_inv round trips are validated to 1e-9 on 32 random
+    samples of both spaces before any map is built."""
     rng, tol = np.random.default_rng(0), 1e-9
     for _ in range(_SPOT_SAMPLES):
         x = sample_point(ifs.space, rng)
@@ -769,13 +784,12 @@ def conjugate_ifs(ifs: IFSSpec, h: Callable[[Point], Point], h_inv: Callable[[Po
         def g(p: Point) -> Point:
             return h(apply(ifs, lam, h_inv(p)))
 
-        return MapDef(f"{ifs.maps[lam].name}~h", "conjugate", (), g)
+        return MapDef(f"{ifs.maps[lam].name}~h", "conjugate", (ifs.maps[lam], ifs.space), g)
 
     return IFSSpec(
         space=target_space,
         maps=tuple(_transport(lam) for lam in range(ifs.nmaps)),
         claimed_contraction=None,
-        surjective_flags=ifs.surjective_flags,
         name=f"{ifs.name}~h" if ifs.name else "conjugated",
     )
 
@@ -791,7 +805,6 @@ def subsystem(ifs: IFSSpec, indices: Sequence[int]) -> IFSSpec:
         space=ifs.space,
         maps=tuple(ifs.maps[i] for i in idx),
         claimed_contraction=ifs.claimed_contraction,
-        surjective_flags=tuple(ifs.surjective_flags[i] for i in idx),
         name=f"{ifs.name}[{','.join(map(str, idx))}]",
     )
 
@@ -840,10 +853,12 @@ def ifs_from_json(d: dict) -> IFSSpec:
     claimed, flags = d.get("claimed_contraction"), d.get("surjective", [])
     if not isinstance(flags, (list, tuple)) or any(type(b) is not bool for b in flags):
         raise DomainError(f"surjective flags must be a list of true and false, got {flags!r}")
-    return IFSSpec(
+    ifs = IFSSpec(
         space=space,
         maps=tuple(map_from_json(m) for m in maps),
         claimed_contraction=None if claimed is None else as_float(claimed, "claimed_contraction"),
-        surjective_flags=tuple(flags),
         name=json_str(d, "name") if "name" in d else "",
     )
+    if "surjective" in d and tuple(flags) != ifs.surjective_flags:
+        raise DomainError(f"surjective flags {flags} disagree with the maps, which give {list(ifs.surjective_flags)}")
+    return ifs

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .core import IFSSpec, MapDef, backward_branch, invert_map, validate_ifs  # the inverses are re-exported
+from .core import IFSSpec, MapDef, validate_ifs
 from .errors import DomainError, GuardError
 from .spaces import Circle, FiniteDiscrete, Interval, SymbolSpace, as_int
 
@@ -31,7 +31,6 @@ def _binary_affine() -> IFSSpec:
             MapDef("half_up", "affine", (0.5, 0.5)),
         ),
         claimed_contraction=0.5,
-        surjective_flags=(False, False),
         name="binary_affine",
     )
 
@@ -44,7 +43,6 @@ def _sigma2_prepend(depth: int = 64) -> IFSSpec:
             MapDef("prepend1", "prepend", (1,)),
         ),
         claimed_contraction=0.5,
-        surjective_flags=(False, False),
         name="sigma2_prepend",
     )
 
@@ -57,7 +55,6 @@ def _circle_pair() -> IFSSpec:
             MapDef("F2", "twopiece_quadratic", (1.0, 1.0)),
         ),
         claimed_contraction=None,
-        surjective_flags=(True, True),
         name="circle_pair",
     )
 
@@ -72,7 +69,6 @@ def _interval_pair() -> IFSSpec:
             MapDef("f2", "twopiece_quadratic", (1.0, 1.0)),
         ),
         claimed_contraction=None,
-        surjective_flags=(True, True),
         name="interval_pair",
     )
 
@@ -86,7 +82,6 @@ def _finite_permutations(n: int) -> IFSSpec:
         space=FiniteDiscrete(n),
         maps=tuple(MapDef("p" + "".join(map(str, p)), "permutation", p) for p in perms),
         claimed_contraction=None,
-        surjective_flags=(True,) * len(perms),
         name=f"finite_permutations:{n}",
     )
 
@@ -110,7 +105,6 @@ def _affine_family(betas=None, offsets=None) -> IFSSpec:
             MapDef(f"aff{i}", "affine", (b, c)) for i, (b, c) in enumerate(zip(betas, offsets))
         ),
         claimed_contraction=max(abs(b) for b in betas),
-        surjective_flags=(False,) * len(betas),
         name="affine_family",
     )
 
@@ -134,15 +128,12 @@ def parse_model_id(model_id: str) -> tuple[str, dict]:
     name, _, arg = model_id.partition(":")
     if name not in _CATALOG:
         raise DomainError(f"unknown model {name!r}; see list-models")
-    kwargs = {}
-    if arg:
-        if name == "finite_permutations":
-            kwargs["n"] = int(arg)
-        elif name == "sigma2_prepend":
-            kwargs["depth"] = int(arg)
-        else:
-            raise DomainError(f"model {name!r} takes no inline parameter")
-    return name, kwargs
+    if not arg:
+        return name, {}
+    key = {"finite_permutations": "n", "sigma2_prepend": "depth"}.get(name)
+    if key is None:
+        raise DomainError(f"model {name!r} takes no inline parameter")
+    return name, {key: as_int(arg, f"parameter {key!r} of model {name!r}")}
 
 
 def make_system(model_id: str, **params) -> IFSSpec:

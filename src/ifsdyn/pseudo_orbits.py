@@ -216,7 +216,7 @@ def dyadic_block_sequence(
     depth: int,
 ) -> PseudoOrbitRecord:
     """Alternating forward/backward dyadic blocks joining x and y under one
-    surjective map g.
+    surjective map g (onto by its form: `IFSSpec.surjective_flags`).
 
     Block k (indices [2^k, 2^{k+1})) holds the forward run x, g(x), ...,
     g^{2^{k-1}-1}(x) followed by the tail of the backward branch ending at y.
@@ -231,7 +231,7 @@ def dyadic_block_sequence(
     if not 0 <= g < ifs.nmaps:
         raise DomainError(f"map index {g} out of range")
     if not ifs.surjective_flags[g]:
-        raise DomainError("dyadic blocks need a surjective map (flag not set)")
+        raise DomainError(f"dyadic blocks need a surjective map; map {ifs.maps[g].name} is not onto")
     branch, kind = backward_branch, ifs.space
     need = 2 ** (depth - 1)
     if len(branch) < need:

@@ -47,7 +47,7 @@ UNIT = Interval(0.0, 1.0)
 
 
 def identity_ifs():
-    return IFSSpec(UNIT, (MapDef("id", "identity"),), surjective_flags=(True,))
+    return IFSSpec(UNIT, (MapDef("id", "identity"),))
 
 
 def halving_ifs():

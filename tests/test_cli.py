@@ -53,13 +53,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["experiment", "lemma-density", "--seed", "-1", "--output-root", str(tmp_path)]) == 2
     for model, grid_step in [("circle_pair", "1e-9"), ("circle_pair", "5e-324"), ("binary_affine", "5e-324")]:
         assert main(["chain", "transitive", "--model", model, "--epsilon", "0.05", "--grid", grid_step]) == 2
+    # no system, a short explicit selector, an unknown noise, inline parameters a model does not take or read
+    assert main(["orbit", "--x0", "0.5", "--steps", "3"]) == 2
+    assert main(["orbit", "--model", "binary_affine", "--x0", "0.5", "--sigma", "01", "--steps", "5"]) == 2
+    assert main(["pseudo", "--model", "binary_affine", "--x0", "0.5", "--steps", "5", "--noise", "bogus"]) == 2
+    assert main(["orbit", "--model", "binary_affine:3", "--x0", "0.5", "--steps", "3"]) == 2
+    assert main(["orbit", "--model", "finite_permutations:2.5", "--x0", "0", "--steps", "3"]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == "" and list(tmp_path.iterdir()) == []
     assert err == ["error: parameter 'seed' of lemma-density must be at least 0, got -1",
                    "error: a grid at resolution 1e-09 needs 1e+09 points, more than GRID_GUARD = 1048576",
                    "error: a grid at resolution 5e-324 needs inf points, more than GRID_GUARD = 1048576",
-                   "error: a grid at resolution 5e-324 needs inf points, more than GRID_GUARD = 1048576"]
+                   "error: a grid at resolution 5e-324 needs inf points, more than GRID_GUARD = 1048576",
+                   "error: either --model or --spec-file is required",
+                   "error: explicit selector has 2 entries, need 5",
+                   "error: unknown noise schedule 'bogus'",
+                   "error: model 'binary_affine' takes no inline parameter",
+                   "error: parameter 'n' of model 'finite_permutations' must be an integer, got '2.5'"]
 
 
 @pytest.mark.parametrize("command", ["orbit", "pseudo"])
@@ -111,9 +122,11 @@ def test_unparseable_values_exit_2(tmp_path, capsys):
     ("ex-interval-no-shadowing", "start_grid_step=0", "resolution must be positive"),
     ("ex-circle-chain", "epsilon=0", "epsilon must be positive"),
     ("ex-circle-chain", "resolution=1e-9", "a grid at resolution 1e-09 needs 1e+09 points, more than GRID_GUARD"),
+    ("ex-interval-no-shadowing", "delta=0", "delta must be positive"),
+    ("thm-power-consistency", "ks=[1]", "stride needs k >= 2"),
 ], ids=["trials=1.5", 'n="x"', "epsilon=null", "ks=[]", "nosuch=1", "trials=0", "steps=0", "ks=[2,0]",
         "conjugacy trials=0", "tol=NaN", "epsilon=-1", "ks=[2,Infinity]",
-        "seed=-1", "start_grid_step=0", "epsilon=0", "resolution=1e-9"])
+        "seed=-1", "start_grid_step=0", "epsilon=0", "resolution=1e-9", "delta=0", "ks=[1]"])
 def test_experiment_overrides_checked_exit_2(name, setting, message, tmp_path, capsys):
     """An override must name a parameter, have its default's JSON type (a
     list nonempty) and be in range: every number finite, counts (integer
@@ -606,6 +619,30 @@ def test_closed_stdout_pipe_ends_quietly_with_the_command_code():
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == full.returncode and err == b"" and full.stderr == b""
+
+
+def test_closed_stdout_pipe_during_json_output_exits_0_quietly():
+    """A JSON orbit of about 3 MB, far past a pipe's buffer, whose reader
+    closes stdout after 64 bytes ends with exit 0 and nothing on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "ifsdyn.cli", "orbit", "--model", "binary_affine", "--x0", "0.5",
+                             "--steps", "20000"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(64).startswith(b'{\n  "config": {\n')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0 and err == b""
+
+
+def test_specs_that_declare_a_map_onto_against_its_form_exit_2(tmp_path, capsys):
+    unit, three = {"type": "interval"}, {"type": "finite", "n": 3}
+    spec_file = tmp_path / "spec.json"
+    for space, m in ((unit, {"name": "h", "form": "affine", "params": [0.5, 0.0]}),
+                     (three, {"name": "c", "form": "permutation", "params": [0, 0, 0]})):
+        spec_file.write_text(json.dumps({"name": "s", "space": space, "maps": [m], "surjective": [True]}))
+        assert main(["orbit", "--spec-file", str(spec_file), "--x0", "0", "--steps", "3"]) == 2
+        assert _one_error_line(capsys) == "error: surjective flags [True] disagree with the maps, which give [False]"
 
 
 def _nested_product_spec(tmp_path) -> str:

@@ -40,7 +40,7 @@ from ifsdyn import (
     word_index,
 )
 from ifsdyn.cli import _parse_selector
-from ifsdyn.spaces import batch_leaves
+from ifsdyn.spaces import batch_leaves, grid_batch
 
 UNIT = Interval(0.0, 1.0)
 BITS = "".join
@@ -454,7 +454,81 @@ def test_a_conjugate_map_that_leaves_the_space_raises():
 
 def test_spec_surjective_flags_are_json_booleans():
     spec = ifs_to_json(make_system("binary_affine"))
-    assert ifs_from_json({**spec, "surjective": [True, False]}).surjective_flags == (True, False)
+    assert ifs_from_json({**spec, "surjective": [False, False]}).surjective_flags == (False, False)
+    with pytest.raises(DomainError, match=r"^surjective flags \[True, False\] disagree with the maps"):
+        ifs_from_json({**spec, "surjective": [True, False]})
     for flags in (["false", True], [1, 0], "true"):
         with pytest.raises(DomainError, match="^surjective flags must be a list of true and false"):
             ifs_from_json({**spec, "surjective": flags})
+
+
+HALF_SPEC = {"name": "half", "space": {"type": "interval"},
+             "maps": [{"name": "h", "form": "affine", "params": [0.5, 0.0]}]}
+CONST_SPEC = {"name": "const", "space": {"type": "finite", "n": 3},
+              "maps": [{"name": "c", "form": "permutation", "params": [0, 0, 0]}]}
+P120_SPEC = {"name": "cycle", "space": {"type": "finite", "n": 3},
+             "maps": [{"name": "p120", "form": "permutation", "params": [1, 2, 0]}]}
+
+
+def test_spec_flags_that_declare_a_map_onto_are_checked_against_its_form():
+    """t -> t/2 and the constant map are not onto whatever a spec declares,
+    and the bijection p120 is onto when the spec declares nothing."""
+    for spec in (HALF_SPEC, CONST_SPEC):
+        assert ifs_from_json(spec).surjective_flags == (False,)
+        assert ifs_from_json({**spec, "surjective": [False]}).surjective_flags == (False,)
+        with pytest.raises(DomainError, match=r"^surjective flags \[True\] disagree with .* give \[False\]$"):
+            ifs_from_json({**spec, "surjective": [True]})
+    assert ifs_from_json(P120_SPEC).surjective_flags == (True,)
+    with pytest.raises(DomainError, match="disagree with the maps"):
+        ifs_from_json({**P120_SPEC, "surjective": []})
+
+
+_CATALOG = ("binary_affine", "sigma2_prepend", "circle_pair", "interval_pair", "finite_permutations:1",
+            "finite_permutations:3")
+
+
+@pytest.mark.parametrize("model", _CATALOG + ("affine_family",))
+def test_derived_families_are_onto_by_the_rules_they_are_built_by(model):
+    """A power word is onto when all its digits are, a product map when both
+    sides are, a subsystem keeps its maps' flags and a conjugate its base's."""
+    params = {"betas": (0.5, -0.25), "offsets": (0.5, 0.25)} if model == "affine_family" else {}
+    ifs = make_system(model, **params)
+    flags = ifs.surjective_flags
+    for k in (2, 3):
+        words = (word_digits(mu, ifs.nmaps, k) for mu in range(ifs.nmaps ** k))
+        assert power_ifs(ifs, k).surjective_flags == tuple(all(flags[d] for d in w) for w in words)
+    for other in map(make_system, _CATALOG):
+        prod = product_ifs(ifs, other)
+        assert prod.surjective_flags == tuple(flags[lam] and other.surjective_flags[gam]
+                                              for lam, gam in (pair_split(i, ifs.nmaps) for i in range(prod.nmaps)))
+    subset = tuple(range(ifs.nmaps))[::-1]
+    assert subsystem(ifs, subset).surjective_flags == tuple(flags[i] for i in subset)
+    assert conjugate_ifs(ifs, lambda p: p, lambda p: p, ifs.space).surjective_flags == flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_finite_maps_are_onto_when_their_images_cover_the_space(data, n):
+    """On FiniteDiscrete(n), bijective or not, a map and the composition of
+    two are onto exactly when the images of all n points cover the space."""
+    image = st.lists(st.integers(0, n - 1), min_size=n, max_size=n) | st.permutations(range(n))
+    f, g = (MapDef(name, "permutation", tuple(data.draw(image))) for name in "fg")
+    kind = FiniteDiscrete(n)
+    ifs = IFSSpec(kind, (f, g, MapDef("gf", "compose", (f, g))))
+    images = ifs.raw_images(grid_batch(kind, 1.0))
+    assert ifs.surjective_flags == tuple(sorted(row.tolist()) == list(range(n)) for row in images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lo=st.floats(-10, 10), width=st.floats(1e-3, 10), a=st.sampled_from([1.0, -1.0]) | st.floats(-1, 1),
+       at=st.floats(0, 1))
+def test_affine_maps_are_onto_when_their_endpoint_images_are_the_ends(lo, width, a, at):
+    """t -> a*t + b with the image kept inside [lo, hi]: the flag reads
+    whether the canonical images of lo and hi are the two ends. a = +-1
+    maps onto the interval, unless the offset rounds in floats so that an
+    image misses an end."""
+    kind = Interval(lo, lo + width)
+    b = kind.lo - min(a * kind.lo, a * kind.hi) + at * (1 - abs(a)) * (kind.hi - kind.lo)
+    ifs = IFSSpec(kind, (MapDef("a", "affine", (a, b)),))
+    ends = ifs.raw_images(kind.batch([kind.lo, kind.hi]))[0].tolist()
+    assert ifs.surjective_flags == (set(ends) == {kind.lo, kind.hi},)

@@ -154,7 +154,7 @@ def test_backward_branch_affine_leaves_space():
 def test_backward_branch_identity():
     from ifsdyn import IFSSpec, MapDef
 
-    ident = IFSSpec(UNIT, (MapDef("id", "identity"),), surjective_flags=(True,))
+    ident = IFSSpec(UNIT, (MapDef("id", "identity"),))
     br = backward_branch(ident, 0, point(UNIT, 0.3), 5)
     assert all(p.value == 0.3 for p in br)
 

@@ -22,6 +22,7 @@ from ifsdyn import (
     dyadic_block_sequence,
     dyadic_seam_indices,
     harmonic_series,
+    ifs_from_json,
     make_system,
     orbit,
     perturbed_orbit,
@@ -212,6 +213,24 @@ def test_dyadic_preconditions():
     b = make_system("binary_affine")  # no surjective map
     with pytest.raises(DomainError):
         dyadic_block_sequence(b, 0, point(UNIT, 0.1), point(UNIT, 0.9), [point(UNIT, 0.9)], 1)
+
+
+def test_dyadic_blocks_take_a_map_onto_by_its_form():
+    """The constant map of {0, 1, 2} is refused, and the bijection p120 is
+    taken from a spec that declares no flags."""
+    def finite(name, images):
+        return ifs_from_json({"name": name, "space": {"type": "finite", "n": 3},
+                              "maps": [{"name": name, "form": "permutation", "params": images}]})
+
+    const = finite("c", [0, 0, 0])
+    zero = point(const.space, 0)
+    with pytest.raises(DomainError, match="^dyadic blocks need a surjective map; map c is not onto$"):
+        dyadic_block_sequence(const, 0, zero, zero, [zero], 1)
+    cycle = finite("p120", [1, 2, 0])
+    x, y = point(cycle.space, 0), point(cycle.space, 2)
+    rec = dyadic_block_sequence(cycle, 0, x, y, backward_branch(cycle, 0, y, 4), 3)
+    seams = set(dyadic_seam_indices(3))
+    assert len(rec.points) == 16 and all(e == 0 for i, e in enumerate(rec.errors.values) if i not in seams)
 
 
 def test_dyadic_branch_is_revalidated_forward():
